@@ -32,19 +32,9 @@ from .cosymplectic import (
 from .errors import AlgFileError, ConditionsFail, CoslieError
 from .extensions import ExtensionData, construct_A, construct_B, construct_C
 from .lie_core import LinearMap, check_isomorphism
-from .verify import verify_all
+from .verify import _vec_str, verify_all
 
 PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
-
-
-def _vec_str(v) -> str:
-    parts = []
-    for i, c in enumerate(v):
-        if sc.is_zero(c):
-            continue
-        cs = sc.scalar_str(c)
-        parts.append(f"e{i + 1}" if cs == "1" else f"{cs} e{i + 1}")
-    return " + ".join(parts) if parts else "0"
 
 
 def _form_str(alpha) -> str:

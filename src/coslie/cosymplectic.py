@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import cached_property
+from itertools import chain, product as iproduct
 from typing import Optional
 
 from . import scalars as sc
@@ -103,11 +104,19 @@ def reeb(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Vector:
     P = phi_map(L, alpha, omega)
     if sc.is_zero(volume_coeff(L, alpha, omega)):
         raise SingularPhi("alpha ^ omega^n = 0")
-    return tuple(sc.solve_linear(P, list(alpha.coeffs)))
+    return _solve_reeb(P, alpha)
+
+
+def _solve_reeb(P: list, alpha: OneForm) -> Vector:
+    return tuple(sc.solve_linear(P, [list(alpha.coeffs)])[0])
 
 
 @dataclass(frozen=True)
 class CosymplecticStructure:
+    """A validated structure.  Its derived objects (kernel reduction,
+    symplectic product, product table) are computed on first use and then
+    shared by every check that reads them."""
+
     algebra: LieAlgebra
     alpha: OneForm
     omega: TwoForm
@@ -119,13 +128,25 @@ class CosymplecticStructure:
         report = validate(L, alpha, omega)
         if not report.ok:
             raise NotCosymplectic(report)
-        xi = reeb(L, alpha, omega)
-        P = tuple(tuple(row) for row in phi_map(L, alpha, omega))
-        return CosymplecticStructure(L, alpha, omega, xi, P)
+        P = phi_map(L, alpha, omega)
+        xi = _solve_reeb(P, alpha)
+        return CosymplecticStructure(L, alpha, omega, xi, tuple(tuple(row) for row in P))
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def reduction(self) -> "KernelReduction":
+        return kernel_symplectic(self)
+
+    @cached_property
+    def star(self) -> "LsaTable":
+        return symplectic_lsa(self.reduction.pair)
+
+    @cached_property
+    def table(self) -> "LsaTable":
+        return cosymplectic_lsa(self)
 
     def is_parametric(self) -> bool:
         return (
@@ -304,9 +325,9 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     for k in kept:
         v = list(sc.zero_vec(n))
         v[k] = sc.ONE
-        coef = sc.mul(alpha.coeffs[k], sc.ONE)
+        coef = alpha.coeffs[k]
         if not sc.is_zero(coef):
-            v[pivot] = sc.neg(_quot(coef, ap))
+            v[pivot] = sc.neg(sc._scalar_quot(coef, ap))
         hbasis.append(tuple(v))
 
     def h_coords(w: Vector) -> Vector:
@@ -340,14 +361,6 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     if not ist_defects_empty(pair, deriv):
         raise NotIst("ad_xi restricted to ker alpha is not an i.s.t.")
     return KernelReduction(pair, deriv, tuple(hbasis) + (S.reeb,), kept)
-
-
-def _quot(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(b, Fraction):
-        return sc.mul(a, Fraction(1) / b)
-    num = a if isinstance(a, sc.Poly) else sc.Poly.const(a)
-    den = b if isinstance(b, sc.Poly) else sc.Poly.const(b)
-    return sc.ratfn(num, den)
 
 
 def ist_defects_empty(P: SymplecticPair, D: LinearMap) -> bool:
@@ -411,6 +424,19 @@ def to_symplectic(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> SymplecticPa
 # Left-symmetric products
 
 
+def _lincomb(n: int, terms) -> Vector:
+    """Sum of c * v over the (c, v) in terms, skipping zero coefficients
+    and zero components."""
+    out = list(sc.zero_vec(n))
+    for c, v in terms:
+        if sc.is_zero(c):
+            continue
+        for k, x in enumerate(v):
+            if not sc.is_zero(x):
+                out[k] = sc.add(out[k], sc.mul(c, x))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LsaTable:
     dim: int
@@ -434,15 +460,38 @@ class LsaTable:
         return LsaTable(dim, tuple(tuple(tuple(v) for v in row) for row in rows))
 
     def product(self, x: Vector, y: Vector) -> Vector:
-        out = sc.zero_vec(self.dim)
-        for i in range(self.dim):
-            if sc.is_zero(x[i]):
-                continue
-            for j in range(self.dim):
-                c = sc.mul(x[i], y[j])
-                if not sc.is_zero(c):
-                    out = sc.vec_add(out, sc.vec_scale(c, self.products[i][j]))
-        return out
+        n, P = self.dim, self.products
+        return _lincomb(
+            n,
+            (
+                (sc.mul(x[i], y[j]), P[i][j])
+                for i in range(n)
+                if not sc.is_zero(x[i])
+                for j in range(n)
+            ),
+        )
+
+    @cached_property
+    def associators(self) -> tuple:
+        """associators[i][j][k] = (e_i e_j) e_k - e_i (e_j e_k), read off the
+        stored products."""
+        n, P = self.dim, self.products
+        return tuple(
+            tuple(
+                tuple(
+                    _lincomb(
+                        n,
+                        chain(
+                            zip(P[i][j], (row[k] for row in P)),
+                            ((sc.neg(c), P[i][q]) for q, c in enumerate(P[j][k])),
+                        ),
+                    )
+                    for k in range(n)
+                )
+                for j in range(n)
+            )
+            for i in range(n)
+        )
 
     def nonzero_entries(self) -> list:
         out = []
@@ -463,27 +512,24 @@ class LsaTable:
 
 
 def symplectic_lsa(P: SymplecticPair) -> LsaTable:
-    """Table solving omega(x*y, z) = -omega(y, [x, z]) on basis pairs."""
+    """Table solving omega(x*y, z) = -omega(y, [x, z]) on basis pairs; the
+    m^2 systems share one matrix and are solved together."""
     m = P.algebra.dim
     omega_m = P.omega.matrix()
     if sc.is_zero(sc.det_poly([row[:] for row in omega_m])):
         raise DegenerateOmega("omega is degenerate on the symplectic algebra")
     omega_t = [[omega_m[k][l] for k in range(m)] for l in range(m)]  # transpose
-    rows = []
+    rhs = []
     for i in range(m):
-        row = []
+        brackets = [P.algebra.bracket_basis(i, l) for l in range(m)]
         for j in range(m):
             ej = sc.basis_vec(m, j)
-            c = [
-                sc.neg(P.omega.value(ej, P.algebra.bracket_basis(i, l)))
-                for l in range(m)
-            ]
-            row.append(tuple(sc.solve_linear(omega_t, c)))
-        rows.append(tuple(row))
-    return LsaTable(m, tuple(rows))
+            rhs.append([sc.neg(P.omega.value(ej, v)) for v in brackets])
+    sols = sc.solve_linear(omega_t, rhs)
+    return LsaTable(m, tuple(sols[i * m:(i + 1) * m] for i in range(m)))
 
 
-def cosymplectic_lsa(S: CosymplecticStructure, cross_check: bool = True) -> LsaTable:
+def cosymplectic_lsa(S: CosymplecticStructure) -> LsaTable:
     """The full left-symmetric table on g.
 
     Computed by solving Phi(x.y) = -Phi(y) o ad_x, and independently by
@@ -492,36 +538,31 @@ def cosymplectic_lsa(S: CosymplecticStructure, cross_check: bool = True) -> LsaT
     must agree entry by entry.
     """
     direct = _lsa_via_phi(S)
-    if cross_check:
-        assembled = _lsa_via_parts(S)
-        if direct != assembled:
-            raise AssertionError("product construction routes disagree")
+    if direct != _lsa_via_parts(S):
+        raise AssertionError("product construction routes disagree")
     return direct
 
 
 def _lsa_via_phi(S: CosymplecticStructure) -> LsaTable:
     n = S.dim
     P = [list(row) for row in S.phi]
-    rows = []
+    rhs = []
     for i in range(n):
-        row = []
+        brackets = [S.algebra.bracket_basis(i, l) for l in range(n)]
         for j in range(n):
             phi_j = [S.phi[l][j] for l in range(n)]
-            c = []
-            for l in range(n):
-                v = S.algebra.bracket_basis(i, l)
-                c.append(
-                    sc.neg(sum((sc.mul(phi_j[mm], v[mm]) for mm in range(n)), start=sc.ZERO))
-                )
-            row.append(tuple(sc.solve_linear(P, c)))
-        rows.append(tuple(row))
-    return LsaTable(n, tuple(rows))
+            rhs.append([
+                sc.neg(sum((sc.mul(phi_j[mm], v[mm]) for mm in range(n)), start=sc.ZERO))
+                for v in brackets
+            ])
+    sols = sc.solve_linear(P, rhs)
+    return LsaTable(n, tuple(sols[i * n:(i + 1) * n] for i in range(n)))
 
 
 def _lsa_via_parts(S: CosymplecticStructure) -> LsaTable:
     n = S.dim
-    red = kernel_symplectic(S)
-    star = symplectic_lsa(red.pair)
+    red = S.reduction
+    star = S.star
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
     xi = S.reeb
@@ -564,27 +605,19 @@ def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
     if T.dim != L.dim:
         raise DimensionMismatch("table/algebra dimension mismatch")
     n = T.dim
-    basis = [sc.basis_vec(n, i) for i in range(n)]
+    A = T.associators
     assoc = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                lhs = sc.vec_sub(
-                    T.product(T.product(x, y), z), T.product(x, T.product(y, z))
-                )
-                rhs = sc.vec_sub(
-                    T.product(T.product(y, x), z), T.product(y, T.product(x, z))
-                )
-                d = sc.vec_sub(lhs, rhs)
+                d = sc.vec_sub(A[i][j][k], A[j][i][k])
                 if not sc.vec_is_zero(d):
                     assoc.append((i + 1, j + 1, k + 1, d))
     comm = []
     for i in range(n):
         for j in range(i + 1, n):
             d = sc.vec_sub(
-                sc.vec_sub(T.product(basis[i], basis[j]), T.product(basis[j], basis[i])),
-                L.bracket_basis(i, j),
+                sc.vec_sub(T.products[i][j], T.products[j][i]), L.bracket_basis(i, j)
             )
             if not sc.vec_is_zero(d):
                 comm.append((i + 1, j + 1, d))
@@ -602,11 +635,12 @@ class BiinvarianceReport:
 def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
     """The four bi-invariance conditions on h, plus an independent
     associativity test of the full product; both reported."""
-    red = kernel_symplectic(S)
-    star = symplectic_lsa(red.pair)
+    red = S.reduction
+    star = S.star
     D = red.deriv
     m = red.pair.algebra.dim
     w = red.pair.omega
+    A = star.associators
     basis = [sc.basis_vec(m, a) for a in range(m)]
     defects: dict = {1: [], 2: [], 3: [], 4: []}
     for a in range(m):
@@ -625,35 +659,14 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
             d3v = sc.vec_sub(star.product(D.column(a), y), star.product(D.column(b), x))
             if not sc.vec_is_zero(d3v):
                 defects[3].append((a + 1, b + 1, d3v))
+            # 1: (x * y) * z - x * (y * z) = omega(ad_xi y, x) ad_xi z
+            coeff = w.value(D.column(b), x)
             for c in range(m):
-                z = basis[c]
-                lhs = sc.vec_sub(
-                    star.product(star.product(x, y), z),
-                    star.product(x, star.product(y, z)),
-                )
-                coeff = w.value(D.column(b), x)
-                rhs = sc.vec_scale(coeff, D.column(c))
-                d1v = sc.vec_sub(lhs, rhs)
+                d1v = sc.vec_sub(A[a][b][c], sc.vec_scale(coeff, D.column(c)))
                 if not sc.vec_is_zero(d1v):
                     defects[1].append((a + 1, b + 1, c + 1, d1v))
     failed = [k for k in (1, 2, 3, 4) if defects[k]]
-
-    table = cosymplectic_lsa(S)
-    n = S.dim
-    gb = [sc.basis_vec(n, i) for i in range(n)]
-    associative = True
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                d = sc.vec_sub(
-                    table.product(table.product(gb[i], gb[j]), gb[k]),
-                    table.product(gb[i], table.product(gb[j], gb[k])),
-                )
-                if not sc.vec_is_zero(d):
-                    associative = False
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
+    associative = all(
+        sc.vec_is_zero(v) for plane in S.table.associators for row in plane for v in row
+    )
     return BiinvarianceReport(not failed, failed, associative, defects)

@@ -609,20 +609,18 @@ def nullspace(m) -> list:
     return basis
 
 
-def solve_rational(a, b) -> list:
-    """Unique solution of a x = b over Fraction; raises on singular."""
+def solve_rational(a, bs) -> list:
+    """Unique solutions of a x = b over Fraction, one per right-hand side b
+    in bs, from a single elimination of [a | b_1 ... b_k]; raises on
+    singular."""
     a = _require_rational_matrix(a)
-    n = len(a)
-    bvec = [to_fraction(as_scalar(x)) for x in b]
-    aug = [row[:] + [bvec[i]] for i, row in enumerate(a)]
+    ncols = len(a[0]) if a else 0
+    cols = [[to_fraction(as_scalar(x)) for x in b] for b in bs]
+    aug = [row + [col[i] for col in cols] for i, row in enumerate(a)]
     rows, pivots = rref(aug)
-    ncols = len(a[0])
-    if len(pivots) != ncols or any(p == ncols for p in pivots):
+    if pivots != list(range(ncols)):
         raise SingularSystem("singular linear system")
-    x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x
+    return [[rows[r][ncols + k] for r in range(ncols)] for k in range(len(cols))]
 
 
 def mat_mul(a, b) -> list:
@@ -704,21 +702,24 @@ def _exact_quot(num: Scalar, den: Scalar) -> Scalar:
     return num.exact_div(den)
 
 
-def solve_poly(a, b) -> list:
-    """Solve a x = b over polynomial entries via Cramer determinants.
+def solve_poly(a, bs) -> list:
+    """Solve a x = b over polynomial entries via Cramer determinants, one
+    solution per right-hand side b in bs; det(a) is computed once.
 
     Returns Scalars (RatFn where division is genuinely needed).  Raises
-    DegenerateOmega when det(a) = 0.
+    SingularSystem when det(a) = 0.
     """
     n = len(a)
     d = det_poly(a)
     if is_zero(d):
         raise SingularSystem("singular linear system")
     out = []
-    for j in range(n):
-        col = [[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]
-        dj = det_poly(col)
-        out.append(_scalar_quot(dj, d))
+    for b in bs:
+        x = []
+        for j in range(n):
+            col = [[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]
+            x.append(_scalar_quot(det_poly(col), d))
+        out.append(x)
     return out
 
 
@@ -731,9 +732,10 @@ def _scalar_quot(num: Scalar, den: Scalar) -> Scalar:
     return ratfn(numf, den)
 
 
-def solve_linear(a, b) -> list:
-    """Dispatch: Gaussian over Fraction, Cramer/Bareiss over polynomials."""
+def solve_linear(a, bs) -> list:
+    """Solutions of a x = b, one per right-hand side b in bs.  Dispatch:
+    Gaussian over Fraction, Cramer/Bareiss over polynomials."""
     try:
-        return solve_rational(a, b)
+        return solve_rational(a, bs)
     except ParametricUnsupported:
-        return solve_poly(a, b)
+        return solve_poly(a, bs)

@@ -17,10 +17,7 @@ from . import scalars as sc
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
-    cosymplectic_lsa,
     exists_cosymplectic,
-    kernel_symplectic,
-    symplectic_lsa,
     validate,
     LsaTable,
 )
@@ -197,7 +194,7 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
 
     tag = f"{suffix}" if suffix else ""
     try:
-        table = cosymplectic_lsa(S)  # cross-checks the two routes internally
+        table = S.table  # cross-checks the two routes internally
         ls = left_symmetry_defect(table, S.algebra)
         out.append(
             _result(
@@ -211,8 +208,8 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
         out.append(_result(entry_name, f"left_symmetry{tag}", False, str(exc)))
         return
 
-    red = kernel_symplectic(S)
-    star = symplectic_lsa(red.pair)
+    red = S.reduction
+    star = S.star
     D = red.deriv
     m = red.pair.algebra.dim
     ok = True
@@ -356,7 +353,7 @@ def _verify_lsa(entry) -> list:
         alpha = exp.alpha.subs(subs)
         omega = exp.omega.subs(subs)
         S = CosymplecticStructure.make(L, alpha, omega)
-        got = cosymplectic_lsa(S)
+        got = S.table
         want_entries = {
             ij: {k: sc.scalar_subs(sc.as_scalar(c), subs) for k, c in comps.items()}
             for ij, comps in exp.table.items()
@@ -375,7 +372,7 @@ def _verify_lsa(entry) -> list:
         S_nf = CosymplecticStructure.make(
             entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs)
         )
-        table_nf = cosymplectic_lsa(S_nf).nonzero_entries()
+        table_nf = S_nf.table.nonzero_entries()
         out.append(
             _result(
                 entry,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -302,3 +303,11 @@ def test_catalog_verify_all_deterministic_and_flagged(capsys):
     assert payload["result"]["ok"] is True
     assert payload["result"]["failed"] == 0
     assert payload["result"]["flagged"] == 13
+
+
+def test_catalog_verify_all_json_matches_golden_file(capsys):
+    # tests/data/verify_all.json is the committed report; a change that
+    # rewords or reorders any check must update it on purpose.
+    golden = (Path(__file__).parent / "data" / "verify_all.json").read_bytes()
+    assert main(["catalog", "verify-all", "--json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
 from coslie.catalog import get_entry, heisenberg, instantiate, list_entries
@@ -417,3 +418,172 @@ def test_volume_vanishes_iff_phi_singular_on_random_points():
             vol = volume_coeff(L, alpha, omega)
             det = det_poly(phi_map(L, alpha, omega))
             assert (vol == 0) == (det == 0), name
+
+
+# ---------------------------------------------------------------------------
+# Derived objects are computed once; associator identities against the
+# original triple loops
+
+
+def test_structure_checks_compute_each_derived_object_once(monkeypatch):
+    import coslie.cosymplectic as cs
+    from coslie.verify import _structure_checks
+
+    calls = {}
+
+    def counted(name):
+        fn = getattr(cs, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("kernel_symplectic", "symplectic_lsa", "_lsa_via_phi"):
+        monkeypatch.setattr(cs, name, counted(name))
+    name, S0 = next((n, S) for n, S in STRUCTURES if S.dim == 5)
+    S = make(S0.algebra, S0.alpha, S0.omega)
+    out = []
+    _structure_checks(name, S, out)
+    assert [r.check for r in out] == ["left_symmetry", "deriv_identity", "biinv_consistency"]
+    assert all(r.ok for r in out)
+    assert calls == {"kernel_symplectic": 1, "symplectic_lsa": 1, "_lsa_via_phi": 1}
+
+
+def seed_product(T, x, y):
+    """Dense-vector bilinear product, as the table computed it originally."""
+    out = sc.zero_vec(T.dim)
+    for i in range(T.dim):
+        if sc.is_zero(x[i]):
+            continue
+        for j in range(T.dim):
+            c = sc.mul(x[i], y[j])
+            if not sc.is_zero(c):
+                out = sc.vec_add(out, sc.vec_scale(c, T.products[i][j]))
+    return out
+
+
+def seed_left_symmetry_defect(T, L):
+    n = T.dim
+    basis = [sc.basis_vec(n, i) for i in range(n)]
+    assoc = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                x, y, z = basis[i], basis[j], basis[k]
+                lhs = sc.vec_sub(
+                    seed_product(T, seed_product(T, x, y), z),
+                    seed_product(T, x, seed_product(T, y, z)),
+                )
+                rhs = sc.vec_sub(
+                    seed_product(T, seed_product(T, y, x), z),
+                    seed_product(T, y, seed_product(T, x, z)),
+                )
+                d = sc.vec_sub(lhs, rhs)
+                if not sc.vec_is_zero(d):
+                    assoc.append((i + 1, j + 1, k + 1, d))
+    comm = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = sc.vec_sub(
+                sc.vec_sub(
+                    seed_product(T, basis[i], basis[j]), seed_product(T, basis[j], basis[i])
+                ),
+                L.bracket_basis(i, j),
+            )
+            if not sc.vec_is_zero(d):
+                comm.append((i + 1, j + 1, d))
+    return {"associator": assoc, "commutator": comm, "pass": not assoc and not comm}
+
+
+def seed_associative(T):
+    n = T.dim
+    gb = [sc.basis_vec(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                d = sc.vec_sub(
+                    seed_product(T, seed_product(T, gb[i], gb[j]), gb[k]),
+                    seed_product(T, gb[i], seed_product(T, gb[j], gb[k])),
+                )
+                if not sc.vec_is_zero(d):
+                    return False
+    return True
+
+
+def seed_condition1(star, D, w):
+    m = star.dim
+    basis = [sc.basis_vec(m, a) for a in range(m)]
+    defects = []
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                x, y, z = basis[a], basis[b], basis[c]
+                lhs = sc.vec_sub(
+                    seed_product(star, seed_product(star, x, y), z),
+                    seed_product(star, x, seed_product(star, y, z)),
+                )
+                rhs = sc.vec_scale(w.value(D.column(b), x), D.column(c))
+                d1v = sc.vec_sub(lhs, rhs)
+                if not sc.vec_is_zero(d1v):
+                    defects.append((a + 1, b + 1, c + 1, d1v))
+    return defects
+
+
+def test_associator_checks_match_the_triple_loops_on_catalog():
+    for name, S in STRUCTURES:
+        assert left_symmetry_defect(S.table, S.algebra) == seed_left_symmetry_defect(
+            S.table, S.algebra
+        ), name
+        red = S.reduction
+        rep = biinvariance(S)
+        assert rep.associative == seed_associative(S.table), name
+        assert rep.defects[1] == seed_condition1(S.star, red.deriv, red.pair.omega), name
+
+
+table_entries = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=2)
+)
+
+
+def random_tables(n):
+    return st.lists(
+        st.lists(st.tuples(*[table_entries] * n).map(tuple), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(lambda rows: LsaTable(n, tuple(tuple(r) for r in rows)))
+
+
+@given(st.integers(1, 4).flatmap(random_tables))
+def test_left_symmetry_defect_matches_the_triple_loop_on_random_tables(T):
+    L = LieAlgebra.abelian(T.dim)
+    assert left_symmetry_defect(T, L) == seed_left_symmetry_defect(T, L)
+
+
+# g_{3.4} and a five-dimensional catalog instance: both have ad_xi != 0 on h
+BIINV_HOSTS = [
+    make(LieAlgebra.from_table(3, {(1, 3): {1: 1}, (2, 3): {2: -1}}), E3(3), W({(1, 2): 1})),
+    next(
+        S
+        for _, S in STRUCTURES
+        if S.dim == 5 and any(not sc.vec_is_zero(row) for row in S.reduction.deriv.matrix)
+    ),
+]
+
+
+@given(
+    st.sampled_from(BIINV_HOSTS).flatmap(
+        lambda S: st.tuples(st.just(S), random_tables(S.dim - 1), random_tables(S.dim))
+    )
+)
+def test_biinvariance_matches_the_triple_loops_on_random_tables(case):
+    host, star, table = case
+    S = make(host.algebra, host.alpha, host.omega)
+    # stand-in products: the cached values are what biinvariance reads
+    S.__dict__["star"] = star
+    S.__dict__["table"] = table
+    red = S.reduction
+    rep = biinvariance(S)
+    assert rep.associative == seed_associative(table)
+    assert rep.defects[1] == seed_condition1(star, red.deriv, red.pair.omega)

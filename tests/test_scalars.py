@@ -176,16 +176,56 @@ def test_ratfn_normalization_and_equality():
 
 def test_solve_poly_cramer():
     a = Poly.var("a")
-    x = sc.solve_poly([[a, sc.ZERO], [sc.ZERO, a * a]], [Poly.const(1), a])
+    [x] = sc.solve_poly([[a, sc.ZERO], [sc.ZERO, a * a]], [[Poly.const(1), a]])
     assert sc.scalars_equal(x[0], ratfn(Poly.const(1), a))
     assert sc.scalars_equal(x[1], ratfn(Poly.const(1), a))
     with pytest.raises(SingularSystem):
-        sc.solve_poly([[a, a], [a, a]], [Poly.const(1), Poly.const(0)])
+        sc.solve_poly([[a, a], [a, a]], [[Poly.const(1), Poly.const(0)]])
 
 
 def test_solve_rational_and_inverse():
     m = [[F(1), F(2)], [F(3), F(4)]]
-    x = sc.solve_rational(m, [F(1), F(1)])
+    [x] = sc.solve_rational(m, [[F(1), F(1)]])
     assert sc.mat_vec(m, x) == (F(1), F(1))
     inv = sc.mat_inverse(m)
     assert sc.mat_mul(m, inv) == sc.identity_matrix(2)
+
+
+square_systems = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=0, max_size=5),
+    )
+)
+
+
+@given(square_systems)
+def test_solve_linear_several_rhs_equals_column_by_column(system):
+    m, bs = system
+    if sc.is_zero(det_poly([row[:] for row in m])):
+        with pytest.raises(SingularSystem):
+            sc.solve_linear(m, bs)
+        return
+    xs = sc.solve_linear(m, bs)
+    assert xs == [sc.solve_linear(m, [b])[0] for b in bs]
+    assert [sc.mat_vec(m, x) for x in xs] == [tuple(b) for b in bs]
+
+
+def test_solve_linear_several_rhs_over_polynomials():
+    a, b = Poly.var("a"), Poly.var("b")
+    m = [[a, sc.ONE, sc.ZERO], [sc.ZERO, b, a], [sc.ONE, sc.ZERO, a * b]]
+    bs = [
+        [sc.ONE, sc.ZERO, sc.ZERO],
+        [a, b, sc.ONE],
+        [sc.ZERO, sc.ZERO, sc.ZERO],
+        [a * a, F(-2), b],
+    ]
+    xs = sc.solve_linear(m, bs)
+    assert len(xs) == len(bs)
+    for x, rhs in zip(xs, bs):
+        assert sc.vecs_equal(x, sc.solve_linear(m, [rhs])[0])
+        assert sc.vecs_equal(sc.mat_vec(m, x), rhs)
+    with pytest.raises(SingularSystem):
+        sc.solve_linear([[a, b], [a, b]], [[sc.ONE, sc.ZERO], [a, b]])
+    with pytest.raises(SingularSystem):
+        sc.solve_linear([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(0)], [F(0), F(0)]])
