@@ -198,8 +198,10 @@ WITNESS_VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3, -3)] + [
 @dataclass
 class ExistenceResult:
     exists: bool
-    det: Optional[Scalar]  # the determinant polynomial; always present for "no",
-    #                        skipped when a witness point settled "yes" first
+    det: Optional[Scalar]  # "no": the zero polynomial, computed by Bareiss or
+    #                        certified by a common kernel; "yes": the
+    #                        determinant polynomial if the grid was reached,
+    #                        None when a staged point settled it first
     z1_dim: int
     z2_dim: int
     alpha: Optional[OneForm] = None
@@ -210,41 +212,34 @@ class ExistenceResult:
 def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
     """Decide existence of a cosymplectic structure on L.
 
-    Builds the generic (alpha, omega) over the cocycle spaces with fresh
-    symbols; "no" is decided by the zero-polynomial test of det(Phi) over
-    those parameters.  Witness points are searched by evaluating the
-    instantiated rational determinant at a deterministic staged sequence
-    of assignments; the final stage is a full product grid over a value
-    list larger than the per-variable degree bound, so a nonzero
-    determinant polynomial is guaranteed a witness.
+    Over the cocycle spaces, alpha = sum s_i z1_i and omega = sum t_j z2_j;
+    a structure exists iff det(Phi) is not the zero polynomial in s, t.
+    The decision runs in four stages:
+
+    1. an exact "no" certificate (``_phi_kernel_certificate``) that needs
+       no determinant;
+    2. a deterministic staged sequence of rational points, each deciding
+       "yes" by a nonzero rational determinant;
+    3. the symbolic determinant, whose zero polynomial decides "no";
+    4. a full product grid over ``WITNESS_VALUES``, larger than the
+       determinant's per-variable degree (checked), so a nonzero
+       determinant polynomial is guaranteed a witness.
     """
     if L.dim % 2 == 0:
         raise EvenDimension("existence question needs odd dimension")
     from .exterior import cocycle_spaces
 
     z1, z2 = cocycle_spaces(L)
+    if _phi_kernel_certificate(L.dim, z1, z2):
+        return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
     svars = [f"s{i + 1}" for i in range(len(z1))]
     tvars = [f"t{j + 1}" for j in range(len(z2))]
-    alpha = OneForm(
-        L.dim,
-        tuple(
-            sum(
-                (sc.mul(sc.Poly.var(svars[i]), z1[i].coeffs[k]) for i in range(len(z1))),
-                start=sc.ZERO,
-            )
-            for k in range(L.dim)
-        ),
-    )
-    wc: dict = {}
-    for j, form in enumerate(z2):
-        for pair, c in form.coeffs.items():
-            wc[pair] = sc.add(wc.get(pair, sc.ZERO), sc.mul(sc.Poly.var(tvars[j]), c))
-    omega = TwoForm(L.dim, wc)
     variables = svars + tvars
 
     def try_point(assignment):
-        inst_alpha = alpha.subs(assignment)
-        inst_omega = omega.subs(assignment)
+        inst_alpha, inst_omega = _span_forms(
+            L.dim, z1, z2, [assignment[v] for v in svars], [assignment[v] for v in tvars]
+        )
         det_at = sc.det_poly(phi_map(L, inst_alpha, inst_omega))
         if sc.is_zero(det_at):
             return None
@@ -258,15 +253,58 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
         if hit is not None:
             return hit
 
+    alpha, omega = _span_forms(
+        L.dim, z1, z2, [sc.Poly.var(v) for v in svars], [sc.Poly.var(v) for v in tvars]
+    )
     det = sc.det_poly(phi_map(L, alpha, omega))
     if sc.is_zero(det):
         return ExistenceResult(False, det, len(z1), len(z2))
+    exponents = det.terms if isinstance(det, sc.Poly) else {}
+    degree = max((max(e, default=0) for e in exponents), default=0)
+    if degree >= len(WITNESS_VALUES):
+        raise AssertionError(
+            f"det Phi has degree {degree} in one variable; the value grid "
+            f"of {len(WITNESS_VALUES)} values cannot guarantee a witness"
+        )
     for assignment in _grid_assignments(variables):
         hit = try_point(assignment)
         if hit is not None:
             hit.det = det
             return hit
     raise AssertionError("nonzero determinant but no witness on the value grid")
+
+
+def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
+    """True when det(Phi) vanishes identically for a reason that needs no
+    determinant: Z^1 = 0 (then Phi = omega is skew of odd order), or some
+    v != 0 has alpha(v) = 0 for every alpha in Z^1 and i_v omega = 0 for
+    every omega in Z^2, so Phi(v) = 0 at every parameter.  A certified
+    algebra has no witness point anywhere."""
+    if not z1:
+        return True
+    rows = [list(a.coeffs) for a in z1]
+    if not sc.nullspace(rows):
+        return False
+    for w in z2:
+        rows.extend(w.matrix())
+    return bool(sc.nullspace(rows))
+
+
+def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:
+    """(sum s_i z1_i, sum t_j z2_j) for coefficient lists s and t, which
+    may be rationals (a witness point) or symbols (the generic forms)."""
+    alpha = OneForm(
+        dim,
+        tuple(
+            sum((sc.mul(si, a.coeffs[k]) for si, a in zip(s, z1)), start=sc.ZERO)
+            for k in range(dim)
+        ),
+    )
+    wc: dict = {}
+    for tj, form in zip(t, z2):
+        for pair, c in form.coeffs.items():
+            wc[pair] = sc.add(wc.get(pair, sc.ZERO), sc.mul(tj, c))
+    return alpha, TwoForm(dim, wc)
 
 
 def _staged_assignments(variables):
@@ -285,9 +323,11 @@ def _staged_assignments(variables):
 
 
 def _grid_assignments(variables):
-    """Exhaustive fair product grid; the pool size (21) exceeds the
-    per-variable degree of the determinant (at most 2 * dim <= 18), so the
-    grid contains a non-root of any nonzero determinant polynomial."""
+    """Exhaustive fair product grid over ``WITNESS_VALUES``.  When the pool
+    size (21) exceeds the determinant's degree in every variable, which
+    ``exists_cosymplectic`` checks before the grid, the grid contains a
+    non-root of any nonzero determinant polynomial (Alon, Combinatorial
+    Nullstellensatz)."""
     n = len(variables)
     for level in range(len(WITNESS_VALUES)):
         # tuples whose maximum value-index equals `level`

@@ -186,21 +186,44 @@ def d1(L: LieAlgebra, alpha: OneForm) -> TwoForm:
     return TwoForm(L.dim, coeffs)
 
 
+def _triple_rows(L: LieAlgebra) -> list:
+    """The degree-2 differential as sparse rows, one per triple i < j < k
+    whose row is nonzero: ``((i, j, k), {(p, q): c})`` with
+    ``omega([e_i,e_j],e_k) + omega([e_j,e_k],e_i) + omega([e_k,e_i],e_j)
+    = sum c * omega_pq``.
+
+    omega(x, e_m) picks up +x_l on e^{lm} for l < m and -x_l on e^{ml} for
+    l > m, so each nonzero bracket component enters exactly one monomial.
+    """
+    rows = []
+    for i, j, k in combinations(range(L.dim), 3):
+        row: dict = {}
+        for ab, m, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            x = L.brackets.get(ab)
+            if x is None:
+                continue
+            for l, xl in enumerate(x):
+                if l == m or sc.is_zero(xl):
+                    continue
+                pair = (l, m) if l < m else (m, l)
+                term = xl if (sign > 0) == (l < m) else sc.neg(xl)
+                row[pair] = sc.add(row.get(pair, sc.ZERO), term)
+        row = {pair: c for pair, c in row.items() if not sc.is_zero(c)}
+        if row:
+            rows.append(((i, j, k), row))
+    return rows
+
+
 def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
     if omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
     coeffs = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                s = sc.add(
-                    omega.value(L.bracket_basis(i, j), sc.basis_vec(L.dim, k)),
-                    sc.add(
-                        omega.value(L.bracket_basis(j, k), sc.basis_vec(L.dim, i)),
-                        omega.value(L.bracket_basis(k, i), sc.basis_vec(L.dim, j)),
-                    ),
-                )
-                coeffs[(i, j, k)] = sc.neg(s)
+    for triple, row in _triple_rows(L):
+        s = sum(
+            (sc.mul(c, omega.coeffs[pair]) for pair, c in row.items() if pair in omega.coeffs),
+            start=sc.ZERO,
+        )
+        coeffs[triple] = sc.neg(s)
     return ThreeForm(L.dim, coeffs)
 
 
@@ -270,35 +293,23 @@ def cocycle_spaces(L: LieAlgebra):
     if L.is_parametric():
         raise ParametricUnsupported("cocycle spaces need rational structure constants")
     dim = L.dim
-    pairs, _ = _pair_index(dim)
+    pairs, index = _pair_index(dim)
 
-    # Z^1: rows indexed by bracket pairs, columns by dual basis index l.
-    rows1 = [[v[l] for l in range(dim)] for v in (L.bracket_basis(i, j) for i, j in pairs)]
+    # Z^1: one row per nonzero bracket, columns by dual basis index l.
+    rows1 = [list(v) for v in L.brackets.values()]
     if rows1:
         z1 = [OneForm(dim, v) for v in sc.nullspace(rows1)]
     else:
         z1 = [OneForm.dual(dim, l + 1) for l in range(dim)]
 
-    # Z^2: rows indexed by triples, columns by pair monomials e^{pq}.
+    # Z^2: the nonzero triple rows, columns by pair monomials e^{pq}; the
+    # all-zero rows left out do not change the rref.
     rows2 = []
-    for i in range(dim):
-        ei = sc.basis_vec(dim, i)
-        for j in range(i + 1, dim):
-            ej = sc.basis_vec(dim, j)
-            for k in range(j + 1, dim):
-                ek = sc.basis_vec(dim, k)
-                row = []
-                for (p, q) in pairs:
-                    mono = TwoForm(dim, {(p, q): sc.ONE})
-                    s = sc.add(
-                        mono.value(L.bracket_basis(i, j), ek),
-                        sc.add(
-                            mono.value(L.bracket_basis(j, k), ei),
-                            mono.value(L.bracket_basis(k, i), ej),
-                        ),
-                    )
-                    row.append(s)
-                rows2.append(row)
+    for _, row in _triple_rows(L):
+        dense = [sc.ZERO] * len(pairs)
+        for pair, c in row.items():
+            dense[index[pair]] = c
+        rows2.append(dense)
     if rows2:
         z2 = [
             TwoForm(dim, {pairs[c]: v[c] for c in range(len(pairs))})

@@ -40,6 +40,22 @@ alpha : 1 3
 omega 1 2 : 1
 """
 
+# Inputs of the exists golden file: Heisenberg yes/no cases, an abelian
+# algebra, a catalog algebra, a "no" decided by the symbolic determinant
+# (no common kernel) and a witness found at the reciprocal staged point.
+EXISTS_INPUTS = {
+    "h3.alg": "dim 3\nbracket 1 2 : 1 3\n",
+    "h5.alg": H5,
+    "h7.alg": "dim 7\nbracket 1 4 : 1 7\nbracket 2 5 : 1 7\nbracket 3 6 : 1 7\n",
+    "r5.alg": "dim 5\n",
+    "a5_1.alg": "dim 5\nbracket 3 5 : 1 1\nbracket 4 5 : 1 2\n",
+    "r3_1.alg": "dim 3\nbracket 1 3 : -1 1\nbracket 2 3 : -1 2\n",
+    "s5.alg": (
+        "dim 5\nbracket 1 5 : 2 1 -2 2\nbracket 2 5 : 1 1 -2 2\n"
+        "bracket 3 5 : 1 2\nbracket 4 5 : -1 1 -1 4\n"
+    ),
+}
+
 EXT_A = """\
 dim 3
 phi 2 : 1 1          # phi(e2) = b e1, b = 1
@@ -311,3 +327,20 @@ def test_catalog_verify_all_json_matches_golden_file(capsys):
     golden = (Path(__file__).parent / "data" / "verify_all.json").read_bytes()
     assert main(["catalog", "verify-all", "--json"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_exists_output_matches_golden_file(tmp_path, monkeypatch, capsys):
+    # tests/data/exists.json is the committed `exists --json` and text stdout
+    # of EXISTS_INPUTS; a change to the decision or its witnesses must
+    # update it on purpose.
+    golden = (Path(__file__).parent / "data" / "exists.json").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for name, text in EXISTS_INPUTS.items():
+        Path(name).write_text(text)
+        code = main(["exists", "--json", name])
+        as_json = capsys.readouterr().out
+        assert main(["exists", name]) == code
+        outputs[name] = {"json": as_json, "text": capsys.readouterr().out}
+    rendered = json.dumps(outputs, indent=2, ensure_ascii=False) + "\n"
+    assert rendered.encode("utf-8") == golden

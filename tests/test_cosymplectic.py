@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from coslie import cosymplectic as cs
 from coslie import scalars as sc
 from coslie.catalog import get_entry, heisenberg, instantiate, list_entries
 from coslie.cosymplectic import (
@@ -34,7 +35,7 @@ from coslie.errors import (
     NotIst,
     SingularPhi,
 )
-from coslie.exterior import OneForm, TwoForm, is_2cocycle
+from coslie.exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, is_2cocycle
 from coslie.lie_core import LieAlgebra, LinearMap, check_isomorphism
 from coslie.scalars import Poly, ratfn
 
@@ -164,8 +165,84 @@ def test_exists_scales_to_large_cocycle_spaces():
         res = exists_cosymplectic(L)
         assert res.exists
         assert validate(L, res.alpha, res.omega).ok
-    res9 = exists_cosymplectic(heisenberg(4))
-    assert not res9.exists and sc.is_zero(res9.det)
+    # volume_coeff expands C(#monomials, n) products, too many for a dense
+    # omega from dimension 11 on; det Phi != 0 is the equivalent test
+    for dim in (11, 13, 15):
+        L = LieAlgebra.abelian(dim)
+        res = exists_cosymplectic(L)
+        assert res.exists
+        assert d1(L, res.alpha).is_zero() and d2(L, res.omega).is_zero()
+        assert not sc.is_zero(sc.det_poly(phi_map(L, res.alpha, res.omega)))
+    for n in (4, 5, 6):
+        res = exists_cosymplectic(heisenberg(n))
+        assert not res.exists and sc.is_zero(res.det)
+
+
+def generic_forms(L):
+    """The variables s_i, t_j and the generic (alpha, omega) over Z^1 x Z^2."""
+    z1, z2 = cocycle_spaces(L)
+    svars = [f"s{i + 1}" for i in range(len(z1))]
+    tvars = [f"t{j + 1}" for j in range(len(z2))]
+    alpha, omega = cs._span_forms(
+        L.dim, z1, z2, [Poly.var(v) for v in svars], [Poly.var(v) for v in tvars]
+    )
+    return svars, tvars, alpha, omega
+
+
+def generic_det(L):
+    """det Phi of the generic (alpha, omega), by Bareiss."""
+    _, _, alpha, omega = generic_forms(L)
+    return sc.det_poly(phi_map(L, alpha, omega))
+
+
+def certified(L) -> bool:
+    z1, z2 = cocycle_spaces(L)
+    return cs._phi_kernel_certificate(L.dim, z1, z2)
+
+
+R3_1 = LieAlgebra.from_table(3, {(1, 3): {1: -1}, (2, 3): {2: -1}})  # ad e3 = id
+
+
+def test_phi_kernel_certificate_fires_only_on_zero_determinants(sl2, g31):
+    for L in (heisenberg(2), heisenberg(3), heisenberg(4), sl2):
+        assert certified(L)
+        assert sc.is_zero(generic_det(L))
+        res = exists_cosymplectic(L)
+        assert not res.exists and sc.is_zero(res.det)
+    for L in (heisenberg(1), g31, LieAlgebra.abelian(3), LieAlgebra.abelian(5), R3_1):
+        assert not certified(L)
+    # R3_1 has no common kernel, yet det Phi vanishes: the symbolic route
+    assert sc.is_zero(generic_det(R3_1))
+    assert not exists_cosymplectic(R3_1).exists
+
+
+def test_rational_witness_points_equal_substituted_generic_forms(g31):
+    a51 = LieAlgebra.from_table(5, {(3, 5): {1: 1}, (4, 5): {2: 1}})
+    for L in (g31, heisenberg(1), R3_1, LieAlgebra.abelian(5), a51):
+        z1, z2 = cocycle_spaces(L)
+        svars, tvars, alpha, omega = generic_forms(L)
+        for n, point in enumerate(cs._staged_assignments(svars + tvars)):
+            if n == 12:
+                break
+            a, w = cs._span_forms(
+                L.dim, z1, z2, [point[v] for v in svars], [point[v] for v in tvars]
+            )
+            assert a.coeffs == alpha.subs(point).coeffs
+            assert w.coeffs == omega.subs(point).coeffs
+
+
+def test_grid_finds_a_witness_when_staged_points_are_skipped(g31, monkeypatch):
+    monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
+    res = exists_cosymplectic(g31)
+    assert res.exists and not sc.is_zero(res.det)
+    assert validate(g31, res.alpha, res.omega).ok
+
+
+def test_grid_refuses_a_pool_not_above_the_degree(g31, monkeypatch):
+    monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
+    monkeypatch.setattr(cs, "WITNESS_VALUES", [F(1)])
+    with pytest.raises(AssertionError, match="degree"):
+        exists_cosymplectic(g31)
 
 
 # ---------------------------------------------------------------------------

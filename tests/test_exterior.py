@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
 from coslie.errors import EvenDimension
@@ -177,6 +178,98 @@ def test_cocycle_spaces_g21(g21):
 def test_cocycle_spaces_perfect_algebra_has_no_one_cocycles(sl2):
     z1, _ = cocycle_spaces(sl2)
     assert z1 == []
+
+
+# Reference copies of the monomial-based Z^2 system and the triple-sum d2
+# that the sparse triple rows replaced.
+
+
+def reference_cocycle_spaces(L):
+    dim = L.dim
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows1 = [[v[l] for l in range(dim)] for v in (L.bracket_basis(i, j) for i, j in pairs)]
+    if rows1:
+        z1 = [OneForm(dim, v) for v in sc.nullspace(rows1)]
+    else:
+        z1 = [OneForm.dual(dim, l + 1) for l in range(dim)]
+    rows2 = []
+    for i, j, k in combinations(range(dim), 3):
+        ei, ej, ek = (sc.basis_vec(dim, m) for m in (i, j, k))
+        row = []
+        for p, q in pairs:
+            mono = TwoForm(dim, {(p, q): sc.ONE})
+            row.append(
+                mono.value(L.bracket_basis(i, j), ek)
+                + mono.value(L.bracket_basis(j, k), ei)
+                + mono.value(L.bracket_basis(k, i), ej)
+            )
+        rows2.append(row)
+    if rows2:
+        z2 = [
+            TwoForm(dim, {pairs[c]: v[c] for c in range(len(pairs))})
+            for v in sc.nullspace(rows2)
+        ]
+    else:
+        z2 = [TwoForm(dim, {p: sc.ONE}) for p in pairs]
+    return z1, z2
+
+
+def reference_d2(L, omega):
+    coeffs = {}
+    for i, j, k in combinations(range(L.dim), 3):
+        s = (
+            omega.value(L.bracket_basis(i, j), sc.basis_vec(L.dim, k))
+            + omega.value(L.bracket_basis(j, k), sc.basis_vec(L.dim, i))
+            + omega.value(L.bracket_basis(k, i), sc.basis_vec(L.dim, j))
+        )
+        coeffs[(i, j, k)] = -s
+    return coeffs
+
+
+table_entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+
+
+@st.composite
+def bracket_tables(draw):
+    """An antisymmetric rational bracket table (not necessarily Jacobi) and
+    a rational two-form, dimension 1-7."""
+    dim = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = {
+        ij: draw(st.tuples(*[table_entries] * dim))
+        for ij in pairs
+        if draw(st.booleans())
+    }
+    omega = TwoForm(dim, {ij: draw(table_entries) for ij in pairs})
+    return LieAlgebra(dim, brackets), omega
+
+
+@given(bracket_tables())
+def test_cocycle_spaces_match_monomial_reference(case):
+    L, _ = case
+    z1, z2 = cocycle_spaces(L)
+    r1, r2 = reference_cocycle_spaces(L)
+    assert [f.coeffs for f in z1] == [f.coeffs for f in r1]
+    assert [f.coeffs for f in z2] == [f.coeffs for f in r2]
+
+
+@given(bracket_tables())
+def test_d2_matches_triple_sum_reference(case):
+    L, omega = case
+    expected = {t: c for t, c in reference_d2(L, omega).items() if c != 0}
+    assert d2(L, omega).coeffs == expected
+
+
+def test_d2_symbolic_matches_triple_sum_reference():
+    a, b = Poly.var("a"), Poly.var("b")
+    L = LieAlgebra.from_table(5, {(1, 5): {1: a, 2: 1}, (2, 5): {2: b}, (3, 4): {1: 1}})
+    omega = TwoForm.from_dict(5, {(1, 2): a, (1, 5): 1, (3, 4): b, (2, 3): 2})
+    expected = {t: c for t, c in reference_d2(L, omega).items() if not sc.is_zero(c)}
+    got = d2(L, omega).coeffs
+    assert set(got) == set(expected)
+    assert all(sc.scalars_equal(got[t], expected[t]) for t in expected)
 
 
 def test_catalog_families_are_symbolically_closed():

@@ -74,12 +74,21 @@ def test_det_symbolic_2x2():
 
 
 def test_det_heisenberg5_generic_phi_is_zero_polynomial():
+    # Bareiss on the generic Phi over Z^1 x Z^2; exists_cosymplectic itself
+    # answers H5 by the common-kernel certificate without this determinant
     from coslie.catalog import heisenberg
-    from coslie.cosymplectic import exists_cosymplectic
+    from coslie.cosymplectic import _span_forms, phi_map
+    from coslie.exterior import cocycle_spaces
 
-    res = exists_cosymplectic(heisenberg(2))
-    assert sc.is_zero(res.det)
-    assert res.exists is False
+    L = heisenberg(2)
+    z1, z2 = cocycle_spaces(L)
+    alpha, omega = _span_forms(
+        L.dim, z1, z2,
+        [Poly.var(f"s{i + 1}") for i in range(len(z1))],
+        [Poly.var(f"t{j + 1}") for j in range(len(z2))],
+    )
+    assert any(isinstance(x, Poly) and x.variables for x in alpha.coeffs)
+    assert sc.is_zero(det_poly(phi_map(L, alpha, omega)))
 
 
 @given(
