@@ -65,6 +65,37 @@ v : 1 3
 t = -1
 """
 
+NOT_COSYMPLECTIC = "dim 3\nbracket 1 2 : 1 1\nalpha : 1 1\nomega 1 2 : 1\n"
+EXT_A_FAIL = "dim 3\nphi 1 : 1 1\nphi 2 : 1 2\nphi 3 : 1 3\n"
+EXT_C = "dim 3\nphi 2 : 1 1 1 3\nphi 3 : 1 3\nv : 1 3\n"
+# the data of test_construct_B_reproduces_g2: phi(e1) = phi(e2) = e1,
+# lambda = e^1 + e^2 + e^3, t = 0, theta = obar_phi = e^{12}
+EXT_B = "dim 3\nphi 1 : 1 1\nphi 2 : 1 1\nlambda : 1 1 1 2 1 3\ntheta 1 2 : 1\n"
+
+# Inputs and argument lists of the per-file commands golden file: a
+# rational structure, a triple that is not cosymplectic, the fully
+# symbolic g_{3.4}^{-1} export (reeb and products come out as unreduced
+# quotients), and the three constructions on the BASE3 fixture.
+COMMAND_INPUTS = {
+    "g31.alg": G31_NORMAL,
+    "bad.alg": NOT_COSYMPLECTIC,
+    "base3.alg": BASE3,
+    "ext_a.ext": EXT_A,
+    "ext_a_fail.ext": EXT_A_FAIL,
+    "ext_b.ext": EXT_B,
+    "ext_c.ext": EXT_C,
+}
+COMMAND_RUNS = [
+    [command, name]
+    for name in ("g31.alg", "bad.alg", "g34.alg")
+    for command in ("validate", "reeb", "lsa", "biinv", "symplectize")
+] + [
+    ["extend", "--construction", "A", "--data", "ext_a.ext", "base3.alg"],
+    ["extend", "--construction", "A", "--data", "ext_a_fail.ext", "base3.alg"],
+    ["extend", "--construction", "B", "--data", "ext_b.ext", "--alpha-d", "2", "base3.alg"],
+    ["extend", "--construction", "C", "--data", "ext_c.ext", "--alpha-d", "2", "base3.alg"],
+]
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -190,7 +221,7 @@ def test_validate_json_schema(files, capsys):
 
 
 def test_validate_failure_exit_code(files, capsys):
-    path = files("bad.alg", "dim 3\nbracket 1 2 : 1 1\nalpha : 1 1\nomega 1 2 : 1\n")
+    path = files("bad.alg", NOT_COSYMPLECTIC)
     assert main(["validate", path]) == 1
     out = capsys.readouterr().out
     assert "cocycle1: FAIL" in out
@@ -238,7 +269,7 @@ def test_extend_command_reproduces_first_construction(files, capsys):
 
 def test_extend_condition_failure_exit(files, capsys):
     base = files("base3.alg", BASE3)
-    bad = files("bad.ext", "dim 3\nphi 1 : 1 1\nphi 2 : 1 2\nphi 3 : 1 3\n")
+    bad = files("bad.ext", EXT_A_FAIL)
     assert main(["extend", "--construction", "A", "--data", bad, base]) == 1
     assert "conditions: FAIL" in capsys.readouterr().out
 
@@ -287,7 +318,7 @@ def test_catalog_list_and_export(files, capsys):
 
 def test_extend_construction_c_with_alpha_d(files, capsys):
     base = files("base3.alg", BASE3)
-    ext = files("ext3.ext", "dim 3\nphi 2 : 1 1 1 3\nphi 3 : 1 3\nv : 1 3\n")
+    ext = files("ext3.ext", EXT_C)
     assert main(
         ["extend", "--construction", "C", "--data", ext, "--alpha-d", "2", base]
     ) == 0
@@ -343,4 +374,30 @@ def test_exists_output_matches_golden_file(tmp_path, monkeypatch, capsys):
         assert main(["exists", name]) == code
         outputs[name] = {"json": as_json, "text": capsys.readouterr().out}
     rendered = json.dumps(outputs, indent=2, ensure_ascii=False) + "\n"
+    assert rendered.encode("utf-8") == golden
+
+
+def _command_outputs(tmp_path, monkeypatch, capsys) -> str:
+    monkeypatch.chdir(tmp_path)
+    for name, text in COMMAND_INPUTS.items():
+        Path(name).write_text(text)
+    assert main(["catalog", "export", "g_{3.4}^{-1}"]) == 0
+    Path("g34.alg").write_text(capsys.readouterr().out)
+    outputs = {}
+    for argv in COMMAND_RUNS:
+        code = main([*argv, "--json"])
+        as_json = capsys.readouterr().out
+        assert main(argv) == code
+        outputs[" ".join(argv)] = {
+            "code": code, "json": as_json, "text": capsys.readouterr().out
+        }
+    return json.dumps(outputs, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_per_file_commands_match_golden_file(tmp_path, monkeypatch, capsys):
+    # tests/data/commands.json is the committed stdout (--json and text) and
+    # exit code of COMMAND_RUNS; a change to any of these reports must
+    # update it on purpose.
+    golden = (Path(__file__).parent / "data" / "commands.json").read_bytes()
+    rendered = _command_outputs(tmp_path, monkeypatch, capsys)
     assert rendered.encode("utf-8") == golden
