@@ -182,7 +182,7 @@ def parse_algebra(text: str) -> ParsedAlgebra:
                 raise DuplicateBracket(f"bracket {i} {j} given twice", lineno, toks[0][1])
             comps: dict = {}
             for c, k in _pairs(after, dim, lineno, "bracket"):
-                comps[k] = sc.add(comps.get(k, sc.ZERO), c)
+                comps[k] = comps.get(k, sc.ZERO) + c
             brackets[(i, j)] = comps
         elif key == "alpha":
             if before:
@@ -215,7 +215,7 @@ def parse_algebra(text: str) -> ParsedAlgebra:
     if alpha_comps is not None:
         comps: dict = {}
         for c, k in alpha_comps:
-            comps[k] = sc.add(comps.get(k, sc.ZERO), _bind(c, params))
+            comps[k] = comps.get(k, sc.ZERO) + _bind(c, params)
         alpha = OneForm.from_dict(dim, comps)
     omega = None
     if omega_comps:
@@ -258,13 +258,13 @@ def parse_extension(text: str) -> ParsedExtension:
                 raise AlgFileError("phi takes one column index", lineno, toks[0][1])
             i = _index(before[0][0], dim, lineno, before[0][1])
             for c, k in _pairs(after, dim, lineno, "phi"):
-                phi_cols[i - 1][k - 1] = sc.add(phi_cols[i - 1][k - 1], _bind(c, params))
+                phi_cols[i - 1][k - 1] += _bind(c, params)
         elif key == "lambda":
             for c, k in _pairs(after, dim, lineno, "lambda"):
-                lam[k] = sc.add(lam.get(k, sc.ZERO), _bind(c, params))
+                lam[k] = lam.get(k, sc.ZERO) + _bind(c, params)
         elif key == "v":
             for c, k in _pairs(after, dim, lineno, "v"):
-                v[k - 1] = sc.add(v[k - 1], _bind(c, params))
+                v[k - 1] += _bind(c, params)
         elif key == "theta":
             if len(before) != 2:
                 raise AlgFileError("theta takes two indices", lineno, toks[0][1])
@@ -296,7 +296,7 @@ def parse_map(text: str) -> ParsedMap:
             raise AlgFileError("map takes one column index", lineno, toks[0][1])
         i = _index(before[0][0], dim, lineno, before[0][1])
         for c, k in _pairs(after, dim, lineno, "map"):
-            cols[i - 1][k - 1] = sc.add(cols[i - 1][k - 1], _bind(c, params))
+            cols[i - 1][k - 1] += _bind(c, params)
     return ParsedMap(dim, LinearMap.from_columns([tuple(c) for c in cols]), params)
 
 

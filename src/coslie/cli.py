@@ -22,14 +22,13 @@ from .algfile import parse_algebra, parse_extension, parse_map
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
-    cosymplectic_lsa,
     exists_cosymplectic,
     left_symmetry_defect,
     reeb,
     to_symplectic,
     validate,
 )
-from .errors import AlgFileError, ConditionsFail, CoslieError
+from .errors import AlgFileError, ConditionsFail, CoslieError, NotCosymplectic
 from .extensions import ExtensionData, construct_A, construct_B, construct_C
 from .lie_core import LinearMap, check_isomorphism
 from .verify import _vec_str, verify_all
@@ -38,15 +37,7 @@ PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
 
 
 def _form_str(alpha) -> str:
-    if alpha is None:
-        return "none"
-    parts = []
-    for i, c in enumerate(alpha.coeffs):
-        if sc.is_zero(c):
-            continue
-        cs = sc.scalar_str(c)
-        parts.append(f"e^{i + 1}" if cs == "1" else f"{cs} e^{i + 1}")
-    return " + ".join(parts) if parts else "0"
+    return "none" if alpha is None else _vec_str(alpha.coeffs, "e^")
 
 
 def _omega_str(omega) -> str:
@@ -54,7 +45,7 @@ def _omega_str(omega) -> str:
         return "none"
     parts = []
     for (i, j), c in sorted(omega.coeffs.items()):
-        cs = sc.scalar_str(c)
+        cs = str(c)
         head = f"e^{{{i + 1}{j + 1}}}"
         parts.append(head if cs == "1" else f"{cs} {head}")
     return " + ".join(parts) if parts else "0"
@@ -135,15 +126,28 @@ class Report:
             for line in self.lines:
                 print(line)
 
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
-
 
 def _require_forms(alpha, omega, need_alpha=True, need_omega=True):
     if need_alpha and alpha is None:
         raise AlgFileError("file has no alpha line", 0, 0)
     if need_omega and omega is None:
         raise AlgFileError("file has no omega lines", 0, 0)
+
+
+def _load_structure(args, r: Report):
+    """The structure of the file, validated once, with the passing
+    ``cosymplectic`` check recorded; None after emitting the failing
+    check when the triple is not cosymplectic."""
+    L, alpha, omega = _load(args.file, _parse_params(args.params))
+    _require_forms(alpha, omega)
+    try:
+        S = CosymplecticStructure.make(L, alpha, omega)
+    except NotCosymplectic as exc:
+        r.check("cosymplectic", False, str(exc.report))
+        r.emit(args.json)
+        return None
+    r.check("cosymplectic", True)
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +163,8 @@ def cmd_validate(args) -> int:
     r.check("cocycle2", rep.cocycle2)
     r.check("volume", rep.volume_nonzero, show=False)
     r.result["cosymplectic"] = rep.ok
-    r.result["volume"] = sc.scalar_str(rep.volume)
-    r.say(f"volume: {sc.scalar_str(rep.volume)} ({'nonzero' if rep.volume_nonzero else 'zero'})")
+    r.result["volume"] = str(rep.volume)
+    r.say(f"volume: {rep.volume} ({'nonzero' if rep.volume_nonzero else 'zero'})")
     r.say(f"cosymplectic: {'YES' if rep.ok else 'NO'}")
     if rep.ok and not L.is_parametric() and not alpha.is_parametric() and not omega.is_parametric():
         xi = reeb(L, alpha, omega)
@@ -171,35 +175,23 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reeb(args) -> int:
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
-    _require_forms(alpha, omega)
-    rep = validate(L, alpha, omega)
     r = Report("reeb", args.file)
-    if not rep.ok:
-        r.check("cosymplectic", False, str(rep))
-        r.emit(args.json)
+    S = _load_structure(args, r)
+    if S is None:
         return MATH_FAIL
-    xi = reeb(L, alpha, omega)
-    r.check("cosymplectic", True)
-    r.result["reeb"] = _vec_str(xi)
-    r.say(f"reeb: {_vec_str(xi)}")
+    r.result["reeb"] = _vec_str(S.reeb)
+    r.say(f"reeb: {_vec_str(S.reeb)}")
     r.emit(args.json)
     return PASS
 
 
 def cmd_lsa(args) -> int:
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
-    _require_forms(alpha, omega)
-    rep = validate(L, alpha, omega)
     r = Report("lsa", args.file)
-    if not rep.ok:
-        r.check("cosymplectic", False, str(rep))
-        r.emit(args.json)
+    S = _load_structure(args, r)
+    if S is None:
         return MATH_FAIL
-    S = CosymplecticStructure.make(L, alpha, omega)
-    table = cosymplectic_lsa(S)
-    defect = left_symmetry_defect(table, L)
-    r.check("cosymplectic", True)
+    table = S.table
+    defect = left_symmetry_defect(table, S.algebra)
     r.check("left_symmetric", defect["pass"])
     r.check("commutator", not defect["commutator"])
     entries = [
@@ -215,17 +207,11 @@ def cmd_lsa(args) -> int:
 
 
 def cmd_biinv(args) -> int:
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
-    _require_forms(alpha, omega)
-    rep = validate(L, alpha, omega)
     r = Report("biinv", args.file)
-    if not rep.ok:
-        r.check("cosymplectic", False, str(rep))
-        r.emit(args.json)
+    S = _load_structure(args, r)
+    if S is None:
         return MATH_FAIL
-    S = CosymplecticStructure.make(L, alpha, omega)
     b = biinvariance(S)
-    r.check("cosymplectic", True)
     for k in (1, 2, 3, 4):
         r.check(f"condition{k}", k not in b.failed_conditions)
     r.check("conditions_iff_associative", b.ok == b.associative)
@@ -262,7 +248,7 @@ def cmd_symplectize(args) -> int:
     c2, det, ok = pair.validate()
     r = Report("symplectize", args.file)
     r.check("cocycle2", c2)
-    r.check("nondegenerate", not sc.is_zero(det), f"det = {sc.scalar_str(det)}")
+    r.check("nondegenerate", not sc.is_zero(det), f"det = {det}")
     r.result["symplectic"] = ok
     r.say(f"dim {pair.algebra.dim} extension:")
     for line in _brackets_str(pair.algebra):
@@ -374,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coslie",
         description="Exact-arithmetic toolkit for cosymplectic Lie algebras",
-    )
-    parser.add_argument(
-        "--seedless",
-        action="store_true",
-        help="forbid randomized checks (all CLI checks are deterministic; "
-        "this flag asserts it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

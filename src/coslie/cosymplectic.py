@@ -29,8 +29,8 @@ from .errors import (
     ParametricUnsupported,
     SingularPhi,
 )
-from .exterior import OneForm, TwoForm, d1, d2, is_2cocycle, volume_coeff
-from .lie_core import LieAlgebra, LinearMap, ad, bracket
+from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, is_2cocycle, volume_coeff
+from .lie_core import LieAlgebra, LinearMap, ad, bracket, is_derivation
 from .scalars import Scalar, Vector
 
 
@@ -45,7 +45,7 @@ def phi_map(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> list:
     n = L.dim
     return [
         [
-            sc.add(omega.value_basis(k, l), sc.mul(alpha.coeffs[k], alpha.coeffs[l]))
+            omega.value_basis(k, l) + alpha.coeffs[k] * alpha.coeffs[l]
             for k in range(n)
         ]
         for l in range(n)
@@ -73,7 +73,7 @@ class ValidationReport:
         bits = [
             f"cocycle1: {'ok' if self.cocycle1 else 'FAIL'}",
             f"cocycle2: {'ok' if self.cocycle2 else 'FAIL'}",
-            f"volume: {sc.scalar_str(self.volume)}"
+            f"volume: {self.volume}"
             + (" (nonzero)" if self.volume_nonzero else " (ZERO)"),
         ]
         return ", ".join(bits)
@@ -227,8 +227,6 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
     """
     if L.dim % 2 == 0:
         raise EvenDimension("existence question needs odd dimension")
-    from .exterior import cocycle_spaces
-
     z1, z2 = cocycle_spaces(L)
     if _phi_kernel_certificate(L.dim, z1, z2):
         return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
@@ -296,14 +294,14 @@ def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:
     alpha = OneForm(
         dim,
         tuple(
-            sum((sc.mul(si, a.coeffs[k]) for si, a in zip(s, z1)), start=sc.ZERO)
+            sum((si * a.coeffs[k] for si, a in zip(s, z1)), start=sc.ZERO)
             for k in range(dim)
         ),
     )
     wc: dict = {}
     for tj, form in zip(t, z2):
         for pair, c in form.coeffs.items():
-            wc[pair] = sc.add(wc.get(pair, sc.ZERO), sc.mul(tj, c))
+            wc[pair] = wc.get(pair, sc.ZERO) + tj * c
     return alpha, TwoForm(dim, wc)
 
 
@@ -367,7 +365,7 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
         v[k] = sc.ONE
         coef = alpha.coeffs[k]
         if not sc.is_zero(coef):
-            v[pivot] = sc.neg(sc._scalar_quot(coef, ap))
+            v[pivot] = -sc._scalar_quot(coef, ap)
         hbasis.append(tuple(v))
 
     def h_coords(w: Vector) -> Vector:
@@ -393,9 +391,6 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     dcols = [h_coords(bracket(L, S.reeb, hbasis[a])) for a in range(m)]
     deriv = LinearMap.from_columns(dcols) if m else LinearMap.zero(0)
     pair = SymplecticPair(halg, w_h)
-
-    from .lie_core import is_derivation
-
     if is_derivation(halg, deriv):
         raise NotDerivation("ad_xi does not restrict to a derivation of ker alpha")
     if not ist_defects_empty(pair, deriv):
@@ -409,7 +404,7 @@ def ist_defects_empty(P: SymplecticPair, D: LinearMap) -> bool:
         for j in range(i + 1, m):
             lhs = P.omega.value(D.column(i), sc.basis_vec(m, j))
             rhs = P.omega.value(sc.basis_vec(m, i), D.column(j))
-            if not sc.is_zero(sc.add(lhs, rhs)):
+            if not sc.is_zero(lhs + rhs):
                 return False
     return True
 
@@ -420,8 +415,6 @@ def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticS
     g = h + <xi> with [xi, x] = Dx, alpha = xi^*, omega extending omega_h
     by i_xi(omega) = 0.
     """
-    from .lie_core import is_derivation
-
     m = P.algebra.dim
     if D.source_dim != m or D.target_dim != m:
         raise DimensionMismatch("derivation must be an endomorphism of the pair")
@@ -436,7 +429,7 @@ def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticS
     for i in range(m):
         col = D.column(i)
         if not sc.vec_is_zero(col):
-            brackets[(i, m)] = tuple(sc.neg(x) for x in col) + (sc.ZERO,)
+            brackets[(i, m)] = tuple(-x for x in col) + (sc.ZERO,)
     L = LieAlgebra(n, brackets)
     alpha = OneForm.dual(n, n)
     omega = TwoForm(n, dict(P.omega.coeffs))
@@ -473,7 +466,7 @@ def _lincomb(n: int, terms) -> Vector:
             continue
         for k, x in enumerate(v):
             if not sc.is_zero(x):
-                out[k] = sc.add(out[k], sc.mul(c, x))
+                out[k] += c * x
     return tuple(out)
 
 
@@ -504,7 +497,7 @@ class LsaTable:
         return _lincomb(
             n,
             (
-                (sc.mul(x[i], y[j]), P[i][j])
+                (x[i] * y[j], P[i][j])
                 for i in range(n)
                 if not sc.is_zero(x[i])
                 for j in range(n)
@@ -523,7 +516,7 @@ class LsaTable:
                         n,
                         chain(
                             zip(P[i][j], (row[k] for row in P)),
-                            ((sc.neg(c), P[i][q]) for q, c in enumerate(P[j][k])),
+                            ((-c, P[i][q]) for q, c in enumerate(P[j][k])),
                         ),
                     )
                     for k in range(n)
@@ -564,7 +557,7 @@ def symplectic_lsa(P: SymplecticPair) -> LsaTable:
         brackets = [P.algebra.bracket_basis(i, l) for l in range(m)]
         for j in range(m):
             ej = sc.basis_vec(m, j)
-            rhs.append([sc.neg(P.omega.value(ej, v)) for v in brackets])
+            rhs.append([-P.omega.value(ej, v) for v in brackets])
     sols = sc.solve_linear(omega_t, rhs)
     return LsaTable(m, tuple(sols[i * m:(i + 1) * m] for i in range(m)))
 
@@ -592,7 +585,7 @@ def _lsa_via_phi(S: CosymplecticStructure) -> LsaTable:
         for j in range(n):
             phi_j = [S.phi[l][j] for l in range(n)]
             rhs.append([
-                sc.neg(sum((sc.mul(phi_j[mm], v[mm]) for mm in range(n)), start=sc.ZERO))
+                -sum((phi_j[mm] * v[mm] for mm in range(n)), start=sc.ZERO)
                 for v in brackets
             ])
     sols = sc.solve_linear(P, rhs)

@@ -20,17 +20,19 @@ from .cosymplectic import (
     CosymplecticStructure,
     SymplecticPair,
     ist_defects_empty,
-    kernel_symplectic,
     to_symplectic,
     validate,
 )
-from .errors import (
-    ConditionsFail,
-    DimensionMismatch,
-    NotCosymplectic,
-)
+from .errors import ConditionsFail, DimensionMismatch
 from .exterior import OneForm, TwoForm
-from .lie_core import LieAlgebra, LinearMap, bracket, check_jacobi, is_derivation
+from .lie_core import (
+    LieAlgebra,
+    LinearMap,
+    bracket,
+    check_jacobi,
+    is_derivation,
+    partial_phi,
+)
 from .scalars import Scalar, Vector
 
 
@@ -65,30 +67,15 @@ class ExtensionData:
         )
 
 
-def partial_phi(L: LieAlgebra, phi: LinearMap) -> dict:
-    """The vector-valued 2-form phi([x,y]) - [phi x, y] - [x, phi y]."""
-    out = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            out[(i, j)] = sc.vec_sub(
-                phi.apply(L.bracket_basis(i, j)),
-                sc.vec_add(
-                    bracket(L, phi.column(i), sc.basis_vec(L.dim, j)),
-                    bracket(L, sc.basis_vec(L.dim, i), phi.column(j)),
-                ),
-            )
-    return out
-
-
 def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
     """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y)."""
     n = theta.dim
     coeffs = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs[(i, j)] = sc.add(
-                theta.value(phi.column(i), sc.basis_vec(n, j)),
-                theta.value(sc.basis_vec(n, i), phi.column(j)),
+            coeffs[(i, j)] = (
+                theta.value(phi.column(i), sc.basis_vec(n, j))
+                + theta.value(sc.basis_vec(n, i), phi.column(j))
             )
     return TwoForm(n, coeffs)
 
@@ -111,10 +98,8 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     twist = form_twist(E.theta, E.phi)
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = sc.sub(
-                sc.mul(E.t, E.theta.value_basis(i, j)), twist.value_basis(i, j)
-            )
-            rhs = sc.neg(E.lam.apply(Gbar.bracket_basis(i, j)))
+            lhs = E.t * E.theta.value_basis(i, j) - twist.value_basis(i, j)
+            rhs = -E.lam.apply(Gbar.bracket_basis(i, j))
             if not sc.scalars_equal(lhs, rhs):
                 failures.append(f"t theta - theta_phi != d(lambda) at (e{i + 1}, e{j + 1})")
     for j in range(n):
@@ -143,7 +128,7 @@ def assemble_extension(Gbar: LieAlgebra, E: ExtensionData) -> LieAlgebra:
         img = tuple(E.phi.column(i)) + (sc.ZERO, E.lam.coeffs[i])
         if not sc.vec_is_zero(img):
             # stored as [e_i, d] = -[d, e_i]
-            brackets[(i, d_idx)] = tuple(sc.neg(x) for x in img)
+            brackets[(i, d_idx)] = tuple(-x for x in img)
     de = tuple(E.v) + (sc.ZERO, E.t)
     if not sc.vec_is_zero(de):
         brackets[(d_idx, e_idx)] = de
@@ -210,11 +195,8 @@ def ist_component_check(
     Reeb vector.  Also runs the direct i.s.t. test on the assembled map;
     the two verdicts must agree.
     """
-    rep = validate(Gbar, abar, obar)
-    if not rep.ok:
-        raise NotCosymplectic(rep)
     S = CosymplecticStructure.make(Gbar, abar, obar)
-    red = kernel_symplectic(S)
+    red = S.reduction
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
     xi = S.reeb
@@ -223,23 +205,23 @@ def ist_component_check(
     cond_i = []
     for a in range(m):
         for b in range(a + 1, m):
-            val = sc.add(
-                obar.value(E.phi.apply(hbasis[a]), hbasis[b]),
-                obar.value(hbasis[a], E.phi.apply(hbasis[b])),
+            val = (
+                obar.value(E.phi.apply(hbasis[a]), hbasis[b])
+                + obar.value(hbasis[a], E.phi.apply(hbasis[b]))
             )
             if not sc.is_zero(val):
                 cond_i.append((a + 1, b + 1, val))
     cond_ii = []
     for a in range(m):
-        val = sc.sub(E.lam.apply(hbasis[a]), obar.value(hbasis[a], phi_xi))
+        val = E.lam.apply(hbasis[a]) - obar.value(hbasis[a], phi_xi)
         if not sc.is_zero(val):
             cond_ii.append((a + 1, val))
     cond_iii = []
     for a in range(m):
-        val = sc.sub(obar.value(E.v, hbasis[a]), abar.apply(E.phi.apply(hbasis[a])))
+        val = obar.value(E.v, hbasis[a]) - abar.apply(E.phi.apply(hbasis[a]))
         if not sc.is_zero(val):
             cond_iii.append((a + 1, val))
-    iv_defect = sc.add(E.t, abar.apply(phi_xi))
+    iv_defect = E.t + abar.apply(phi_xi)
     cond_iv = None if sc.is_zero(iv_defect) else iv_defect
 
     pair = to_symplectic(Gbar, abar, obar)
@@ -302,7 +284,7 @@ def construct_A(
     ):
         failures.append("v is not central in the base")
     S = CosymplecticStructure.make(Gbar, abar, obar)
-    red = kernel_symplectic(S)
+    red = S.reduction
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
     xi = S.reeb
@@ -357,10 +339,8 @@ def construct_B(
     twist2 = form_twist(obar_phi, E.phi)
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = sc.sub(
-                sc.mul(E.t, obar_phi.value_basis(i, j)), twist2.value_basis(i, j)
-            )
-            rhs = sc.neg(E.lam.apply(Gbar.bracket_basis(i, j)))
+            lhs = E.t * obar_phi.value_basis(i, j) - twist2.value_basis(i, j)
+            rhs = -E.lam.apply(Gbar.bracket_basis(i, j))
             if not sc.scalars_equal(lhs, rhs):
                 failures.append(
                     f"t obar_phi - obar_phiphi != d(lambda) at (e{i + 1}, e{j + 1})"

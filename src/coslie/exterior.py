@@ -46,13 +46,13 @@ class OneForm:
     def from_dict(dim: int, comps: Mapping[int, Scalar]) -> "OneForm":
         v = [sc.ZERO] * dim
         for k, c in comps.items():
-            v[k - 1] = sc.add(v[k - 1], sc.as_scalar(c))
+            v[k - 1] += sc.as_scalar(c)
         return OneForm(dim, tuple(v))
 
     def apply(self, x: Vector) -> Scalar:
         if len(x) != self.dim:
             raise DimensionMismatch("vector length != form dim")
-        return sum((sc.mul(a, b) for a, b in zip(self.coeffs, x)), start=sc.ZERO)
+        return sum((a * b for a, b in zip(self.coeffs, x)), start=sc.ZERO)
 
     def is_zero(self) -> bool:
         return sc.vec_is_zero(self.coeffs)
@@ -103,15 +103,15 @@ class TwoForm:
             return sc.ZERO
         if i < j:
             return self.coeffs.get((i, j), sc.ZERO)
-        return sc.neg(self.coeffs.get((j, i), sc.ZERO))
+        return -self.coeffs.get((j, i), sc.ZERO)
 
     def value(self, x: Vector, y: Vector) -> Scalar:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length != form dim")
         total = sc.ZERO
         for (i, j), c in self.coeffs.items():
-            term = sc.sub(sc.mul(x[i], y[j]), sc.mul(x[j], y[i]))
-            total = sc.add(total, sc.mul(c, term))
+            term = x[i] * y[j] - x[j] * y[i]
+            total += c * term
         return total
 
     def contract(self, x: Vector) -> OneForm:
@@ -182,7 +182,7 @@ def d1(L: LieAlgebra, alpha: OneForm) -> TwoForm:
         raise DimensionMismatch("form/algebra dimension mismatch")
     coeffs = {}
     for (i, j), v in L.brackets.items():
-        coeffs[(i, j)] = sc.neg(alpha.apply(v))
+        coeffs[(i, j)] = -alpha.apply(v)
     return TwoForm(L.dim, coeffs)
 
 
@@ -206,8 +206,8 @@ def _triple_rows(L: LieAlgebra) -> list:
                 if l == m or sc.is_zero(xl):
                     continue
                 pair = (l, m) if l < m else (m, l)
-                term = xl if (sign > 0) == (l < m) else sc.neg(xl)
-                row[pair] = sc.add(row.get(pair, sc.ZERO), term)
+                term = xl if (sign > 0) == (l < m) else -xl
+                row[pair] = row.get(pair, sc.ZERO) + term
         row = {pair: c for pair, c in row.items() if not sc.is_zero(c)}
         if row:
             rows.append(((i, j, k), row))
@@ -220,10 +220,10 @@ def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
     coeffs = {}
     for triple, row in _triple_rows(L):
         s = sum(
-            (sc.mul(c, omega.coeffs[pair]) for pair, c in row.items() if pair in omega.coeffs),
+            (c * omega.coeffs[pair] for pair, c in row.items() if pair in omega.coeffs),
             start=sc.ZERO,
         )
-        coeffs[triple] = sc.neg(s)
+        coeffs[triple] = -s
     return ThreeForm(L.dim, coeffs)
 
 
@@ -272,10 +272,9 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
         if sc.is_zero(coeff):
             continue
         for _, c in combo:
-            coeff = sc.mul(coeff, c)
+            coeff *= c
         sign = _perm_sign([missing] + support)
-        term = sc.mul(coeff, scale if sign > 0 else -scale)
-        total = sc.add(total, term)
+        total += coeff * (scale if sign > 0 else -scale)
     return total
 
 

@@ -51,7 +51,7 @@ class LieAlgebra:
         for (i, j), comps in table.items():
             v = [sc.ZERO] * dim
             for k, coeff in comps.items():
-                v[k - 1] = sc.add(v[k - 1], sc.as_scalar(coeff))
+                v[k - 1] += sc.as_scalar(coeff)
             brackets[(i - 1, j - 1)] = tuple(v)
         return LieAlgebra(dim, brackets)
 
@@ -67,7 +67,7 @@ class LieAlgebra:
         if i < j:
             return self.brackets.get((i, j), sc.zero_vec(self.dim))
         v = self.brackets.get((j, i))
-        return sc.zero_vec(self.dim) if v is None else tuple(sc.neg(x) for x in v)
+        return sc.zero_vec(self.dim) if v is None else tuple(-x for x in v)
 
     def is_parametric(self) -> bool:
         return any(
@@ -135,14 +135,8 @@ class LinearMap:
         if len(x) != self.source_dim:
             raise DimensionMismatch("vector length != source dim")
         return tuple(
-            sum((sc.mul(row[i], x[i]) for i in range(self.source_dim)), start=sc.ZERO)
+            sum((row[i] * x[i] for i in range(self.source_dim)), start=sc.ZERO)
             for row in self.matrix
-        )
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
-        return LinearMap.from_columns(
-            [self.apply(other.column(i)) for i in range(other.source_dim)]
         )
 
     def is_parametric(self) -> bool:
@@ -159,7 +153,7 @@ def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
         raise DimensionMismatch("vector length != algebra dim")
     out = sc.zero_vec(L.dim)
     for (i, j), v in L.brackets.items():
-        c = sc.sub(sc.mul(x[i], y[j]), sc.mul(x[j], y[i]))
+        c = x[i] * y[j] - x[j] * y[i]
         if not sc.is_zero(c):
             out = sc.vec_add(out, sc.vec_scale(c, v))
     return out
@@ -244,23 +238,29 @@ def derived_dim(L: LieAlgebra) -> int:
     return len(derived_series(L)[1])
 
 
-def is_derivation(L: LieAlgebra, phi: LinearMap) -> list:
-    """Defects phi([x,y]) - [phi x, y] - [x, phi y] on basis pairs; [] = pass."""
-    if phi.source_dim != L.dim or phi.target_dim != L.dim:
-        raise DimensionMismatch("map is not an endomorphism of the algebra")
-    defects = []
+def partial_phi(L: LieAlgebra, phi: LinearMap) -> dict:
+    """The vector-valued 2-form phi([x,y]) - [phi x, y] - [x, phi y] on the
+    0-based basis pairs i < j."""
+    out = {}
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            d = sc.vec_sub(
+            out[(i, j)] = sc.vec_sub(
                 phi.apply(L.bracket_basis(i, j)),
                 sc.vec_add(
                     bracket(L, phi.column(i), sc.basis_vec(L.dim, j)),
                     bracket(L, sc.basis_vec(L.dim, i), phi.column(j)),
                 ),
             )
-            if not sc.vec_is_zero(d):
-                defects.append((i + 1, j + 1, d))
-    return defects
+    return out
+
+
+def is_derivation(L: LieAlgebra, phi: LinearMap) -> list:
+    """Nonzero values of ``partial_phi`` as 1-based (i, j, defect); [] = pass."""
+    if phi.source_dim != L.dim or phi.target_dim != L.dim:
+        raise DimensionMismatch("map is not an endomorphism of the algebra")
+    return [
+        (i + 1, j + 1, d) for (i, j), d in partial_phi(L, phi).items() if not sc.vec_is_zero(d)
+    ]
 
 
 @dataclass
@@ -323,6 +323,6 @@ def check_isomorphism(
                 got = omega2.value(M.column(i), M.column(j))
                 want = omega1.value_basis(i, j)
                 if not sc.scalars_equal(got, want):
-                    omega_defects.append((i + 1, j + 1, sc.sub(got, want)))
+                    omega_defects.append((i + 1, j + 1, got - want))
     ok = invertible and not bracket_defects and alpha_defect is None and not omega_defects
     return IsoReport(invertible, bracket_defects, alpha_defect, omega_defects, ok)

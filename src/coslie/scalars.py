@@ -434,25 +434,7 @@ def is_zero(s: Scalar) -> bool:
 
 
 def scalars_equal(a: Scalar, b: Scalar) -> bool:
-    return is_zero(sub(a, b))
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def sub(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, Fraction) and isinstance(b, (Poly, RatFn)):
-        return -b + a
-    return a - b
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def neg(a: Scalar) -> Scalar:
-    return -a
+    return is_zero(a - b)
 
 
 def is_rational(s: Scalar) -> bool:
@@ -469,10 +451,6 @@ def to_fraction(s: Scalar) -> Fraction:
     if isinstance(s, Poly):
         return s.constant_value()
     raise ParametricUnsupported(f"{s} is not rational")
-
-
-def scalar_str(s: Scalar) -> str:
-    return str(s)
 
 
 def poly_eval(p: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -519,15 +497,15 @@ def basis_vec(dim: int, k: int) -> Vector:
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(add(a, b) for a, b in zip(x, y))
+    return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(sub(a, b) for a, b in zip(x, y))
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def vec_scale(c: Scalar, x: Vector) -> Vector:
-    return tuple(mul(c, a) for a in x)
+    return tuple(c * a for a in x)
 
 
 def vec_is_zero(x: Vector) -> bool:
@@ -625,15 +603,13 @@ def solve_rational(a, bs) -> list:
 
 def mat_mul(a, b) -> list:
     return [
-        [sum((mul(a[i][k], b[k][j]) for k in range(len(b))), start=ZERO) for j in range(len(b[0]))]
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), start=ZERO) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
 
 
 def mat_vec(a, x) -> Vector:
-    return tuple(
-        sum((mul(a[i][k], x[k]) for k in range(len(x))), start=ZERO) for i in range(len(a))
-    )
+    return tuple(sum((a[i][k] * x[k] for k in range(len(x))), start=ZERO) for i in range(len(a)))
 
 
 def identity_matrix(n: int) -> list:
@@ -684,18 +660,16 @@ def det_poly(m) -> Scalar:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = sub(mul(a[k][k], a[i][j]), mul(a[i][k], a[k][j]))
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                 a[i][j] = _exact_quot(num, prev)
             a[i][k] = ZERO
         prev = a[k][k]
     result = a[n - 1][n - 1]
-    return neg(result) if sign < 0 else result
+    return -result if sign < 0 else result
 
 
 def _exact_quot(num: Scalar, den: Scalar) -> Scalar:
     if isinstance(den, Fraction):
-        if isinstance(num, Fraction):
-            return num / den
         return num / den
     if isinstance(num, Fraction):
         num = Poly.const(num)
@@ -725,7 +699,7 @@ def solve_poly(a, bs) -> list:
 
 def _scalar_quot(num: Scalar, den: Scalar) -> Scalar:
     if isinstance(den, Fraction):
-        return mul(num, Fraction(1) / den)
+        return num * (Fraction(1) / den)
     numf = num if isinstance(num, Poly) else Poly.const(num) if isinstance(num, Fraction) else None
     if numf is None:
         raise TypeError("RatFn in Cramer solve")

@@ -16,10 +16,12 @@ from . import catalog as cat
 from . import scalars as sc
 from .cosymplectic import (
     CosymplecticStructure,
+    LsaTable,
     biinvariance,
     exists_cosymplectic,
+    left_symmetry_defect,
+    reeb,
     validate,
-    LsaTable,
 )
 from .exterior import cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
@@ -61,9 +63,6 @@ class CatalogReport:
 
     def flagged(self) -> list:
         return [r for r in self.results if r.flagged]
-
-    def entry_checks(self, entry: str) -> list:
-        return [r for r in self.results if r.entry == entry]
 
     def find(self, entry: str, check: str) -> CheckResult:
         for r in self.results:
@@ -153,12 +152,10 @@ def _family_vectors(form, params: list, is_two: bool, dim: int) -> list:
     vectors = []
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     for p in params:
-        assignment = {q: F(1) if q == p else F(0) for q in params}
+        inst = form.subs({q: F(1) if q == p else F(0) for q in params})
         if is_two:
-            inst = form.subs(assignment)
             vectors.append(tuple(inst.value_basis(i, j) for (i, j) in pairs))
         else:
-            inst = form.subs(assignment)
             vectors.append(tuple(inst.coeffs))
     return vectors
 
@@ -190,22 +187,19 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
     """Shared per-instance identity checks: left-symmetry of the product
     (with the two construction routes compared), the derivation identity
     of ad_xi on the kernel product, and bi-invariance consistency."""
-    from .cosymplectic import left_symmetry_defect
-
-    tag = f"{suffix}" if suffix else ""
     try:
         table = S.table  # cross-checks the two routes internally
         ls = left_symmetry_defect(table, S.algebra)
         out.append(
             _result(
                 entry_name,
-                f"left_symmetry{tag}",
+                f"left_symmetry{suffix}",
                 ls["pass"],
                 "" if ls["pass"] else f"defects: {ls}",
             )
         )
     except AssertionError as exc:
-        out.append(_result(entry_name, f"left_symmetry{tag}", False, str(exc)))
+        out.append(_result(entry_name, f"left_symmetry{suffix}", False, str(exc)))
         return
 
     red = S.reduction
@@ -221,13 +215,13 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
             rhs = sc.vec_add(star.product(D.column(a), y), star.product(x, D.column(b)))
             if not sc.vecs_equal(lhs, rhs):
                 ok = False
-    out.append(_result(entry_name, f"deriv_identity{tag}", ok))
+    out.append(_result(entry_name, f"deriv_identity{suffix}", ok))
 
     rep = biinvariance(S)
     out.append(
         _result(
             entry_name,
-            f"biinv_consistency{tag}",
+            f"biinv_consistency{suffix}",
             rep.ok == rep.associative,
             f"conditions {'all hold' if rep.ok else 'fail ' + str(rep.failed_conditions)}, "
             f"product {'associative' if rep.associative else 'not associative'}",
@@ -332,13 +326,15 @@ def _verify_family(entry) -> list:
     return out
 
 
-def _vec_str(v) -> str:
+def _vec_str(v, prefix: str = "e") -> str:
+    """Nonzero components as ``c e1 + e2 + ...``; ``prefix`` names the
+    basis (``e^`` for a one-form)."""
     parts = []
     for i, c in enumerate(v):
         if sc.is_zero(c):
             continue
-        cs = sc.scalar_str(c)
-        parts.append(f"e{i + 1}" if cs == "1" else f"{cs} e{i + 1}")
+        cs = str(c)
+        parts.append(f"{prefix}{i + 1}" if cs == "1" else f"{cs} {prefix}{i + 1}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -399,13 +395,11 @@ def _verify_normal_form(entry, nf) -> list:
             name,
             "validate_symbolic",
             sym_ok,
-            f"volume = {sc.scalar_str(vol)}",
+            f"volume = {vol}",
         )
     )
 
-    from .cosymplectic import reeb as reeb_op
-
-    xi = reeb_op(L_sym, nf.alpha, nf.omega)
+    xi = reeb(L_sym, nf.alpha, nf.omega)
     reeb_ok = sc.vecs_equal(xi, nf.expected_reeb)
     out.append(
         _result(

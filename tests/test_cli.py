@@ -327,12 +327,6 @@ def test_extend_construction_c_with_alpha_d(files, capsys):
     assert "reeb: e3" in out
 
 
-def test_seedless_flag_is_accepted(files, capsys):
-    path = files("g31.alg", G31_NORMAL)
-    assert main(["--seedless", "validate", path]) == 0
-    assert "cosymplectic: YES" in capsys.readouterr().out
-
-
 def test_catalog_export_heisenberg_with_params(capsys):
     assert main(["catalog", "export", "Heisenberg", "--params", "n=2"]) == 0
     parsed = parse_algebra(capsys.readouterr().out)

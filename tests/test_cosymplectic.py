@@ -535,7 +535,7 @@ def seed_product(T, x, y):
         if sc.is_zero(x[i]):
             continue
         for j in range(T.dim):
-            c = sc.mul(x[i], y[j])
+            c = x[i] * y[j]
             if not sc.is_zero(c):
                 out = sc.vec_add(out, sc.vec_scale(c, T.products[i][j]))
     return out

@@ -43,8 +43,8 @@ def wedge(a: dict, b: dict) -> dict:
                     if seq[q] > seq[q + 1]:
                         seq[q], seq[q + 1] = seq[q + 1], seq[q]
                         sign = -sign
-            term = sc.mul(ca, cb)
-            out[merged] = sc.add(out.get(merged, sc.ZERO), term if sign > 0 else sc.neg(term))
+            term = ca * cb
+            out[merged] = out.get(merged, sc.ZERO) + (term if sign > 0 else -term)
     return {k: v for k, v in out.items() if not sc.is_zero(v)}
 
 
@@ -143,7 +143,7 @@ def test_volume_linear_in_alpha_and_homogeneous_in_omega():
     s = F(3, 2)
     lhs = volume_coeff(L, OneForm(dim, sc.vec_add(a1.coeffs, a2.coeffs)), omega)
     assert lhs == volume_coeff(L, a1, omega) + volume_coeff(L, a2, omega)
-    scaled = TwoForm(dim, {p: sc.mul(s, c) for p, c in omega.coeffs.items()})
+    scaled = TwoForm(dim, {p: s * c for p, c in omega.coeffs.items()})
     n = (dim - 1) // 2
     assert volume_coeff(L, a1, scaled) == s**n * volume_coeff(L, a1, omega)
 

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
 from coslie.errors import InexactDivision, MissingVariable, SingularSystem
-from coslie.scalars import Poly, det_poly, nullspace, poly_eval, ratfn
+from coslie.scalars import Poly, RatFn, det_poly, nullspace, poly_eval, ratfn
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -19,9 +20,37 @@ def cofactor_det(m):
     total = sc.ZERO
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = sc.mul(m[0][j], cofactor_det(minor))
-        total = sc.add(total, term if j % 2 == 0 else sc.neg(term))
+        term = m[0][j] * cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
     return total
+
+
+# ---------------------------------------------------------------------------
+# operators
+
+
+def old_sub(a, b):
+    """The former ``scalars.sub`` wrapper, kept as the reference for ``-``."""
+    if isinstance(a, F) and isinstance(b, (Poly, RatFn)):
+        return -b + a
+    return a - b
+
+
+def test_minus_operator_matches_former_sub_wrapper():
+    # Fraction - Poly/RatFn falls through Fraction.__sub__ to __rsub__,
+    # which computes (-b) + a exactly as the wrapper did
+    x, y = Poly.var("x"), Poly.var("y")
+    operands = [
+        F(0), F(1), F(-3, 4),
+        Poly.const(1), x, x + 1, 2 * x * y - 1,
+        RatFn(Poly.const(1), x + 1), RatFn(x, x * x + 1), RatFn(x * y, x + y),
+        RatFn(x + 1, x + 1),  # unreduced: equals 1
+    ]
+    for a, b in product(operands, repeat=2):
+        got, want = a - b, old_sub(a, b)
+        assert type(got) is type(want), (a, b)
+        assert str(got) == str(want), (a, b)
+        assert (a == b) == sc.is_zero(want), (a, b)
 
 
 # ---------------------------------------------------------------------------
