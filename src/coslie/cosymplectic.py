@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product as iproduct
+from itertools import chain
 from typing import Optional
 
 from . import scalars as sc
@@ -176,32 +176,12 @@ class SymplecticPair:
 # Existence decision
 
 
-WITNESS_VALUES = [Fraction(v) for v in (1, -1, 2, -2, 3, -3)] + [
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(4),
-    Fraction(-4),
-    Fraction(5),
-    Fraction(-5),
-    Fraction(6),
-    Fraction(7),
-    Fraction(-7),
-    Fraction(8),
-    Fraction(9),
-    Fraction(-9),
-    Fraction(10),
-    Fraction(-10),
-    Fraction(0),
-]
-
-
 @dataclass
 class ExistenceResult:
     exists: bool
-    det: Optional[Scalar]  # "no": the zero polynomial, computed by Bareiss or
-    #                        certified by a common kernel; "yes": the
-    #                        determinant polynomial if the grid was reached,
-    #                        None when a staged point settled it first
+    det: Optional[Scalar]  # "no": the zero polynomial det Phi = (vol/n!)^2,
+    #                        certified by a common kernel or by the volume
+    #                        polynomials; "yes": None
     z1_dim: int
     z2_dim: int
     alpha: Optional[OneForm] = None
@@ -213,17 +193,21 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
     """Decide existence of a cosymplectic structure on L.
 
     Over the cocycle spaces, alpha = sum s_i z1_i and omega = sum t_j z2_j;
-    a structure exists iff det(Phi) is not the zero polynomial in s, t.
-    The decision runs in four stages:
+    a structure exists iff vol = alpha ^ omega^n (equivalently det Phi =
+    (vol/n!)^2) is not the zero polynomial in s, t.  The decision runs in
+    three stages:
 
     1. an exact "no" certificate (``_phi_kernel_certificate``) that needs
        no determinant;
-    2. a deterministic staged sequence of rational points, each deciding
-       "yes" by a nonzero rational determinant;
-    3. the symbolic determinant, whose zero polynomial decides "no";
-    4. a full product grid over ``WITNESS_VALUES``, larger than the
-       determinant's per-variable degree (checked), so a nonzero
-       determinant polynomial is guaranteed a witness.
+    2. four deterministic rational points, each deciding "yes" by a
+       nonzero rational determinant;
+    3. the volume polynomials V_i(t) = vol(z1_i, sum t_j z2_j).  vol is
+       linear in s, so it vanishes identically iff every V_i does ("no").
+       Otherwise s_i = 1, the other s are 0, and the first nonzero V_i,
+       homogeneous of degree n (the bound is checked), stays nonzero when
+       t_1, t_2, ... are fixed in turn to the first value in {0, ..., n}
+       that does not kill it: a nonzero polynomial of degree <= n in one
+       variable has at most n roots (Alon, Combinatorial Nullstellensatz).
     """
     if L.dim % 2 == 0:
         raise EvenDimension("existence question needs odd dimension")
@@ -232,44 +216,42 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
         return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
     svars = [f"s{i + 1}" for i in range(len(z1))]
     tvars = [f"t{j + 1}" for j in range(len(z2))]
-    variables = svars + tvars
 
-    def try_point(assignment):
-        inst_alpha, inst_omega = _span_forms(
+    def found(assignment) -> ExistenceResult:
+        alpha, omega = _span_forms(
             L.dim, z1, z2, [assignment[v] for v in svars], [assignment[v] for v in tvars]
         )
-        det_at = sc.det_poly(phi_map(L, inst_alpha, inst_omega))
-        if sc.is_zero(det_at):
-            return None
         return ExistenceResult(
-            True, None, len(z1), len(z2), inst_alpha, inst_omega,
-            dict(sorted(assignment.items())),
+            True, None, len(z1), len(z2), alpha, omega, dict(sorted(assignment.items()))
         )
 
-    for assignment in _staged_assignments(variables):
-        hit = try_point(assignment)
-        if hit is not None:
+    for assignment in _staged_assignments(svars + tvars):
+        hit = found(assignment)
+        if not sc.is_zero(sc.det_poly(phi_map(L, hit.alpha, hit.omega))):
             return hit
 
-    alpha, omega = _span_forms(
-        L.dim, z1, z2, [sc.Poly.var(v) for v in svars], [sc.Poly.var(v) for v in tvars]
-    )
-    det = sc.det_poly(phi_map(L, alpha, omega))
-    if sc.is_zero(det):
-        return ExistenceResult(False, det, len(z1), len(z2))
-    exponents = det.terms if isinstance(det, sc.Poly) else {}
-    degree = max((max(e, default=0) for e in exponents), default=0)
-    if degree >= len(WITNESS_VALUES):
-        raise AssertionError(
-            f"det Phi has degree {degree} in one variable; the value grid "
-            f"of {len(WITNESS_VALUES)} values cannot guarantee a witness"
-        )
-    for assignment in _grid_assignments(variables):
-        hit = try_point(assignment)
-        if hit is not None:
-            hit.det = det
-            return hit
-    raise AssertionError("nonzero determinant but no witness on the value grid")
+    n = (L.dim - 1) // 2
+    _, generic = _span_forms(L.dim, [], z2, [], [sc.Poly.var(v) for v in tvars])
+    for i, z in enumerate(z1):
+        vol = volume_coeff(L, z, generic)
+        if sc.is_zero(vol):
+            continue
+        if isinstance(vol, sc.Poly) and vol.total_degree() > n:
+            raise AssertionError(
+                f"volume polynomial has degree {vol.total_degree()} > n = {n}; "
+                f"the values 0..{n} cannot guarantee a witness"
+            )
+        assignment = {v: sc.ONE if v == svars[i] else sc.ZERO for v in svars}
+        for v in tvars:
+            for k in range(n + 1):
+                rest = sc.scalar_subs(vol, {v: Fraction(k)})
+                if not sc.is_zero(rest):
+                    break
+            else:
+                raise AssertionError(f"volume polynomial vanishes at {v} = 0..{n}")
+            vol, assignment[v] = rest, Fraction(k)
+        return found(assignment)
+    return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
 
 
 def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
@@ -306,8 +288,8 @@ def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:
 
 
 def _staged_assignments(variables):
-    """Cheap deterministic candidate points: all-ones, distinct integers,
-    alternating signs, reciprocals, then seeded draws from the pool."""
+    """Four cheap deterministic candidate points: all-ones, distinct
+    integers, alternating signs, reciprocals."""
     if not variables:
         yield {}
         return
@@ -315,24 +297,6 @@ def _staged_assignments(variables):
     yield {v: Fraction(i + 1) for i, v in enumerate(variables)}
     yield {v: Fraction((i + 1) * (-1) ** i) for i, v in enumerate(variables)}
     yield {v: Fraction(1, i + 1) for i, v in enumerate(variables)}
-    rng = __import__("random").Random(777120)
-    for _ in range(500):
-        yield {v: WITNESS_VALUES[rng.randrange(len(WITNESS_VALUES))] for v in variables}
-
-
-def _grid_assignments(variables):
-    """Exhaustive fair product grid over ``WITNESS_VALUES``.  When the pool
-    size (21) exceeds the determinant's degree in every variable, which
-    ``exists_cosymplectic`` checks before the grid, the grid contains a
-    non-root of any nonzero determinant polynomial (Alon, Combinatorial
-    Nullstellensatz)."""
-    n = len(variables)
-    for level in range(len(WITNESS_VALUES)):
-        # tuples whose maximum value-index equals `level`
-        for combo in iproduct(range(level + 1), repeat=n):
-            if max(combo) != level:
-                continue
-            yield {v: WITNESS_VALUES[c] for v, c in zip(variables, combo)}
 
 
 # ---------------------------------------------------------------------------

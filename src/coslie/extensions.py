@@ -21,9 +21,8 @@ from .cosymplectic import (
     SymplecticPair,
     ist_defects_empty,
     to_symplectic,
-    validate,
 )
-from .errors import ConditionsFail, DimensionMismatch
+from .errors import ConditionsFail, DimensionMismatch, NotCosymplectic
 from .exterior import OneForm, TwoForm
 from .lie_core import (
     LieAlgebra,
@@ -345,8 +344,9 @@ def construct_B(
                 failures.append(
                     f"t obar_phi - obar_phiphi != d(lambda) at (e{i + 1}, e{j + 1})"
                 )
-    rep = validate(Gbar, abar, obar)
-    if not rep.ok:
+    try:
+        S_base = CosymplecticStructure.make(Gbar, abar, obar)
+    except NotCosymplectic:
         failures.append("base triple is not cosymplectic")
     if failures:
         raise ConditionsFail(failures)
@@ -356,7 +356,6 @@ def construct_B(
     )
     omega = _d_wedge_e_star(obar, n)
     S_out = CosymplecticStructure.make(L, alpha, omega)
-    S_base = CosymplecticStructure.make(Gbar, abar, obar)
     want = tuple(S_base.reeb) + (sc.ZERO, sc.ZERO)
     if not sc.vecs_equal(S_out.reeb, want):
         raise AssertionError("Reeb vector of the extension moved")
@@ -400,8 +399,9 @@ def construct_C(
         not sc.is_zero(obar.value(sc.vec(v), sc.basis_vec(n, j))) for j in range(n)
     ):
         failures.append("v is not in ker(obar)")
-    rep = validate(Gbar, abar, obar)
-    if not rep.ok:
+    try:
+        S_base = CosymplecticStructure.make(Gbar, abar, obar)
+    except NotCosymplectic:
         failures.append("base triple is not cosymplectic")
     if failures:
         raise ConditionsFail(failures)
@@ -412,7 +412,6 @@ def construct_C(
     )
     omega = _d_wedge_e_star(obar, n)
     S_out = CosymplecticStructure.make(L, alpha, omega)
-    S_base = CosymplecticStructure.make(Gbar, abar, obar)
     want = tuple(S_base.reeb) + (sc.ZERO, sc.ZERO)
     if not sc.vecs_equal(S_out.reeb, want):
         raise AssertionError("Reeb vector of the extension moved")

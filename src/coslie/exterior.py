@@ -239,43 +239,53 @@ def is_2cocycle(L: LieAlgebra, omega: TwoForm) -> bool:
 # Volume coefficient
 
 
-def _perm_sign(seq) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
 def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
-    """Coefficient of e^{1...2n+1} in alpha ^ omega^n, by direct expansion.
+    """Coefficient of e^{1...2n+1} in alpha ^ omega^n, as a Pfaffian expansion.
 
-    omega^n is expanded over unordered n-element sets of omega's monomials
-    with pairwise-disjoint support (times n!), each signed by the parity of
-    its concatenated index sequence.
+    With Omega the skew matrix of omega and 0-based m,
+    alpha ^ omega^n = n! * sum_m (-1)^m alpha_m Pf(Omega without row and
+    column m) e^{1...2n+1}.  Each Pfaffian expands along its smallest index
+    over omega's nonzero coefficients and is memoized over index bitmasks,
+    so the cost grows at most as 2^dim.  Only +, - and * are used, so the
+    result is exact over Fraction, Poly and RatFn alike.
     """
     if L.dim % 2 == 0:
         raise EvenDimension("volume coefficient needs odd dimension")
     if alpha.dim != L.dim or omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
     n = (L.dim - 1) // 2
+    w = omega.coeffs
+    # Pf of the empty index set and of each 2 x 2 block of omega
+    memo = {0: sc.ONE, **{(1 << i) | (1 << j): c for (i, j), c in w.items()}}
+
+    def pfaffian(mask: int) -> Scalar:
+        if mask in memo:
+            return memo[mask]
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        total = sc.ZERO
+        plus = True  # (-1)^(position of j in mask + 1)
+        for j in range(i + 1, L.dim):
+            if not rest >> j & 1:
+                continue
+            c = w.get((i, j))
+            if c is not None:
+                sub = pfaffian(rest ^ (1 << j))
+                if not sc.is_zero(sub):
+                    total = total + c * sub if plus else total - c * sub
+            plus = not plus
+        memo[mask] = total
+        return total
+
+    full = (1 << L.dim) - 1
     total = sc.ZERO
-    monomials = list(omega.coeffs.items())
-    scale = Fraction(factorial(n))
-    for combo in combinations(monomials, n):
-        support = [x for (pair, _) in combo for x in pair]
-        if len(set(support)) != 2 * n:
+    for m, a in enumerate(alpha.coeffs):
+        if sc.is_zero(a):
             continue
-        missing = next(m for m in range(L.dim) if m not in support)
-        coeff = alpha.coeffs[missing]
-        if sc.is_zero(coeff):
-            continue
-        for _, c in combo:
-            coeff *= c
-        sign = _perm_sign([missing] + support)
-        total += coeff * (scale if sign > 0 else -scale)
-    return total
+        pf = pfaffian(full ^ (1 << m))
+        if not sc.is_zero(pf):
+            total = total - a * pf if m % 2 else total + a * pf
+    return total * Fraction(factorial(n))
 
 
 # ---------------------------------------------------------------------------

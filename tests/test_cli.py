@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from coslie.algfile import format_algebra, parse_algebra, parse_extension
 from coslie.cli import main
+from coslie.cosymplectic import exists_cosymplectic
 from coslie.errors import AlgFileError, DuplicateBracket, IndexOutOfRange
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
@@ -41,7 +42,7 @@ omega 1 2 : 1
 """
 
 # Inputs of the exists golden file: Heisenberg yes/no cases, an abelian
-# algebra, a catalog algebra, a "no" decided by the symbolic determinant
+# algebra, a catalog algebra, a "no" decided by the volume polynomials
 # (no common kernel) and a witness found at the reciprocal staged point.
 EXISTS_INPUTS = {
     "h3.alg": "dim 3\nbracket 1 2 : 1 3\n",
@@ -235,6 +236,16 @@ def test_exists_command(files, capsys):
     g31 = files("g31.alg", G31_NORMAL)
     assert main(["exists", g31]) == 0
     assert "YES" in capsys.readouterr().out
+    # abelian R^13: a dense witness omega with 78 monomials, whose volume
+    # the CLI must still compute
+    r13 = files("r13.alg", "dim 13\n")
+    assert main(["exists", "--json", r13]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["exists"] is True
+    R13 = LieAlgebra.abelian(13)
+    res = exists_cosymplectic(R13)
+    witness = files("r13_witness.alg", format_algebra(R13, res.alpha, res.omega))
+    assert main(["validate", witness]) == 0
+    assert "cosymplectic: YES" in capsys.readouterr().out
 
 
 def test_lsa_and_biinv_commands(files, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,7 +36,7 @@ from coslie.errors import (
     NotIst,
     SingularPhi,
 )
-from coslie.exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, is_2cocycle
+from coslie.exterior import OneForm, TwoForm, cocycle_spaces, is_2cocycle
 from coslie.lie_core import LieAlgebra, LinearMap, check_isomorphism
 from coslie.scalars import Poly, ratfn
 
@@ -158,21 +159,12 @@ def test_exists_witness_validates(g31):
 
 def test_exists_scales_to_large_cocycle_spaces():
     # abelian algebras have the largest possible cocycle spaces; the staged
-    # witness search must settle these without touching the symbolic
-    # determinant
-    for dim in (5, 7, 9):
+    # witness search must settle these without touching the volume route
+    for dim in (5, 7, 9, 11, 13, 15):
         L = LieAlgebra.abelian(dim)
         res = exists_cosymplectic(L)
-        assert res.exists
+        assert res.exists and res.det is None
         assert validate(L, res.alpha, res.omega).ok
-    # volume_coeff expands C(#monomials, n) products, too many for a dense
-    # omega from dimension 11 on; det Phi != 0 is the equivalent test
-    for dim in (11, 13, 15):
-        L = LieAlgebra.abelian(dim)
-        res = exists_cosymplectic(L)
-        assert res.exists
-        assert d1(L, res.alpha).is_zero() and d2(L, res.omega).is_zero()
-        assert not sc.is_zero(sc.det_poly(phi_map(L, res.alpha, res.omega)))
     for n in (4, 5, 6):
         res = exists_cosymplectic(heisenberg(n))
         assert not res.exists and sc.is_zero(res.det)
@@ -200,7 +192,14 @@ def certified(L) -> bool:
     return cs._phi_kernel_certificate(L.dim, z1, z2)
 
 
-R3_1 = LieAlgebra.from_table(3, {(1, 3): {1: -1}, (2, 3): {2: -1}})  # ad e3 = id
+def scaled_by_identity(k):
+    """R^{2k} x| R with ad e_{2k+1} = id: no common kernel, yet every
+    omega in Z^2 lies in the span of the e^{i, 2k+1}, so det Phi = 0."""
+    d = 2 * k + 1
+    return LieAlgebra.from_table(d, {(i, d): {i: -1} for i in range(1, d)})
+
+
+R3_1 = scaled_by_identity(1)  # ad e3 = id
 
 
 def test_phi_kernel_certificate_fires_only_on_zero_determinants(sl2, g31):
@@ -211,9 +210,14 @@ def test_phi_kernel_certificate_fires_only_on_zero_determinants(sl2, g31):
         assert not res.exists and sc.is_zero(res.det)
     for L in (heisenberg(1), g31, LieAlgebra.abelian(3), LieAlgebra.abelian(5), R3_1):
         assert not certified(L)
-    # R3_1 has no common kernel, yet det Phi vanishes: the symbolic route
+    # R^{2k} x| R with ad = id has no common kernel, yet det Phi vanishes:
+    # the volume polynomials decide "no"; k = 2 is R^4 x| R with ad e5 = id
     assert sc.is_zero(generic_det(R3_1))
-    assert not exists_cosymplectic(R3_1).exists
+    for k in (1, 2, 3):
+        L = scaled_by_identity(k)
+        assert not certified(L)
+        res = exists_cosymplectic(L)
+        assert not res.exists and sc.is_zero(res.det)
 
 
 def test_rational_witness_points_equal_substituted_generic_forms(g31):
@@ -231,16 +235,33 @@ def test_rational_witness_points_equal_substituted_generic_forms(g31):
             assert w.coeffs == omega.subs(point).coeffs
 
 
-def test_grid_finds_a_witness_when_staged_points_are_skipped(g31, monkeypatch):
-    monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
-    res = exists_cosymplectic(g31)
-    assert res.exists and not sc.is_zero(res.det)
-    assert validate(g31, res.alpha, res.omega).ok
+def family_algebras():
+    """(name, rational algebra) for each catalog family at its sample
+    structure parameters, plus aff(2,R) x| <e7> at lam = 1."""
+    algebras = []
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind == "family":
+            algebras.append((name, entry.algebra(entry.struct_params or None)))
+    algebras.append(("aff", get_entry("aff(2,R)⋉<e7>").algebra({"lam": F(1)})))
+    return algebras
 
 
-def test_grid_refuses_a_pool_not_above_the_degree(g31, monkeypatch):
+def test_volume_route_finds_a_witness_when_staged_points_are_skipped(g31, monkeypatch):
     monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
-    monkeypatch.setattr(cs, "WITNESS_VALUES", [F(1)])
+    for name, L in [("g31", g31)] + family_algebras():
+        res = exists_cosymplectic(L)
+        assert res.exists and res.det is None, name
+        assert validate(L, res.alpha, res.omega).ok, name
+        values = {F(k) for k in range((L.dim - 1) // 2 + 1)}
+        assert set(res.witness.values()) <= values, name
+
+
+def test_volume_route_refuses_a_polynomial_above_the_degree_bound(g31, monkeypatch):
+    # on g31, n = 1: a volume polynomial of total degree 2 breaks the bound
+    # that makes the values {0, 1} enough
+    monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
+    monkeypatch.setattr(cs, "volume_coeff", lambda L, alpha, omega: Poly.var("t1") ** 2)
     with pytest.raises(AssertionError, match="degree"):
         exists_cosymplectic(g31)
 
@@ -467,22 +488,19 @@ def test_biinvariance_conditions_iff_associative_on_catalog():
 
 
 # ---------------------------------------------------------------------------
-# Nondegeneracy equivalence: volume = 0  <=>  det Phi = 0
+# Nondegeneracy equivalence: det Phi = (volume / n!)^2
 
 
 def test_volume_vanishes_iff_phi_singular_on_random_points():
+    # det Phi = (vol / n!)^2: Phi = Omega + alpha alpha^T, and the adjugate
+    # of the odd skew Omega is p p^T with p_m = (-1)^m Pf(Omega without m)
     rng = random.Random(31415)
     from coslie.scalars import det_poly
     from coslie.exterior import volume_coeff
 
-    algebras = []
-    for name in list_entries():
-        entry = get_entry(name)
-        if entry.kind == "family":
-            algebras.append((name, entry.algebra(entry.struct_params or None)))
-    algebras.append(("aff", get_entry("aff(2,R)⋉<e7>").algebra({"lam": F(1)})))
-    for name, L in algebras:
+    for name, L in family_algebras():
         dim = L.dim
+        scale = F(factorial((dim - 1) // 2))
         for _ in range(50):
             alpha = OneForm(dim, tuple(F(rng.randint(-2, 2)) for _ in range(dim)))
             omega = TwoForm(
@@ -494,7 +512,7 @@ def test_volume_vanishes_iff_phi_singular_on_random_points():
             )
             vol = volume_coeff(L, alpha, omega)
             det = det_poly(phi_map(L, alpha, omega))
-            assert (vol == 0) == (det == 0), name
+            assert det == (vol / scale) ** 2, name
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,39 @@ def test_volume_even_dimension_rejected():
 
 def test_volume_against_wedge_oracle_random_forms():
     rng = random.Random(2718)
-    for dim in (3, 5, 7):
+    nonzero = [F(c) for c in (-3, -2, -1, 1, 2, 3)]
+    for dim in (3, 5, 7, 9):
         L = LieAlgebra.abelian(dim)
+        pairs = list(combinations(range(dim), 2))
         for _ in range(12):
             alpha = OneForm(dim, tuple(F(rng.randint(-3, 3)) for _ in range(dim)))
-            pairs = list(combinations(range(dim), 2))
-            chosen = rng.sample(pairs, k=min(len(pairs), rng.randint(1, 6)))
-            omega = TwoForm(dim, {p: F(rng.randint(-3, 3)) for p in chosen})
-            assert sc.scalars_equal(
-                volume_coeff(L, alpha, omega), oracle_volume(dim, alpha, omega)
+            sparse = rng.sample(pairs, k=min(len(pairs), rng.randint(1, 6)))
+            for omega in (
+                TwoForm(dim, {p: F(rng.randint(-3, 3)) for p in sparse}),
+                TwoForm(dim, {p: rng.choice(nonzero) for p in pairs}),
+            ):
+                assert sc.scalars_equal(
+                    volume_coeff(L, alpha, omega), oracle_volume(dim, alpha, omega)
+                )
+    # dense forms whose entries are a random mix of symbols and rationals
+    for dim in (3, 5, 7):
+        L = LieAlgebra.abelian(dim)
+        pairs = list(combinations(range(dim), 2))
+        for _ in range(4):
+            alpha = OneForm(
+                dim,
+                tuple(rng.choice((Poly.var(f"a{k}"), rng.choice(nonzero))) for k in range(dim)),
             )
+            omega = TwoForm(
+                dim,
+                {
+                    (i, j): rng.choice((Poly.var(f"w{i}_{j}"), rng.choice(nonzero)))
+                    for i, j in pairs
+                },
+            )
+            vol = volume_coeff(L, alpha, omega)
+            assert isinstance(vol, Poly) and not vol.is_zero()
+            assert sc.scalars_equal(vol, oracle_volume(dim, alpha, omega))
 
 
 def test_volume_linear_in_alpha_and_homogeneous_in_omega():
