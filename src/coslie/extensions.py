@@ -194,7 +194,12 @@ def ist_component_check(
     Reeb vector.  Also runs the direct i.s.t. test on the assembled map;
     the two verdicts must agree.
     """
-    S = CosymplecticStructure.make(Gbar, abar, obar)
+    return _ist_components(CosymplecticStructure.make(Gbar, abar, obar), E)
+
+
+def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentReport:
+    """``ist_component_check`` on the structure of the base triple."""
+    Gbar, abar, obar = S.algebra, S.alpha, S.omega
     red = S.reduction
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
@@ -273,7 +278,8 @@ def construct_A(
     failures = []
     if not E.theta.is_zero():
         failures.append("theta must be zero for this construction")
-    ist_rep = ist_component_check(Gbar, abar, obar, E)
+    S = CosymplecticStructure.make(Gbar, abar, obar)
+    ist_rep = _ist_components(S, E)
     if not ist_rep.ok:
         failures.append(f"extension data is not an i.s.t.: components {ist_rep.failed()}")
     if is_derivation(Gbar, E.phi):
@@ -282,7 +288,6 @@ def construct_A(
         not sc.vec_is_zero(bracket(Gbar, E.v, sc.basis_vec(n, j))) for j in range(n)
     ):
         failures.append("v is not central in the base")
-    S = CosymplecticStructure.make(Gbar, abar, obar)
     red = S.reduction
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]

@@ -15,6 +15,7 @@ which the CLI relies on for byte-reproducible reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -470,6 +471,13 @@ def scalar_subs(s: Scalar, assignment: Mapping[str, Fraction]) -> Scalar:
     return out.constant_value() if out.is_constant() else out
 
 
+def total_degree(s: Scalar) -> int:
+    """Total degree of a polynomial scalar; 0 for a rational."""
+    if isinstance(s, RatFn):
+        raise TypeError("total degree of a quotient")
+    return s.total_degree() if isinstance(s, Poly) else 0
+
+
 def scalar_variables(s: Scalar) -> set:
     if isinstance(s, Fraction):
         return set()
@@ -587,20 +595,6 @@ def nullspace(m) -> list:
     return basis
 
 
-def solve_rational(a, bs) -> list:
-    """Unique solutions of a x = b over Fraction, one per right-hand side b
-    in bs, from a single elimination of [a | b_1 ... b_k]; raises on
-    singular."""
-    a = _require_rational_matrix(a)
-    ncols = len(a[0]) if a else 0
-    cols = [[to_fraction(as_scalar(x)) for x in b] for b in bs]
-    aug = [row + [col[i] for col in cols] for i, row in enumerate(a)]
-    rows, pivots = rref(aug)
-    if pivots != list(range(ncols)):
-        raise SingularSystem("singular linear system")
-    return [[rows[r][ncols + k] for r in range(ncols)] for k in range(len(cols))]
-
-
 def mat_mul(a, b) -> list:
     return [
         [sum((a[i][k] * b[k][j] for k in range(len(b))), start=ZERO) for j in range(len(b[0]))]
@@ -676,40 +670,106 @@ def _exact_quot(num: Scalar, den: Scalar) -> Scalar:
     return num.exact_div(den)
 
 
-def solve_poly(a, bs) -> list:
-    """Solve a x = b over polynomial entries via Cramer determinants, one
-    solution per right-hand side b in bs; det(a) is computed once.
+def _ring_row(row) -> list:
+    """One equation as ring elements: a rational row times the lcm of its
+    denominators (ints), any other row as Polys."""
+    row = [as_scalar(x) for x in row]
+    if any(isinstance(x, RatFn) for x in row):
+        raise TypeError("RatFn entry in a fraction-free solve")
+    if all(is_rational(x) for x in row):
+        return _over_lcm([to_fraction(x) for x in row])[0]
+    return [x if isinstance(x, Poly) else Poly.const(x) for x in row]
 
-    Returns Scalars (RatFn where division is genuinely needed).  Raises
-    SingularSystem when det(a) = 0.
+
+def _over_lcm(values: list) -> tuple:
+    """(nums, den): int numerators of Fractions over the lcm of their
+    denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _ring_quot(num, den):
+    """Exact quotient of ring elements (int or Poly)."""
+    if isinstance(num, int) and isinstance(den, int):
+        return num // den
+    if not num or den == 1:
+        return num
+    num = num if isinstance(num, Poly) else Poly.const(num)
+    return num.exact_div(den if isinstance(den, Poly) else Poly.const(den))
+
+
+def solve_fraction_free(a, bs) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of [a | b_1 ... b_k] (Bareiss,
+    1968): (nums, den) with the solution of a x = b_k equal to
+    nums[k][i] / den.
+
+    Each row is first scaled to ring elements (``_ring_row``); every later
+    quotient is exact, so the entries stay ints on rational systems and
+    Polys otherwise.  den is the last pivot, det(a) up to a nonzero
+    rational factor.  Raises SingularSystem when a is singular and
+    TypeError on RatFn entries.
     """
     n = len(a)
-    d = det_poly(a)
-    if is_zero(d):
-        raise SingularSystem("singular linear system")
-    out = []
-    for b in bs:
-        x = []
-        for j in range(n):
-            col = [[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]
-            x.append(_scalar_quot(det_poly(col), d))
-        out.append(x)
-    return out
+    if any(len(row) != n for row in a):
+        raise ValueError("solve of a non-square system")
+    rows = [_ring_row(list(a[i]) + [b[i] for b in bs]) for i in range(n)]
+    ints = all(isinstance(x, int) for row in rows for x in row)
+    prev = 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            raise SingularSystem("singular linear system")
+        rows[c], rows[p] = rows[p], rows[c]
+        top = rows[c]
+        piv = top[c]
+        for i in range(n):
+            f = rows[i][c]
+            if i == c or (not f and piv == prev):
+                continue
+            if ints:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
+            else:  # Poly products are costly: skip the zero ones
+                rows[i] = [
+                    _ring_quot((piv * x if x else 0) - (f * y if f and y else 0), prev)
+                    for x, y in zip(rows[i], top)
+                ]
+        prev = piv
+    return [[row[n + k] for row in rows] for k in range(len(bs))], prev
 
 
-def _scalar_quot(num: Scalar, den: Scalar) -> Scalar:
-    if isinstance(den, Fraction):
-        return num * (Fraction(1) / den)
-    numf = num if isinstance(num, Poly) else Poly.const(num) if isinstance(num, Fraction) else None
-    if numf is None:
-        raise TypeError("RatFn in Cramer solve")
-    return ratfn(numf, den)
+def _quotient(num, den) -> Scalar:
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return ratfn(num, den)
+
+
+def quotients(nums, den) -> Vector:
+    """The Scalars nums[i] / den of ring numerators over one denominator."""
+    return tuple(_quotient(x, den) for x in nums)
+
+
+def common_denominator(values) -> tuple:
+    """(nums, den) with values[i] = nums[i] / den: ints over the lcm of the
+    denominators when every value is rational, Polys over the product of
+    the distinct RatFn denominators otherwise."""
+    values = [as_scalar(v) for v in values]
+    if all(is_rational(v) for v in values):
+        return _over_lcm([to_fraction(v) for v in values])
+    dens: list = []
+    for v in values:
+        if isinstance(v, RatFn) and v.den not in dens:
+            dens.append(v.den)
+    den = Poly.const(1)
+    for d in dens:
+        den = den * d
+    return [
+        v.num * den.exact_div(v.den) if isinstance(v, RatFn) else den * v for v in values
+    ], den
 
 
 def solve_linear(a, bs) -> list:
-    """Solutions of a x = b, one per right-hand side b in bs.  Dispatch:
-    Gaussian over Fraction, Cramer/Bareiss over polynomials."""
-    try:
-        return solve_rational(a, bs)
-    except ParametricUnsupported:
-        return solve_poly(a, bs)
+    """Solutions of a x = b, one per right-hand side b in bs, from one
+    fraction-free elimination: Fractions on rational systems, ``ratfn``
+    quotients otherwise."""
+    nums, den = solve_fraction_free(a, bs)
+    return [list(quotients(x, den)) for x in nums]

@@ -18,11 +18,12 @@ from .cosymplectic import (
     CosymplecticStructure,
     LsaTable,
     biinvariance,
+    deriv_identity_defect,
     exists_cosymplectic,
     left_symmetry_defect,
     reeb,
-    validate,
 )
+from .errors import NotCosymplectic
 from .exterior import cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
 
@@ -140,11 +141,12 @@ def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
     )
 
 
-def _in_span(rows: list, vector) -> bool:
-    if sc.vec_is_zero(vector):
-        return True
+def _in_span(rows: list, vectors) -> bool:
+    """True if every vector lies in the span of rows; rank(rows) is
+    computed once for the space."""
     base = [list(r) for r in rows]
-    return sc.rank(base + [list(vector)]) == sc.rank(base)
+    r = sc.rank(base)
+    return all(sc.vec_is_zero(v) or sc.rank(base + [list(v)]) == r for v in vectors)
 
 
 def _family_vectors(form, params: list, is_two: bool, dim: int) -> list:
@@ -172,7 +174,7 @@ def _form_params(form, is_two: bool) -> list:
 
 
 def _span_result(entry, check, family_vectors, space_rows, space_dim):
-    member = all(_in_span(space_rows, v) for v in family_vectors)
+    member = _in_span(space_rows, family_vectors)
     fam_rank = sc.rank([list(v) for v in family_vectors])
     detail = f"family rank {fam_rank}, cocycle space dim {space_dim}"
     if not member:
@@ -202,19 +204,7 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
         out.append(_result(entry_name, f"left_symmetry{suffix}", False, str(exc)))
         return
 
-    red = S.reduction
-    star = S.star
-    D = red.deriv
-    m = red.pair.algebra.dim
-    ok = True
-    for a in range(m):
-        for b in range(m):
-            x = sc.basis_vec(m, a)
-            y = sc.basis_vec(m, b)
-            lhs = D.apply(star.product(x, y))
-            rhs = sc.vec_add(star.product(D.column(a), y), star.product(x, D.column(b)))
-            if not sc.vecs_equal(lhs, rhs):
-                ok = False
+    ok = not deriv_identity_defect(S)
     out.append(_result(entry_name, f"deriv_identity{suffix}", ok))
 
     rep = biinvariance(S)
@@ -302,20 +292,18 @@ def _verify_family(entry) -> list:
 
     try:
         Li, alpha_i, omega_i = cat.instantiate(entry.name, entry.sample)
-        rep = validate(Li, alpha_i, omega_i)
-        if rep.ok:
-            S = CosymplecticStructure.make(Li, alpha_i, omega_i)
-            out.append(
-                _result(
-                    entry,
-                    "instantiate",
-                    True,
-                    f"sample validates; reeb = {_vec_str(S.reeb)}",
-                )
+        S = CosymplecticStructure.make(Li, alpha_i, omega_i)
+        out.append(
+            _result(
+                entry,
+                "instantiate",
+                True,
+                f"sample validates; reeb = {_vec_str(S.reeb)}",
             )
-            _structure_checks(entry.name, S, out)
-        else:
-            out.append(_result(entry, "instantiate", False, str(rep)))
+        )
+        _structure_checks(entry.name, S, out)
+    except NotCosymplectic as exc:
+        out.append(_result(entry, "instantiate", False, str(exc.report)))
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         out.append(_result(entry, "instantiate", False, f"{type(exc).__name__}: {exc}"))
 
@@ -417,14 +405,14 @@ def _verify_normal_form(entry, nf) -> list:
     all_ok = True
     for lam in lam_values:
         subs = {"lam": lam} if lam is not None else {}
-        rep = validate(entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs))
-        if rep.ok:
+        try:
             S = CosymplecticStructure.make(
                 entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs)
             )
-            _structure_checks(name, S, out, suffix=f"@lam={lam}" if lam is not None else "")
-        else:
+        except NotCosymplectic:
             all_ok = False
+            continue
+        _structure_checks(name, S, out, suffix=f"@lam={lam}" if lam is not None else "")
     out.append(_result(name, "validate_samples", all_ok))
 
     # membership of the normal form in its family
@@ -438,8 +426,8 @@ def _verify_normal_form(entry, nf) -> list:
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     a_rows = _family_vectors(entry.alpha.subs(struct), a_params, False, dim)
     w_rows = _family_vectors(entry.omega.subs(struct), w_params, True, dim)
-    member = _in_span(a_rows, tuple(a_inst.coeffs)) and _in_span(
-        w_rows, tuple(w_inst.value_basis(i, j) for (i, j) in pairs)
+    member = _in_span(a_rows, [tuple(a_inst.coeffs)]) and _in_span(
+        w_rows, [tuple(w_inst.value_basis(i, j) for (i, j) in pairs)]
     )
     out.append(_result(name, "normal_in_family", member))
 
@@ -479,6 +467,16 @@ def _verify_heisenberg(entry) -> list:
     return out
 
 
+def _make(L, alpha, omega) -> tuple:
+    """(structure or None, validation report) from the one validation in
+    ``CosymplecticStructure.make``."""
+    try:
+        S = CosymplecticStructure.make(L, alpha, omega)
+    except NotCosymplectic as exc:
+        return None, exc.report
+    return S, S.report
+
+
 def _verify_aff(entry) -> list:
     out = []
     L_sym = entry.algebra()
@@ -487,7 +485,7 @@ def _verify_aff(entry) -> list:
 
     for lam in (F(0), F(1)):
         L = entry.algebra({"lam": lam})
-        rep = validate(L, entry.alpha, entry.omega)
+        S, rep = _make(L, entry.alpha, entry.omega)
         check = f"validate_lam{lam}"
         detail = str(rep)
         if not rep.ok and rep.cocycle2_defect is not None:
@@ -507,7 +505,6 @@ def _verify_aff(entry) -> list:
             )
         )
         if rep.ok:
-            S = CosymplecticStructure.make(L, entry.alpha, entry.omega)
             out.append(
                 _result(entry, f"reeb_lam{lam}", sc.vecs_equal(S.reeb, sc.basis_vec(7, 6)))
             )
@@ -515,11 +512,10 @@ def _verify_aff(entry) -> list:
 
     for lam in (F(0), F(1)):
         L = cat.aff_corrected_algebra(lam)
-        rep = validate(L, entry.alpha, entry.omega)
+        S, rep = _make(L, entry.alpha, entry.omega)
         ok = rep.ok and not is_solvable(L)
         detail = f"corrected witness at lam={lam}: {rep}"
         if rep.ok:
-            S = CosymplecticStructure.make(L, entry.alpha, entry.omega)
             ok = ok and sc.vecs_equal(S.reeb, sc.basis_vec(7, 6))
             detail += f"; reeb = {_vec_str(S.reeb)}"
             if lam == 1:

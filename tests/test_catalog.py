@@ -190,3 +190,32 @@ def test_public_api_surface():
         "nullspace", "det_poly", "poly_eval",
     ):
         assert hasattr(coslie, name), name
+
+
+def test_verify_validates_only_inside_make(monkeypatch):
+    # CosymplecticStructure.make is the only validation in catalog
+    # verification: every validation belongs to a make call, so no triple
+    # is validated and then made
+    import coslie.cosymplectic as cs
+    from coslie import verify
+
+    calls = {"validate": 0, "make": 0}
+    plain_validate, plain_make = cs.validate, cs.CosymplecticStructure.make
+
+    def validate(L, alpha, omega):
+        calls["validate"] += 1
+        return plain_validate(L, alpha, omega)
+
+    def make(L, alpha, omega):
+        calls["make"] += 1
+        return plain_make(L, alpha, omega)
+
+    for module in (cs, verify):  # every namespace that binds the name
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", validate)
+    monkeypatch.setattr(cs.CosymplecticStructure, "make", staticmethod(make))
+    for name in ("g_{2.1}⊕g_1", "g_{3.1}", "aff(2,R)⋉<e7>"):
+        entry = get_entry(name)
+        calls.update(validate=0, make=0)
+        verify._verify_aff(entry) if entry.kind == "aff" else verify._verify_family(entry)
+        assert calls["make"] and calls["validate"] == calls["make"], (name, calls)

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coslie import cosymplectic as cs
 from coslie import scalars as sc
@@ -37,7 +37,7 @@ from coslie.errors import (
     SingularPhi,
 )
 from coslie.exterior import OneForm, TwoForm, cocycle_spaces, is_2cocycle
-from coslie.lie_core import LieAlgebra, LinearMap, check_isomorphism
+from coslie.lie_core import LieAlgebra, LinearMap, bracket, check_isomorphism
 from coslie.scalars import Poly, ratfn
 
 E3 = lambda k: OneForm.dual(3, k)
@@ -682,3 +682,108 @@ def test_biinvariance_matches_the_triple_loops_on_random_tables(case):
     rep = biinvariance(S)
     assert rep.associative == seed_associative(table)
     assert rep.defects[1] == seed_condition1(star, red.deriv, red.pair.omega)
+
+
+# ---------------------------------------------------------------------------
+# Both routes under dense changes of basis
+
+
+def change_basis(S, M):
+    """The structure of S read in the basis f_i = M e_i (the columns of M)."""
+    n = S.dim
+    Minv = sc.mat_inverse(M)
+    cols = [tuple(M[k][i] for k in range(n)) for i in range(n)]
+    brackets = {
+        (i, j): sc.mat_vec(Minv, bracket(S.algebra, cols[i], cols[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    alpha = OneForm(n, tuple(S.alpha.apply(c) for c in cols))
+    omega = TwoForm(
+        n, {(i, j): S.omega.value(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)}
+    )
+    return make(LieAlgebra(n, brackets), alpha, omega)
+
+
+def dense_change(n, entries, perm, scale):
+    """L U Q D: unit lower and upper triangular factors filled from entries,
+    a permutation Q and a diagonal rescaling D."""
+    low = [[F(1) if i == j else F(entries[i * n + j]) if i > j else F(0) for j in range(n)]
+           for i in range(n)]
+    up = [[F(1) if i == j else F(entries[j * n + i]) if i < j else F(0) for j in range(n)]
+          for i in range(n)]
+    perm_scaled = [[scale[j] if perm[j] == i else F(0) for j in range(n)] for i in range(n)]
+    return sc.mat_mul(sc.mat_mul(low, up), perm_scaled)
+
+
+def fraction_table(S):
+    """e_i . e_j solved from Phi(x.y) = -Phi(y) o ad_x with Fractions, by the
+    rref inverse of Phi."""
+    n = S.dim
+    P = [list(row) for row in S.phi]
+    Pinv = sc.mat_inverse(P)
+    return tuple(
+        tuple(
+            sc.mat_vec(
+                Pinv,
+                [
+                    -sum((P[k][j] * S.algebra.bracket_basis(i, l)[k] for k in range(n)), start=F(0))
+                    for l in range(n)
+                ],
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+SMALL_STRUCTURES = [S for _, S in STRUCTURES if S.dim <= 5]
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(SMALL_STRUCTURES).flatmap(
+        lambda S: st.tuples(
+            st.just(S),
+            st.lists(st.integers(-2, 2), min_size=S.dim ** 2, max_size=S.dim ** 2),
+            st.permutations(range(S.dim)),
+            st.lists(
+                st.sampled_from([F(1), F(2), F(-1, 2), F(1, 3)]),
+                min_size=S.dim,
+                max_size=S.dim,
+            ),
+        )
+    )
+)
+def test_routes_agree_and_match_a_fraction_solve_under_dense_basis_changes(case):
+    # a dense change moves alpha's pivot coefficient off 1 and gives xi
+    # fractional entries; the numerator tables, their identities and both
+    # routes must still agree with plain Fraction arithmetic
+    S0, entries, perm, scale = case
+    S = change_basis(S0, dense_change(S0.dim, entries, perm, scale))
+    assert _lsa_via_phi(S) == _lsa_via_parts(S)
+    assert S.table.products == fraction_table(S)
+    assert left_symmetry_defect(S.table, S.algebra) == seed_left_symmetry_defect(
+        S.table, S.algebra
+    )
+    red = S.reduction
+    rep = biinvariance(S)
+    assert rep.associative == seed_associative(S.table)
+    assert rep.defects[1] == seed_condition1(S.star, red.deriv, red.pair.omega)
+
+
+def test_a_perturbed_parts_route_is_caught(monkeypatch, g34):
+    # every single entry of the parts route is compared with the Phi route
+    parts = cs._lsa_via_parts
+    S0 = make(g34, E3(3), W({(1, 2): 1}))
+    for i, k, j in product(range(3), repeat=3):
+
+        def perturbed(S):
+            T = parts(S)
+            left = [[list(row) for row in M] for M in T.left]
+            left[i][k][j] += T.den
+            return LsaTable.over(T.dim, left, T.den)
+
+        monkeypatch.setattr(cs, "_lsa_via_parts", perturbed)
+        with pytest.raises(AssertionError, match="product construction routes disagree"):
+            cosymplectic_lsa(make(S0.algebra, S0.alpha, S0.omega))

@@ -331,3 +331,30 @@ def test_derived_dimension_discriminator():
     assert d1_ == 3
     assert d2_ <= 2 and d3_ <= 2
     assert d1_ > d2_ and d1_ > d3_
+
+
+def test_each_construction_validates_the_base_once(monkeypatch):
+    # CosymplecticStructure.make is the only validation: each construction
+    # validates the 3-dimensional base once and its 5-dimensional output once
+    import coslie.cosymplectic as cs
+
+    dims = []
+    plain = cs.validate
+
+    def counted(L, alpha, omega):
+        dims.append(L.dim)
+        return plain(L, alpha, omega)
+
+    monkeypatch.setattr(cs, "validate", counted)
+    construct_A(GBAR, ABAR, OBAR, data_A(F(1), F(1), F(1), F(1)))
+    assert dims == [3, 5]
+    dims.clear()
+    phiB = phi_mat(F(1), F(1), 0, 0)
+    lamB = OneForm.from_dict(3, {1: F(1), 2: F(1), 3: F(1)})
+    construct_B(
+        GBAR, ABAR, OBAR, ExtensionData(phiB, lamB, sc.zero_vec(3), F(0), form_twist(OBAR, phiB))
+    )
+    assert sorted(dims) == [3, 5]
+    dims.clear()
+    construct_C(GBAR, ABAR, OBAR, phi_mat(0, 1, 1, 1), (F(0), F(0), F(1)))
+    assert sorted(dims) == [3, 5]

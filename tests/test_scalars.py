@@ -212,21 +212,105 @@ def test_ratfn_normalization_and_equality():
     assert ratfn(Poly.const(0), lam) == 0
 
 
+def cramer_solve(a, bs):
+    """The former ``solve_poly``: one Bareiss determinant per unknown over
+    det(a), kept as the reference for ``solve_linear``."""
+    n = len(a)
+    d = det_poly(a)
+    if sc.is_zero(d):
+        raise SingularSystem("singular linear system")
+
+    def quot(num, den):
+        if isinstance(den, F):
+            return num * (F(1) / den)
+        return ratfn(num if isinstance(num, Poly) else Poly.const(num), den)
+
+    return [
+        [
+            quot(det_poly([[a[i][k] if k != j else b[i] for k in range(n)] for i in range(n)]), d)
+            for j in range(n)
+        ]
+        for b in bs
+    ]
+
+
 def test_solve_poly_cramer():
     a = Poly.var("a")
-    [x] = sc.solve_poly([[a, sc.ZERO], [sc.ZERO, a * a]], [[Poly.const(1), a]])
+    [x] = sc.solve_linear([[a, sc.ZERO], [sc.ZERO, a * a]], [[Poly.const(1), a]])
     assert sc.scalars_equal(x[0], ratfn(Poly.const(1), a))
     assert sc.scalars_equal(x[1], ratfn(Poly.const(1), a))
     with pytest.raises(SingularSystem):
-        sc.solve_poly([[a, a], [a, a]], [[Poly.const(1), Poly.const(0)]])
+        sc.solve_linear([[a, a], [a, a]], [[Poly.const(1), Poly.const(0)]])
 
 
 def test_solve_rational_and_inverse():
     m = [[F(1), F(2)], [F(3), F(4)]]
-    [x] = sc.solve_rational(m, [[F(1), F(1)]])
+    [x] = sc.solve_linear(m, [[F(1), F(1)]])
     assert sc.mat_vec(m, x) == (F(1), F(1))
     inv = sc.mat_inverse(m)
     assert sc.mat_mul(m, inv) == sc.identity_matrix(2)
+
+
+def test_solve_linear_matches_cramer_on_mixed_5x5():
+    # mixed Fraction/Poly rows: the rational rows are cleared to ints, the
+    # symbolic ones stay Polys, and every quotient is exact
+    p, q = Poly.var("p"), Poly.var("q")
+    a = [
+        [p, F(1, 2), F(0), F(-3), F(1)],
+        [F(2, 3), q, F(1), F(0), F(-1, 5)],
+        [F(1), F(0), p * q - 1, F(2), F(0)],
+        [F(0), F(-1), F(1, 7), F(3, 4), F(1)],
+        [q + 2, F(0), F(1), F(1), p],
+    ]
+    bs = [
+        [F(1), F(0), F(0), F(0), F(0)],
+        [F(0), p, F(-1, 3), F(2), q * q],
+        [F(1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)],
+    ]
+    got, want = sc.solve_linear(a, bs), cramer_solve(a, bs)
+    assert [[str(x) for x in v] for v in got] == [[str(x) for x in v] for v in want]
+    for x, y, b in zip(got, want, bs):
+        assert sc.vecs_equal(x, y)
+        assert sc.vecs_equal(sc.mat_vec(a, x), sc.vec(b))
+
+
+def test_solve_linear_singular_system_raises():
+    p = Poly.var("p")
+    with pytest.raises(SingularSystem):
+        sc.solve_fraction_free([[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]], [])
+    with pytest.raises(SingularSystem):
+        sc.solve_linear([[p, F(1)], [p * p, p]], [[F(1), F(1)]])
+
+
+def test_solve_linear_rows_with_large_coprime_denominators():
+    primes = [1000003, 1000033, 1000037, 1000039]
+    a = [
+        [F(i + j + 1, primes[(i + j) % 4]) + (F(1) if i == j else F(0)) for j in range(4)]
+        for i in range(4)
+    ]
+    bs = [[F(1, primes[i]) for i in range(4)], [F(primes[3 - i], 7) for i in range(4)]]
+    xs = sc.solve_linear(a, bs)
+    assert [sc.mat_vec(a, x) for x in xs] == [tuple(b) for b in bs]
+    assert xs == cramer_solve(a, bs)
+
+
+def test_solve_linear_refuses_ratfn_entries():
+    p = Poly.var("p")
+    with pytest.raises(TypeError):
+        sc.solve_linear([[RatFn(Poly.const(1), p + 1), F(0)], [F(0), F(1)]], [[F(1), F(1)]])
+
+
+def test_common_denominator_round_trips():
+    # ints over the lcm for rational values; Polys over the product of the
+    # distinct RatFn denominators otherwise
+    rational = [F(1, 6), F(-3, 4), F(0), F(5), Poly.const(F(2, 9))]
+    nums, den = sc.common_denominator(rational)
+    assert den == 36 and all(type(x) is int for x in nums)
+    assert sc.quotients(nums, den) == (F(1, 6), F(-3, 4), F(0), F(5), F(2, 9))
+    p, q = Poly.var("p"), Poly.var("q")
+    mixed = [F(1, 2), p, RatFn(Poly.const(1), p + 1), RatFn(q, p * q + 1), RatFn(p, p + 1), F(0)]
+    nums, den = sc.common_denominator(mixed)
+    assert all(sc.scalars_equal(x, v) for x, v in zip(sc.quotients(nums, den), mixed))
 
 
 square_systems = st.integers(1, 4).flatmap(

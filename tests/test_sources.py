@@ -57,3 +57,50 @@ def test_no_module_but_verify_samples_at_random():
         if p.name != "verify.py" and imports_random(ast.parse(p.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+SCALAR_TYPES = {"Fraction", "Poly", "RatFn"}
+
+
+def scalar_type_tests(tree: ast.AST) -> list:
+    """Line numbers of ``isinstance`` calls against a scalar type, named
+    directly (``Poly``) or through a module (``sc.Poly``), alone or in a
+    tuple."""
+
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return []
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and SCALAR_TYPES & set(names(node.args[1]))
+    ]
+
+
+def test_the_scan_sees_every_scalar_type_test():
+    for text in (
+        "isinstance(x, Fraction)",
+        "isinstance(x, sc.Poly)",
+        "y = isinstance(x, (int, scalars.RatFn))",
+    ):
+        assert scalar_type_tests(ast.parse(text)), text
+    for text in ("isinstance(x, LsaTable)", "isinstance(x, (int, tuple))", "Poly.const(1)"):
+        assert not scalar_type_tests(ast.parse(text)), text
+
+
+def test_cosymplectic_keeps_one_path_for_every_scalar_type():
+    """Product tables, their identities and the existence decision use ring
+    operations only; which scalar type stands behind a value is the
+    business of ``scalars``, so ``cosymplectic`` never tests for one."""
+    [path] = [p for p in SOURCES if p.name == "cosymplectic.py"]
+    assert scalar_type_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
