@@ -447,41 +447,16 @@ def to_symplectic(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> SymplecticPa
 
 # A product table keeps the matrices of left multiplication as ring
 # numerators over one common denominator.  ``scalars`` chooses the ring (int
-# for rational data, Poly otherwise); the helpers below use only +, -, * and
-# truth tests, so rational and symbolic tables share every step.
-
-
-def _mat_mul(A, B) -> list:
-    """A B for matrices of ring elements, skipping zero entries."""
-    width = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [0] * width
-        for a, brow in zip(row, B):
-            if a:
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-        out.append(acc)
-    return out
-
-
-def _mat_comb(coeffs, mats) -> list:
-    """sum_q coeffs[q] mats[q] for matrices of ring elements."""
-    out = [[0] * len(row) for row in mats[0]] if mats else []
-    for c, M in zip(coeffs, mats):
-        if c:
-            for acc, row in zip(out, M):
-                for j, x in enumerate(row):
-                    if x:
-                        acc[j] += c * x
-    return out
+# for rational data, Poly otherwise) and multiplies and combines the
+# matrices (``mat_mul``, ``mat_comb``); the steps below use only +, -, * and
+# truth tests, so rational and symbolic tables share every one of them.
 
 
 def _column(M, k) -> list:
     return [row[k] for row in M]
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class LsaTable:
     """A product table: e_i . e_j = sum_k left[i][k][j] e_k / den.
 
@@ -491,6 +466,10 @@ class LsaTable:
     when it is reported.
     """
 
+    dim: int
+    left: tuple
+    den: object
+
     def __init__(self, dim: int, products):
         """``products[i][j]`` = e_i . e_j as a vector of Scalars."""
         if len(products) != dim or any(
@@ -499,16 +478,19 @@ class LsaTable:
             raise DimensionMismatch("product table shape mismatch")
         nums, den = sc.common_denominator([x for row in products for v in row for x in v])
         n = dim
-        self.dim, self.den = dim, den
-        self.left = [
-            [[nums[(i * n + j) * n + k] for j in range(n)] for k in range(n)] for i in range(n)
-        ]
+        left = [[[nums[(i * n + j) * n + k] for j in range(n)] for k in range(n)] for i in range(n)]
+        self._fill(dim, left, den)
+
+    def _fill(self, dim, left, den):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "left", tuple(tuple(map(tuple, M)) for M in left))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def over(cls, dim: int, left, den) -> "LsaTable":
         """The table with left-multiplication numerators ``left`` over ``den``."""
         table = cls.__new__(cls)
-        table.dim, table.left, table.den = dim, left, den
+        table._fill(dim, left, den)
         return table
 
     @staticmethod
@@ -535,19 +517,19 @@ class LsaTable:
         """x . y = L_x y for vectors of Scalars."""
         n = self.dim
         nums, den = sc.common_denominator(tuple(x) + tuple(y))
-        Lx = _mat_comb(nums[:n], self.left)
+        Lx = sc.mat_comb(nums[:n], self.left)
         return sc.quotients(
             [sum(a * b for a, b in zip(row, nums[n:])) for row in Lx], den * den * self.den
         )
 
     @cached_property
-    def associators(self) -> tuple:
-        """associators[i][j] = L_{e_i e_j} - L_i L_j over den^2: its column k
-        holds the numerators of (e_i e_j) e_k - e_i (e_j e_k)."""
+    def associator_numerators(self) -> tuple:
+        """[i][j] = L_{e_i e_j} - L_i L_j over den^2: its column k holds the
+        numerators of the associator (e_i e_j) e_k - e_i (e_j e_k)."""
         L = self.left
         return tuple(
             tuple(
-                _mat_comb((1, -1), (_mat_comb(_column(Li, j), L), _mat_mul(Li, Lj)))
+                sc.mat_comb((1, -1), (sc.mat_comb(_column(Li, j), L), sc.mat_mul(Li, Lj)))
                 for j, Lj in enumerate(L)
             )
             for Li in L
@@ -631,13 +613,13 @@ def _lsa_via_parts(S: CosymplecticStructure) -> LsaTable:
     star = S.star
     D, W, B, C, q = S.reduction.numerators
     d, qq = star.den, q * q
-    WD = _mat_mul(W, D)  # omega(h_a, D h_b) over q^2
+    WD = sc.mat_mul(W, D)  # omega(h_a, D h_b) over q^2
     adapted = [
         [[x * qq for x in row] + [0] for row in La] + [[x * d for x in WD[a]] + [0]]
         for a, La in enumerate(star.left)
     ]
     adapted.append([[x * q * d for x in row] + [0] for row in D] + [[0] * n])
-    left = [_mat_mul(_mat_mul(B, _mat_comb(_column(C, i), adapted)), C) for i in range(n)]
+    left = [sc.mat_mul(sc.mat_mul(B, sc.mat_comb(_column(C, i), adapted)), C) for i in range(n)]
     return LsaTable.over(n, left, d * qq * qq * q)
 
 
@@ -649,11 +631,11 @@ def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
     if T.dim != L.dim:
         raise DimensionMismatch("table/algebra dimension mismatch")
     n, d = T.dim, T.den
-    A = T.associators
+    A = T.associator_numerators
     assoc = []
     for i in range(n):
         for j in range(i + 1, n):
-            M = _mat_comb((1, -1), (A[i][j], A[j][i]))
+            M = sc.mat_comb((1, -1), (A[i][j], A[j][i]))
             for k in range(n):
                 v = _column(M, k)
                 if any(v):
@@ -679,8 +661,8 @@ def deriv_identity_defect(S: CosymplecticStructure) -> list:
     Ls, d = S.star.left, S.star.den
     out = []
     for a, La in enumerate(Ls):
-        M = _mat_comb(
-            (1, -1, -1), (_mat_mul(D, La), _mat_mul(La, D), _mat_comb(_column(D, a), Ls))
+        M = sc.mat_comb(
+            (1, -1, -1), (sc.mat_mul(D, La), sc.mat_mul(La, D), sc.mat_comb(_column(D, a), Ls))
         )
         for b in range(len(Ls)):
             v = _column(M, b)
@@ -711,13 +693,13 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
     D, W, _, _, q = S.reduction.numerators
     star = S.star
     Ls, d = star.left, star.den
-    A = star.associators
+    A = star.associator_numerators
     m = len(Ls)
     dd, qqq = d * d, q * q * q
-    coeff = _mat_mul([_column(D, b) for b in range(m)], W)  # omega(D e_b, e_a) over q^2
-    DD = _mat_mul(D, D)
-    LD = [_mat_mul(La, D) for La in Ls]
-    LDe = [_mat_comb(_column(D, a), Ls) for a in range(m)]
+    coeff = sc.mat_mul([_column(D, b) for b in range(m)], W)  # omega(D e_b, e_a) over q^2
+    DD = sc.mat_mul(D, D)
+    LD = [sc.mat_mul(La, D) for La in Ls]
+    LDe = [sc.mat_comb(_column(D, a), Ls) for a in range(m)]
     defects: dict = {1: [], 2: [], 3: [], 4: []}
     for a in range(m):
         v = _column(DD, a)
@@ -736,5 +718,5 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
                 if any(v):
                     defects[1].append((a + 1, b + 1, k + 1, sc.quotients(v, dd * qqq)))
     failed = [k for k in (1, 2, 3, 4) if defects[k]]
-    associative = not any(x for row in S.table.associators for M in row for r in M for x in r)
+    associative = not any(x for row in S.table.associator_numerators for M in row for r in M for x in r)
     return BiinvarianceReport(not failed, failed, associative, defects)

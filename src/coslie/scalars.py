@@ -596,10 +596,33 @@ def nullspace(m) -> list:
 
 
 def mat_mul(a, b) -> list:
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), start=ZERO) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    """a b, skipping zero entries.  Sums start from int 0, so the product of
+    Scalar matrices has the same values and the product of ring numerator
+    matrices (int or Poly) stays in the ring."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def mat_comb(coeffs, mats) -> list:
+    """sum_q coeffs[q] mats[q], skipping zero entries, with sums from int 0
+    as in ``mat_mul``."""
+    out = [[0] * len(row) for row in mats[0]] if mats else []
+    for c, m in zip(coeffs, mats):
+        if c:
+            for acc, row in zip(out, m):
+                for j, x in enumerate(row):
+                    if x:
+                        acc[j] += c * x
+    return out
 
 
 def mat_vec(a, x) -> Vector:
@@ -662,12 +685,18 @@ def det_poly(m) -> Scalar:
     return -result if sign < 0 else result
 
 
-def _exact_quot(num: Scalar, den: Scalar) -> Scalar:
+def _exact_quot(num, den):
+    """Exact quotient num / den of Fractions, ints or Polys, as in Bareiss
+    elimination; raises InexactDivision when den does not divide num."""
     if isinstance(den, Fraction):
         return num / den
-    if isinstance(num, Fraction):
-        num = Poly.const(num)
-    return num.exact_div(den)
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        if r:
+            raise InexactDivision(f"{den} does not divide {num}")
+        return q
+    num = num if isinstance(num, Poly) else Poly.const(num)
+    return num.exact_div(den if isinstance(den, Poly) else Poly.const(den))
 
 
 def _ring_row(row) -> list:
@@ -688,32 +717,22 @@ def _over_lcm(values: list) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _ring_quot(num, den):
-    """Exact quotient of ring elements (int or Poly)."""
-    if isinstance(num, int) and isinstance(den, int):
-        return num // den
-    if not num or den == 1:
-        return num
-    num = num if isinstance(num, Poly) else Poly.const(num)
-    return num.exact_div(den if isinstance(den, Poly) else Poly.const(den))
-
-
 def solve_fraction_free(a, bs) -> tuple:
     """Fraction-free Gauss-Jordan elimination of [a | b_1 ... b_k] (Bareiss,
     1968): (nums, den) with the solution of a x = b_k equal to
     nums[k][i] / den.
 
-    Each row is first scaled to ring elements (``_ring_row``); every later
-    quotient is exact, so the entries stay ints on rational systems and
-    Polys otherwise.  den is the last pivot, det(a) up to a nonzero
-    rational factor.  Raises SingularSystem when a is singular and
+    Each row is first scaled to ring elements (``_ring_row``).  Every later
+    quotient is exact, and ``_exact_quot`` raises InexactDivision if one is
+    not, so the entries stay ints on rational systems and a row turns into
+    Polys once a Poly enters it.  den is the last pivot, det(a) up to a
+    nonzero rational factor.  Raises SingularSystem when a is singular and
     TypeError on RatFn entries.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("solve of a non-square system")
     rows = [_ring_row(list(a[i]) + [b[i] for b in bs]) for i in range(n)]
-    ints = all(isinstance(x, int) for row in rows for x in row)
     prev = 1
     for c in range(n):
         p = next((i for i in range(c, n) if rows[i][c]), None)
@@ -726,13 +745,11 @@ def solve_fraction_free(a, bs) -> tuple:
             f = rows[i][c]
             if i == c or (not f and piv == prev):
                 continue
-            if ints:
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], top)]
-            else:  # Poly products are costly: skip the zero ones
-                rows[i] = [
-                    _ring_quot((piv * x if x else 0) - (f * y if f and y else 0), prev)
-                    for x, y in zip(rows[i], top)
-                ]
+            row = []
+            for x, y in zip(rows[i], top):  # zero products and quotients skipped
+                v = (piv * x if x else 0) - (f * y if f and y else 0)
+                row.append(_exact_quot(v, prev) if v else 0)
+            rows[i] = row
         prev = piv
     return [[row[n + k] for row in rows] for k in range(len(bs))], prev
 

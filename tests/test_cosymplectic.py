@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import factorial
@@ -787,3 +788,14 @@ def test_a_perturbed_parts_route_is_caught(monkeypatch, g34):
         monkeypatch.setattr(cs, "_lsa_via_parts", perturbed)
         with pytest.raises(AssertionError, match="product construction routes disagree"):
             cosymplectic_lsa(make(S0.algebra, S0.alpha, S0.omega))
+
+
+def test_table_is_immutable_so_cached_views_stay_valid(g34):
+    T = make(g34, E3(3), W({(1, 2): 1})).table
+    products = T.products
+    with pytest.raises(FrozenInstanceError):
+        T.left = ()
+    with pytest.raises(TypeError):
+        T.left[0][0] = ()
+    assert T.products is products
+    assert all(type(M) is tuple and all(type(r) is tuple for r in M) for M in T.left)

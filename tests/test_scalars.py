@@ -272,6 +272,26 @@ def test_solve_linear_matches_cramer_on_mixed_5x5():
     for x, y, b in zip(got, want, bs):
         assert sc.vecs_equal(x, y)
         assert sc.vecs_equal(sc.mat_vec(a, x), sc.vec(b))
+    # a symbolic row with pivot 1 is eliminated first; the rational rows
+    # below it stay ints and then divide by the int pivots 3 and 28
+    one = Poly.const(1)
+    a = [
+        [one, p, F(1, 2), F(0), p],
+        [F(0), F(1), F(2), F(-1), F(3)],
+        [F(0), F(0), F(3), F(1), F(2)],
+        [F(0), F(0), F(1), F(5), F(-1)],
+        [F(0), F(0), F(2, 7), F(-1), F(4)],
+    ]
+    bs = [[F(1), F(0), F(2), F(0), F(1)], [p, F(1), F(0), F(1, 2), F(0)]]
+    got, want = sc.solve_linear(a, bs), cramer_solve(a, bs)
+    assert [[str(x) for x in v] for v in got] == [[str(x) for x in v] for v in want]
+    assert got == want
+
+
+def test_exact_quotient_refuses_inexact_int_division():
+    assert sc._exact_quot(84, 3) == 28
+    with pytest.raises(InexactDivision):
+        sc._exact_quot(85, 3)
 
 
 def test_solve_linear_singular_system_raises():
