@@ -718,5 +718,6 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
                 if any(v):
                     defects[1].append((a + 1, b + 1, k + 1, sc.quotients(v, dd * qqq)))
     failed = [k for k in (1, 2, 3, 4) if defects[k]]
-    associative = not any(x for row in S.table.associator_numerators for M in row for r in M for x in r)
+    assoc = S.table.associator_numerators
+    associative = not any(x for row in assoc for M in row for r in M for x in r)
     return BiinvarianceReport(not failed, failed, associative, defects)
