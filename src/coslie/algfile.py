@@ -65,12 +65,21 @@ def _tokens(line: str):
     return out
 
 
+def _rational(tok: str, lineno: int, col: int) -> Fraction:
+    """The rational that tok spells; AlgFileError at (lineno, col) when it
+    spells none or has a zero denominator."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise AlgFileError(f"bad rational '{tok}'", lineno, col) from None
+
+
 def _coeff(tok: str, lineno: int, col: int) -> Scalar:
     if _RATIONAL.match(tok):
-        return Fraction(tok)
+        return _rational(tok, lineno, col)
     m = _PRODUCT.match(tok)
     if m:
-        return Fraction(m.group(1)) * sc.Poly.var(m.group(2))
+        return _rational(m.group(1), lineno, col) * sc.Poly.var(m.group(2))
     if _SYMBOL.match(tok):
         if tok in _RESERVED:
             raise AlgFileError(f"'{tok}' cannot be used as a symbol", lineno, col)
@@ -79,7 +88,7 @@ def _coeff(tok: str, lineno: int, col: int) -> Scalar:
 
 
 def _index(tok: str, dim: int, lineno: int, col: int) -> int:
-    if not tok.isdigit():
+    if not tok.isdecimal():
         raise AlgFileError(f"expected basis index, got '{tok}'", lineno, col)
     k = int(tok)
     if not (1 <= k <= dim):
@@ -125,7 +134,7 @@ class _Reader:
             if key == "dim":
                 if self.dim is not None:
                     raise AlgFileError("duplicate dim line", lineno, col)
-                if len(toks) != 2 or not toks[1][0].isdigit():
+                if len(toks) != 2 or not toks[1][0].isdecimal():
                     raise AlgFileError("dim takes one integer", lineno, col)
                 self.dim = int(toks[1][0])
                 if self.dim <= 0:
@@ -140,7 +149,7 @@ class _Reader:
                 vtok, vcol = toks[3]
                 if not _RATIONAL.match(vtok):
                     raise AlgFileError(f"bad parameter value '{vtok}'", lineno, vcol)
-                self.params[name] = Fraction(vtok)
+                self.params[name] = _rational(vtok, lineno, vcol)
                 continue
             if key not in self.keywords:
                 raise AlgFileError(f"unknown keyword '{key}'", lineno, col)

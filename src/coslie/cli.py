@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import catalog as cat
 from . import scalars as sc
-from .algfile import parse_algebra, parse_extension, parse_map
+from .algfile import _rational, parse_algebra, parse_extension, parse_map
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
@@ -69,12 +69,13 @@ def _parse_params(text):
         if "=" not in piece:
             raise AlgFileError(f"bad --params piece '{piece}'", 0, 0)
         name, value = piece.split("=", 1)
-        params[name.strip()] = Fraction(value.strip())
+        params[name.strip()] = _rational(value.strip(), 0, 0)
     return params
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # a non-UTF-8 byte reads as U+FFFD, which the parser rejects outside comments
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 
@@ -280,7 +281,7 @@ def cmd_extend(args) -> int:
         )
     if ext.dim != L.dim:
         raise AlgFileError("extension data dimension != base dimension", 0, 0)
-    alpha_d = Fraction(args.alpha_d) if args.alpha_d else Fraction(0)
+    alpha_d = _rational(args.alpha_d, 0, 0) if args.alpha_d else Fraction(0)
     r = Report("extend", f"{args.file} + {args.data}")
     try:
         if args.construction == "A":
@@ -413,9 +414,6 @@ def main(argv=None) -> int:
         return USAGE_FAIL
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
-        return USAGE_FAIL
-    except ValueError as exc:
-        print(f"bad value: {exc}", file=sys.stderr)
         return USAGE_FAIL
     except CoslieError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -207,10 +207,7 @@ def center(L: LieAlgebra) -> list:
 
 def _span_rows(vectors: list) -> list:
     """Echelon basis (nonzero rref rows) of the span of the given vectors."""
-    if not vectors:
-        return []
-    rows, _ = sc.rref([list(v) for v in vectors])
-    return [tuple(r) for r in rows]
+    return [tuple(r) for r in sc.rref(vectors)[0]]
 
 
 def derived_series(L: LieAlgebra) -> list:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
     InexactDivision,
@@ -525,48 +525,21 @@ def vecs_equal(x: Vector, y: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Rational linear algebra (Gaussian elimination over Fraction)
+# Rational linear algebra (rref through the fraction-free elimination below)
 
 Matrix = list
 
 
-def _require_rational_matrix(m) -> list:
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            x = as_scalar(x)
-            if not is_rational(x):
-                raise ParametricUnsupported("matrix has symbolic entries")
-            new.append(to_fraction(x))
-        out.append(new)
-    return out
-
-
 def rref(m) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    a = _require_rational_matrix(m)
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return [row for row in a[:r]], pivots
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    Each row is cleared to ints and the matrix goes through ``_echelon``,
+    whose rows over its last pivot are the reduced rows."""
+    rows = [_over_lcm(row) for row in m]
+    if None in rows:
+        raise ParametricUnsupported("matrix has symbolic entries")
+    rows, pivots, den = _echelon([nums for nums, _ in rows])
+    return [[Fraction(x, den) for x in row] for row in rows], pivots
 
 
 def rank(m) -> int:
@@ -579,11 +552,10 @@ def nullspace(m) -> list:
     Basis vectors are indexed by free columns (ascending); each has a 1 in
     its free slot.
     """
-    a = _require_rational_matrix(m)
-    if not a:
+    if not m:
         return []
-    ncols = len(a[0])
-    rows, pivots = rref(a)
+    rows, pivots = rref(m)
+    ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -629,22 +601,8 @@ def mat_vec(a, x) -> Vector:
     return tuple(sum((a[i][k] * x[k] for k in range(len(x))), start=ZERO) for i in range(len(a)))
 
 
-def identity_matrix(n: int) -> list:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(a) -> list:
-    a = _require_rational_matrix(a)
-    n = len(a)
-    aug = [row[:] + identity_matrix(n)[i] for i, row in enumerate(a)]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularSystem("matrix not invertible")
-    return [row[n:] for row in rows]
-
-
 # ---------------------------------------------------------------------------
-# Fraction-free (Bareiss) elimination over polynomial entries
+# Fraction-free (Bareiss) elimination over int and polynomial entries
 
 
 def det_poly(m) -> Scalar:
@@ -653,6 +611,7 @@ def det_poly(m) -> Scalar:
     Works over Fraction or Poly entries (any mix).  RatFn entries are not
     expected here; nondegeneracy tests happen before division ever occurs.
     """
+    # forward-only, unlike _echelon: ZERO at the first column without a pivot
     n = len(m)
     if n == 0:
         return ONE
@@ -702,48 +661,55 @@ def _exact_quot(num, den):
 def _ring_row(row) -> list:
     """One equation as ring elements: a rational row times the lcm of its
     denominators (ints), any other row as Polys."""
+    ints = _over_lcm(row)
+    if ints is not None:
+        return ints[0]
     row = [as_scalar(x) for x in row]
     if any(isinstance(x, RatFn) for x in row):
         raise TypeError("RatFn entry in a fraction-free solve")
-    if all(is_rational(x) for x in row):
-        return _over_lcm([to_fraction(x) for x in row])[0]
     return [x if isinstance(x, Poly) else Poly.const(x) for x in row]
 
 
-def _over_lcm(values: list) -> tuple:
-    """(nums, den): int numerators of Fractions over the lcm of their
-    denominators."""
+def _over_lcm(values) -> Optional[tuple]:
+    """(nums, den): int numerators of rational values over the lcm of their
+    denominators; None when a value is not rational."""
+    values = [as_scalar(v) for v in values]
+    if not all(is_rational(v) for v in values):
+        return None
+    values = [to_fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def solve_fraction_free(a, bs) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of [a | b_1 ... b_k] (Bareiss,
-    1968): (nums, den) with the solution of a x = b_k equal to
-    nums[k][i] / den.
+def _echelon(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of ring rows
+    (ints or Polys) of any shape: (rows, pivots, last) with the nonzero
+    echelon numerator rows, their pivot columns and the last pivot.
 
-    Each row is first scaled to ring elements (``_ring_row``).  Every later
-    quotient is exact, and ``_exact_quot`` raises InexactDivision if one is
-    not, so the entries stay ints on rational systems and a row turns into
-    Polys once a Poly enters it.  den is the last pivot, det(a) up to a
-    nonzero rational factor.  Raises SingularSystem when a is singular and
-    TypeError on RatFn entries.
+    A column without a pivot is skipped, and the elimination stops once
+    every row has one.  Every quotient by the previous pivot is exact
+    (``_exact_quot`` raises InexactDivision otherwise), so int rows stay
+    ints and a row turns into Polys once a Poly enters it.  Every pivot
+    entry ends equal to last, so the reduced row echelon form is
+    rows / last.
     """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("solve of a non-square system")
-    rows = [_ring_row(list(a[i]) + [b[i] for b in bs]) for i in range(n)]
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list = []
     prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if p is None:
-            raise SingularSystem("singular linear system")
-        rows[c], rows[p] = rows[p], rows[c]
-        top = rows[c]
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
         piv = top[c]
-        for i in range(n):
+        for i in range(len(rows)):
             f = rows[i][c]
-            if i == c or (not f and piv == prev):
+            if i == r or (not f and piv == prev):
                 continue
             row = []
             for x, y in zip(rows[i], top):  # zero products and quotients skipped
@@ -751,7 +717,26 @@ def solve_fraction_free(a, bs) -> tuple:
                 row.append(_exact_quot(v, prev) if v else 0)
             rows[i] = row
         prev = piv
-    return [[row[n + k] for row in rows] for k in range(len(bs))], prev
+        pivots.append(c)
+    return rows[: len(pivots)], pivots, prev
+
+
+def solve_fraction_free(a, bs) -> tuple:
+    """``_echelon`` of [a | b_1 ... b_k]: (nums, den) with the solution of
+    a x = b_k equal to nums[k][i] / den.
+
+    Each row is first scaled to ring elements (``_ring_row``).  den is the
+    last pivot, det(a) up to a nonzero rational factor.  Raises
+    SingularSystem when a is singular, TypeError on RatFn entries and
+    InexactDivision on an inexact quotient.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("solve of a non-square system")
+    rows, pivots, den = _echelon(_ring_row(list(a[i]) + [b[i] for b in bs]) for i in range(n))
+    if pivots[:n] != list(range(n)):
+        raise SingularSystem("singular linear system")
+    return [[row[n + k] for row in rows] for k in range(len(bs))], den
 
 
 def _quotient(num, den) -> Scalar:
@@ -769,9 +754,10 @@ def common_denominator(values) -> tuple:
     """(nums, den) with values[i] = nums[i] / den: ints over the lcm of the
     denominators when every value is rational, Polys over the product of
     the distinct RatFn denominators otherwise."""
+    ints = _over_lcm(values)
+    if ints is not None:
+        return ints
     values = [as_scalar(v) for v in values]
-    if all(is_rational(v) for v in values):
-        return _over_lcm([to_fraction(v) for v in values])
     dens: list = []
     for v in values:
         if isinstance(v, RatFn) and v.den not in dens:

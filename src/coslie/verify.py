@@ -23,7 +23,7 @@ from .cosymplectic import (
     left_symmetry_defect,
     reeb,
 )
-from .errors import NotCosymplectic
+from .errors import InexactDivision, NotCosymplectic
 from .exterior import cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
 
@@ -120,7 +120,7 @@ def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
         q = comp.exact_div(printed)
         if q.is_constant():
             return "exact_multiple", f"computed volume = {q.constant_value()} * printed"
-    except Exception:
+    except InexactDivision:
         pass
     variables = sorted(set(printed.variables) | set(comp.variables))
     rng = random.Random(_SAMPLE_SEED)
@@ -142,11 +142,17 @@ def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
 
 
 def _in_span(rows: list, vectors) -> bool:
-    """True if every vector lies in the span of rows; rank(rows) is
-    computed once for the space."""
-    base = [list(r) for r in rows]
-    r = sc.rank(base)
-    return all(sc.vec_is_zero(v) or sc.rank(base + [list(v)]) == r for v in vectors)
+    """True if every vector lies in the span of rows.  The space is reduced
+    to echelon rows once; v lies in it iff nothing is left after v[p] times
+    the echelon row of each pivot column p is taken off."""
+    echelon, pivots = sc.rref(rows)
+    for v in vectors:
+        for row, p in zip(echelon, pivots):
+            if v[p]:
+                v = sc.vec_sub(v, sc.vec_scale(v[p], row))
+        if not sc.vec_is_zero(v):
+            return False
+    return True
 
 
 def _family_vectors(form, params: list, is_two: bool, dim: int) -> list:
@@ -175,7 +181,7 @@ def _form_params(form, is_two: bool) -> list:
 
 def _span_result(entry, check, family_vectors, space_rows, space_dim):
     member = _in_span(space_rows, family_vectors)
-    fam_rank = sc.rank([list(v) for v in family_vectors])
+    fam_rank = sc.rank(family_vectors)
     detail = f"family rank {fam_rank}, cocycle space dim {space_dim}"
     if not member:
         detail += "; some family member is not a cocycle"

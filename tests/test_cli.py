@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from coslie import catalog as cat
 from coslie.algfile import format_algebra, parse_algebra, parse_extension
 from coslie.cli import main
 from coslie.cosymplectic import exists_cosymplectic
@@ -315,6 +318,119 @@ def test_parse_error_exit_code(files, capsys):
     bad = files("bad.alg", "dim 3\nbracket 1 1 : 1 1\n")
     assert main(["validate", bad]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, params, where",
+    [
+        ("dim 3\nbracket 1 2 : 1/0 1\n", "", "line 2, col 15: bad rational '1/0'"),
+        ("dim 3\nparam p = 2/0\nbracket 1 2 : p 1\n", "", "line 2, col 11: bad rational '2/0'"),
+        ("dim 3\nbracket 1 2 : 3/0*p 1\n", "", "line 2, col 15: bad rational '3/0'"),
+        ("dim 3\nbracket 1 2 : a 1\n", "a=1/0", "line 0, col 0: bad rational '1/0'"),
+    ],
+)
+def test_zero_denominator_is_a_parse_error(files, capsys, text, params, where):
+    path = files("zero.alg", text)
+    assert main(["validate", path, "--params", params]) == 2
+    assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
+def test_bad_user_values_are_parse_errors(files, capsys, tmp_path):
+    base = files("base3.alg", BASE3)
+    ext = files("ext_c.ext", EXT_C)
+    for bad in ("1/0", "x"):
+        assert main(["extend", "--construction", "C", "--data", ext, "--alpha-d", bad, base]) == 2
+        assert capsys.readouterr().err == f"parse error: line 0, col 0: bad rational '{bad}'\n"
+    assert main(["validate", "--params", "a=x", base]) == 2
+    assert "bad rational 'x'" in capsys.readouterr().err
+    # a digit that int() cannot read, and bytes that are not UTF-8
+    assert main(["validate", files("sup.alg", "dim \u00b2\n")]) == 2
+    assert "dim takes one integer" in capsys.readouterr().err
+    raw = tmp_path / "raw.alg"
+    raw.write_bytes(b"dim 3\nbracket 1 2 : 1\xff 1\n")
+    assert main(["validate", str(raw)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2, col 15: bad coefficient token '1\ufffd'\n"
+
+
+ISO_MAP = "dim 3\nmap 1 : 1 1\nmap 2 : 1/2 2\nmap 3 : 3/2 1 -1/2 2 1 3\n"
+FUZZ_TOKENS = [
+    "1/0", "3/0*p", "0", "-1", "1/2", "7", "x", "p", "lam", "2*q", "1e3", "1.5",
+    "\u00b2", "\u0663", ":", "=", "#", "*", "/", "-", "dim", "param", "bracket", "alpha",
+    "omega", "phi", "lambda", "v", "t", "theta", "map",
+]
+
+
+def _exports(dim):
+    return [
+        cat.export_entry(n) for n in cat.list_entries() if n != "Heisenberg" and cat.get_entry(n).dim == dim
+    ]
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of texts with up to three lines dropped, duplicated or swapped or
+    tokens replaced, dropped or inserted; new tokens come from the text
+    itself, FUZZ_TOKENS or short arbitrary strings."""
+    text = draw(st.sampled_from(texts))
+    lines = text.splitlines() or [""]
+    token = st.one_of(st.sampled_from(FUZZ_TOKENS + text.split()), st.text(max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        kind = draw(st.sampled_from(["replace", "drop", "insert", "drop line", "dup line", "swap"]))
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "dup line":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            k = draw(st.integers(0, len(toks)))
+            if kind == "insert":
+                toks.insert(k, draw(token))
+            elif toks:
+                k = min(k, len(toks) - 1)
+                if kind == "replace":
+                    toks[k] = draw(token)
+                else:
+                    del toks[k]
+            lines[i] = " ".join(toks)
+        lines = lines or [""]
+    return "\n".join(lines) + "\n"
+
+
+@given(st.data())
+def test_malformed_files_end_in_an_exit_code(tmp_path_factory, data):
+    # validate, extend --data and isocheck on mutated catalog exports and
+    # fixtures: each returns 0, 1 or 2 and never raises
+    texts3, texts5 = _exports(3), _exports(5)
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def write(name, text):
+        (root / name).write_text(text, encoding="utf-8")
+        return str(root / name)
+
+    runs = [
+        ["validate", write("v.alg", data.draw(mutated(texts3 + texts5)))],
+        [
+            "extend",
+            "--construction", data.draw(st.sampled_from("ABC")),
+            "--data", write("e.ext", data.draw(mutated([EXT_A, EXT_B, EXT_C, EXT_A_FAIL]))),
+            "--alpha-d=" + data.draw(st.sampled_from(["", "2", "-1/2", "1/0", "x"])),
+            write("b.alg", data.draw(mutated(texts3))),
+        ],
+        [
+            "isocheck",
+            write("i1.alg", data.draw(mutated(texts3))),
+            write("i2.alg", data.draw(mutated(texts3))),
+            write("i.map", data.draw(mutated([ISO_MAP]))),
+        ],
+    ]
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_catalog_list_and_export(files, capsys):

@@ -689,10 +689,17 @@ def test_biinvariance_matches_the_triple_loops_on_random_tables(case):
 # Both routes under dense changes of basis
 
 
+def inverse(M):
+    """M^{-1}, its columns solved from M x = e_k by ``solve_linear``."""
+    n = len(M)
+    cols = sc.solve_linear(M, [[F(i == k) for i in range(n)] for k in range(n)])
+    return [[cols[k][i] for k in range(n)] for i in range(n)]
+
+
 def change_basis(S, M):
     """The structure of S read in the basis f_i = M e_i (the columns of M)."""
     n = S.dim
-    Minv = sc.mat_inverse(M)
+    Minv = inverse(M)
     cols = [tuple(M[k][i] for k in range(n)) for i in range(n)]
     brackets = {
         (i, j): sc.mat_vec(Minv, bracket(S.algebra, cols[i], cols[j]))
@@ -719,10 +726,10 @@ def dense_change(n, entries, perm, scale):
 
 def fraction_table(S):
     """e_i . e_j solved from Phi(x.y) = -Phi(y) o ad_x with Fractions, by the
-    rref inverse of Phi."""
+    inverse of Phi."""
     n = S.dim
     P = [list(row) for row in S.phi]
-    Pinv = sc.mat_inverse(P)
+    Pinv = inverse(P)
     return tuple(
         tuple(
             sc.mat_vec(

@@ -89,6 +89,73 @@ def test_nullspace_rank_nullity_and_membership(rows):
         assert all(x == 0 for x in out)
 
 
+def fraction_rref(m):
+    """The former ``scalars.rref``: Gauss-Jordan elimination over Fraction,
+    kept as the reference for the fraction-free one."""
+    a = [[F(x) for x in row] for row in m]
+    if not a:
+        return [], []
+    ncols = len(a[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return [row for row in a[:r]], pivots
+
+
+LARGE_PRIMES = [1000003, 1000033, 1000037, 1000039, 1000081]
+matrix_entries = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.builds(F, st.integers(-(10**6), 10**6), st.sampled_from(LARGE_PRIMES)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Tall, wide, rank-deficient and zero-row matrices, some entries over
+    large coprime denominators."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(matrix_entries, min_size=ncols, max_size=ncols), max_size=6))
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):  # dependent rows
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            c = draw(st.sampled_from([F(1), F(-2), F(1, 3), F(1, LARGE_PRIMES[0])]))
+            rows.append([c * x + y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):  # zero rows
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    return rows
+
+
+@given(rational_matrices())
+def test_rref_rank_and_nullspace_match_the_fraction_elimination(m):
+    rows, pivots = fraction_rref(m)
+    assert sc.rref(m) == (rows, pivots)
+    assert sc.rank(m) == len(pivots)
+    free = [c for c in range(len(m[0]) if m else 0) if c not in pivots]
+    want = []
+    for f in free:
+        v = [F(0)] * len(m[0])
+        v[f] = F(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        want.append(tuple(v))
+    assert nullspace(m) == want
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -247,8 +314,9 @@ def test_solve_rational_and_inverse():
     m = [[F(1), F(2)], [F(3), F(4)]]
     [x] = sc.solve_linear(m, [[F(1), F(1)]])
     assert sc.mat_vec(m, x) == (F(1), F(1))
-    inv = sc.mat_inverse(m)
-    assert sc.mat_mul(m, inv) == sc.identity_matrix(2)
+    cols = sc.solve_linear(m, [[F(1), F(0)], [F(0), F(1)]])
+    inv = [[cols[k][i] for k in range(2)] for i in range(2)]
+    assert sc.mat_mul(m, inv) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_solve_linear_matches_cramer_on_mixed_5x5():
@@ -300,6 +368,12 @@ def test_solve_linear_singular_system_raises():
         sc.solve_fraction_free([[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]], [])
     with pytest.raises(SingularSystem):
         sc.solve_linear([[p, F(1)], [p * p, p]], [[F(1), F(1)]])
+    # the dependent column is the middle one, so the elimination skips it
+    # and goes on to the later columns of a and to b
+    with pytest.raises(SingularSystem):
+        sc.solve_linear([[F(1), F(2), F(3)], [F(2), F(4), F(7)], [F(1), F(2), F(5)]], [[F(1), F(0), F(0)]])
+    with pytest.raises(SingularSystem):
+        sc.solve_linear([[p, p * p, F(1)], [F(1), p, F(0)], [F(0), F(0), p]], [[F(1), F(1), F(1)]])
 
 
 def test_solve_linear_rows_with_large_coprime_denominators():
