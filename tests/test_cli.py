@@ -251,6 +251,31 @@ def test_exists_command(files, capsys):
     assert "cosymplectic: YES" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "name, algebra, exists",
+    [
+        ("h9", cat.heisenberg(4), False),
+        ("h15", cat.heisenberg(7), False),
+        ("r9", LieAlgebra.abelian(9), True),
+        ("r15", LieAlgebra.abelian(15), True),
+    ],
+    ids=["H9", "H15", "R9", "R15"],
+)
+def test_exists_and_validate_end_to_end_in_dims_9_to_15(files, capsys, name, algebra, exists):
+    path = files(f"{name}.alg", format_algebra(algebra))
+    assert main(["exists", "--json", path]) == (0 if exists else 1)
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["exists"] is exists
+    if not exists:
+        return
+    # the witness the CLI printed, written out as a file, validates
+    res = exists_cosymplectic(algebra)
+    assert result["witness"] == {k: str(v) for k, v in sorted(res.witness.items())}
+    witness = files(f"{name}_witness.alg", format_algebra(algebra, res.alpha, res.omega))
+    assert main(["validate", "--json", witness]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["cosymplectic"] is True
+
+
 def test_lsa_and_biinv_commands(files, capsys):
     g21 = files("g21.alg", G21_NORMAL)
     assert main(["lsa", g21]) == 0
@@ -286,6 +311,20 @@ def test_extend_condition_failure_exit(files, capsys):
     bad = files("bad.ext", EXT_A_FAIL)
     assert main(["extend", "--construction", "A", "--data", bad, base]) == 1
     assert "conditions: FAIL" in capsys.readouterr().out
+
+
+def test_extend_params_bind_the_base_and_the_data_file(files, capsys):
+    # w is a symbol of the base file and s one of the data file: binding
+    # both by --params gives the report of the files with the values written in
+    written = ["--data", files("ext_a.ext", EXT_A), files("base3.alg", BASE3)]
+    assert main(["extend", "--construction", "A", *written]) == 0
+    want = capsys.readouterr().out
+    symbolic = [
+        "--data", files("ext_s.ext", EXT_A.replace("t = -1", "t = s")),
+        files("base_w.alg", BASE3.replace("omega 1 2 : 1", "omega 1 2 : w")),
+    ]
+    assert main(["extend", "--construction", "A", *symbolic, "--params", "w=1,s=-1"]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_symplectize_command(files, capsys):
@@ -479,6 +518,25 @@ def test_catalog_verify_all_json_matches_golden_file(capsys):
     golden = (Path(__file__).parent / "data" / "verify_all.json").read_bytes()
     assert main(["catalog", "verify-all", "--json"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+def test_catalog_verify_all_text_agrees_with_golden_file(capsys):
+    # the text report says line by line what the committed JSON report says
+    golden = json.loads((Path(__file__).parent / "data" / "verify_all.json").read_text("utf-8"))
+    want = []
+    for group in golden["checks"]:
+        for c in group["results"]:
+            status = "ok" if c["pass"] else "FAIL"
+            if c["flagged"]:
+                status += " (flagged)" if c["pass"] else " (flagged: documented deviation)"
+            line = f"{group['entry']} :: {c['name']}: {status}"
+            want.append(f"{line} -- {c['defect']}" if c["defect"] else line)
+    total = golden["result"]
+    assert (total["total"], total["failed"], total["flagged"]) == (344, 0, 13)
+    assert main(["catalog", "verify-all"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == want
+    assert summary == "summary: 344 checks, 0 failures, 13 flagged"
 
 
 def test_exists_output_matches_golden_file(tmp_path, monkeypatch, capsys):
