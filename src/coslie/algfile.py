@@ -12,7 +12,9 @@ image of e_i), ``lambda : ...``, ``v : ...``, ``t = c`` and
 
 A coefficient token is a rational ``p/q``, a symbol, or ``rational*symbol``
 (e.g. ``2*a24``); unbound symbols become polynomial variables, ``param``
-lines bind them.  ``#`` starts a comment.
+lines bind them.  Each parser also takes the bindings of a command line
+(``params``); binding one name twice, by a repeated ``param`` line or by a
+line and ``params``, is an error.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class ParsedAlgebra:
     alpha: Optional[OneForm]
     omega: Optional[TwoForm]
     params: dict = field(default_factory=dict)
+    symbols: frozenset = frozenset()
 
 
 @dataclass
@@ -49,6 +52,7 @@ class ParsedExtension:
     dim: int
     data: ExtensionData
     params: dict = field(default_factory=dict)
+    symbols: frozenset = frozenset()
 
 
 @dataclass
@@ -56,6 +60,7 @@ class ParsedMap:
     dim: int
     map: LinearMap
     params: dict = field(default_factory=dict)
+    symbols: frozenset = frozenset()
 
 
 def _tokens(line: str):
@@ -117,13 +122,15 @@ def _pairs(after, dim, lineno, what):
 
 
 class _Reader:
-    """Shared line reader; subclasses declare which keywords they accept."""
+    """Shared line reader and binder; subclasses declare which keywords
+    they accept."""
 
     keywords: tuple = ()
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, params: Optional[dict] = None):
         self.dim: Optional[int] = None
-        self.params: dict = {}
+        self.params: dict = dict(params or {})
+        self.symbols: set = set()
         self.lines: list = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].rstrip()
@@ -146,6 +153,8 @@ class _Reader:
                 name, ncol = toks[1]
                 if not _SYMBOL.match(name):
                     raise AlgFileError(f"bad parameter name '{name}'", lineno, ncol)
+                if name in self.params:
+                    raise AlgFileError(f"parameter '{name}' bound twice", lineno, ncol)
                 vtok, vcol = toks[3]
                 if not _RATIONAL.match(vtok):
                     raise AlgFileError(f"bad parameter value '{vtok}'", lineno, vcol)
@@ -162,13 +171,14 @@ class _Reader:
             raise AlgFileError("missing dim line", 0, 0)
         return self.dim
 
+    def bind(self, value: Scalar) -> Scalar:
+        """value with every bound name substituted; records its symbols."""
+        self.symbols |= sc.scalar_variables(value)
+        return sc.scalar_subs(value, self.params)
 
-def _bind(value, params):
-    return sc.scalar_subs(value, params)
 
-
-def parse_algebra(text: str) -> ParsedAlgebra:
-    reader = _AlgReader(text)
+def parse_algebra(text: str, params: Optional[dict] = None) -> ParsedAlgebra:
+    reader = _AlgReader(text, params)
     dim = reader.require_dim()
     brackets: dict = {}
     alpha_comps: Optional[list] = None
@@ -214,24 +224,21 @@ def parse_algebra(text: str) -> ParsedAlgebra:
             if len(after) != 1:
                 raise AlgFileError("omega takes one coefficient", lineno, toks[0][1])
             omega_comps[(i, j)] = _coeff(after[0][0], lineno, after[0][1])
-    params = reader.params
+    bind = reader.bind
     table = {
-        ij: {k: _bind(c, params) for k, c in comps.items()}
-        for ij, comps in brackets.items()
+        ij: {k: bind(c) for k, c in comps.items()} for ij, comps in brackets.items()
     }
     algebra = LieAlgebra.from_table(dim, table)
     alpha = None
     if alpha_comps is not None:
         comps: dict = {}
         for c, k in alpha_comps:
-            comps[k] = comps.get(k, sc.ZERO) + _bind(c, params)
+            comps[k] = comps.get(k, sc.ZERO) + bind(c)
         alpha = OneForm.from_dict(dim, comps)
     omega = None
     if omega_comps:
-        omega = TwoForm.from_dict(
-            dim, {ij: _bind(c, params) for ij, c in omega_comps.items()}
-        )
-    return ParsedAlgebra(algebra, alpha, omega, params)
+        omega = TwoForm.from_dict(dim, {ij: bind(c) for ij, c in omega_comps.items()})
+    return ParsedAlgebra(algebra, alpha, omega, reader.params, frozenset(reader.symbols))
 
 
 class _AlgReader(_Reader):
@@ -246,10 +253,10 @@ class _MapReader(_Reader):
     keywords = ("map",)
 
 
-def parse_extension(text: str) -> ParsedExtension:
-    reader = _ExtReader(text)
+def parse_extension(text: str, params: Optional[dict] = None) -> ParsedExtension:
+    reader = _ExtReader(text, params)
     dim = reader.require_dim()
-    params = reader.params
+    bind = reader.bind
     phi_cols = [list(sc.zero_vec(dim)) for _ in range(dim)]
     lam: dict = {}
     v = list(sc.zero_vec(dim))
@@ -259,7 +266,7 @@ def parse_extension(text: str) -> ParsedExtension:
         if key == "t":
             if len(toks) != 3 or toks[1][0] != "=":
                 raise AlgFileError("t syntax: t = c", lineno, toks[0][1])
-            t = _bind(_coeff(toks[2][0], lineno, toks[2][1]), params)
+            t = bind(_coeff(toks[2][0], lineno, toks[2][1]))
             continue
         before, after = _split_colon(toks[1:], lineno)
         if key == "phi":
@@ -267,13 +274,13 @@ def parse_extension(text: str) -> ParsedExtension:
                 raise AlgFileError("phi takes one column index", lineno, toks[0][1])
             i = _index(before[0][0], dim, lineno, before[0][1])
             for c, k in _pairs(after, dim, lineno, "phi"):
-                phi_cols[i - 1][k - 1] += _bind(c, params)
+                phi_cols[i - 1][k - 1] += bind(c)
         elif key == "lambda":
             for c, k in _pairs(after, dim, lineno, "lambda"):
-                lam[k] = lam.get(k, sc.ZERO) + _bind(c, params)
+                lam[k] = lam.get(k, sc.ZERO) + bind(c)
         elif key == "v":
             for c, k in _pairs(after, dim, lineno, "v"):
-                v[k - 1] += _bind(c, params)
+                v[k - 1] += bind(c)
         elif key == "theta":
             if len(before) != 2:
                 raise AlgFileError("theta takes two indices", lineno, toks[0][1])
@@ -283,7 +290,7 @@ def parse_extension(text: str) -> ParsedExtension:
                 raise IndexOutOfRange("theta indices must satisfy i < j", lineno, before[0][1])
             if len(after) != 1:
                 raise AlgFileError("theta takes one coefficient", lineno, toks[0][1])
-            theta[(i, j)] = _bind(_coeff(after[0][0], lineno, after[0][1]), params)
+            theta[(i, j)] = bind(_coeff(after[0][0], lineno, after[0][1]))
     data = ExtensionData(
         LinearMap.from_columns([tuple(col) for col in phi_cols]),
         OneForm.from_dict(dim, lam),
@@ -291,13 +298,12 @@ def parse_extension(text: str) -> ParsedExtension:
         t,
         TwoForm.from_dict(dim, theta),
     )
-    return ParsedExtension(dim, data, params)
+    return ParsedExtension(dim, data, reader.params, frozenset(reader.symbols))
 
 
-def parse_map(text: str) -> ParsedMap:
-    reader = _MapReader(text)
+def parse_map(text: str, params: Optional[dict] = None) -> ParsedMap:
+    reader = _MapReader(text, params)
     dim = reader.require_dim()
-    params = reader.params
     cols = [list(sc.zero_vec(dim)) for _ in range(dim)]
     for lineno, key, toks in reader.lines:
         before, after = _split_colon(toks[1:], lineno)
@@ -305,8 +311,9 @@ def parse_map(text: str) -> ParsedMap:
             raise AlgFileError("map takes one column index", lineno, toks[0][1])
         i = _index(before[0][0], dim, lineno, before[0][1])
         for c, k in _pairs(after, dim, lineno, "map"):
-            cols[i - 1][k - 1] += _bind(c, params)
-    return ParsedMap(dim, LinearMap.from_columns([tuple(c) for c in cols]), params)
+            cols[i - 1][k - 1] += reader.bind(c)
+    witness = LinearMap.from_columns([tuple(c) for c in cols])
+    return ParsedMap(dim, witness, reader.params, frozenset(reader.symbols))
 
 
 # ---------------------------------------------------------------------------

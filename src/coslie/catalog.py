@@ -1126,10 +1126,12 @@ def aff_corrected_algebra(lam_value: Fraction) -> LieAlgebra:
 # Registry
 
 
-def _registry() -> dict:
-    entries = _dim3_entries() + _dim5_entries() + _special_entries()
-    reg = {}
-    for entry in entries:
+def _registry() -> tuple:
+    """(entries by name and alias, listing order); the normal forms of an
+    entry are child entries, listed after the 3-dimensional entries."""
+    dim3, rest = _dim3_entries(), _dim5_entries() + _special_entries()
+    reg, children = {}, []
+    for entry in dim3 + rest:
         reg[entry.name] = entry
         for alias in entry.aliases:
             reg[alias] = entry
@@ -1148,9 +1150,10 @@ def _registry() -> dict:
                 notes=f"normal form of {entry.name}",
             )
             reg[child.name] = child
+            children.append(child.name)
             for a in child.aliases:
                 reg[a] = child
-    return reg
+    return reg, [e.name for e in dim3] + children + [e.name for e in rest]
 
 
 def _uses_lam(nf: NormalForm) -> bool:
@@ -1168,18 +1171,7 @@ def _normal_nondeg(entry: CatalogEntry, nf: NormalForm):
     return vol if isinstance(vol, sc.Poly) else sc.Poly.const(vol)
 
 
-_REGISTRY = _registry()
-
-_ORDER = (
-    [e.name for e in _dim3_entries()]
-    + [
-        f"{e.name}-{nf.label}"
-        for e in _dim3_entries()
-        for nf in e.normal_forms
-    ]
-    + [e.name for e in _dim5_entries()]
-    + [e.name for e in _special_entries()]
-)
+_REGISTRY, _ORDER = _registry()
 
 
 def list_entries() -> list:

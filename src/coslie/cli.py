@@ -29,8 +29,8 @@ from .cosymplectic import (
     validate,
 )
 from .errors import AlgFileError, ConditionsFail, CoslieError, NotCosymplectic
-from .extensions import ExtensionData, construct_A, construct_B, construct_C
-from .lie_core import LinearMap, check_isomorphism
+from .extensions import construct_A, construct_B, construct_C
+from .lie_core import check_isomorphism
 from .verify import _vec_str, verify_all
 
 PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
@@ -69,7 +69,10 @@ def _parse_params(text):
         if "=" not in piece:
             raise AlgFileError(f"bad --params piece '{piece}'", 0, 0)
         name, value = piece.split("=", 1)
-        params[name.strip()] = _rational(value.strip(), 0, 0)
+        name = name.strip()
+        if name in params:
+            raise AlgFileError(f"--params gives '{name}' twice", 0, 0)
+        params[name] = _rational(value.strip(), 0, 0)
     return params
 
 
@@ -79,13 +82,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str, params):
-    parsed = parse_algebra(_read(path))
-    if params:
-        algebra = parsed.algebra.subs(params)
-        alpha = parsed.alpha.subs(params) if parsed.alpha is not None else None
-        omega = parsed.omega.subs(params) if parsed.omega is not None else None
-        return algebra, alpha, omega
+def _inputs(args, *files) -> list:
+    """Each (parser, path) of files parsed with ``--params`` bound; every
+    name of ``--params`` must be a symbol of some file."""
+    params = _parse_params(args.params)
+    parsed = [parse(_read(path), params) for parse, path in files]
+    unused = sorted(set(params).difference(*(p.symbols for p in parsed)))
+    if unused:
+        raise AlgFileError(f"--params binds no symbol of the input: {', '.join(unused)}", 0, 0)
+    return parsed
+
+
+def _load(args):
+    [parsed] = _inputs(args, (parse_algebra, args.file))
     return parsed.algebra, parsed.alpha, parsed.omega
 
 
@@ -139,7 +148,7 @@ def _load_structure(args, r: Report):
     """The structure of the file, validated once, with the passing
     ``cosymplectic`` check recorded; None after emitting the failing
     check when the triple is not cosymplectic."""
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
+    L, alpha, omega = _load(args)
     _require_forms(alpha, omega)
     try:
         S = CosymplecticStructure.make(L, alpha, omega)
@@ -156,7 +165,7 @@ def _load_structure(args, r: Report):
 
 
 def cmd_validate(args) -> int:
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
+    L, alpha, omega = _load(args)
     _require_forms(alpha, omega)
     rep = validate(L, alpha, omega)
     r = Report("validate", args.file)
@@ -225,7 +234,7 @@ def cmd_biinv(args) -> int:
 
 
 def cmd_exists(args) -> int:
-    L, _, _ = _load(args.file, _parse_params(args.params))
+    L, _, _ = _load(args)
     res = exists_cosymplectic(L)
     r = Report("exists", args.file)
     r.result["exists"] = res.exists
@@ -243,7 +252,7 @@ def cmd_exists(args) -> int:
 
 
 def cmd_symplectize(args) -> int:
-    L, alpha, omega = _load(args.file, _parse_params(args.params))
+    L, alpha, omega = _load(args)
     _require_forms(alpha, omega)
     pair = to_symplectic(L, alpha, omega)
     c2, det, ok = pair.validate()
@@ -261,24 +270,9 @@ def cmd_symplectize(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    base_params = _parse_params(args.params)
-    L, alpha, omega = _load(args.file, base_params)
+    base, ext = _inputs(args, (parse_algebra, args.file), (parse_extension, args.data))
+    L, alpha, omega = base.algebra, base.alpha, base.omega
     _require_forms(alpha, omega)
-    ext = parse_extension(_read(args.data))
-    if base_params:
-        E = ext.data
-        phi = LinearMap(
-            E.phi.source_dim,
-            E.phi.target_dim,
-            tuple(tuple(sc.scalar_subs(x, base_params) for x in row) for row in E.phi.matrix),
-        )
-        ext.data = ExtensionData(
-            phi,
-            E.lam.subs(base_params),
-            tuple(sc.scalar_subs(x, base_params) for x in E.v),
-            sc.scalar_subs(E.t, base_params),
-            E.theta.subs(base_params),
-        )
     if ext.dim != L.dim:
         raise AlgFileError("extension data dimension != base dimension", 0, 0)
     alpha_d = _rational(args.alpha_d, 0, 0) if args.alpha_d else Fraction(0)
@@ -313,10 +307,11 @@ def cmd_extend(args) -> int:
 
 
 def cmd_isocheck(args) -> int:
-    L1, a1, w1 = _load(args.file1, _parse_params(args.params))
-    L2, a2, w2 = _load(args.file2, _parse_params(args.params))
-    parsed = parse_map(_read(args.map))
-    rep = check_isomorphism(L1, L2, parsed.map, a1, a2, w1, w2)
+    one, two, witness = _inputs(
+        args, (parse_algebra, args.file1), (parse_algebra, args.file2), (parse_map, args.map)
+    )
+    a1, a2, w1, w2 = one.alpha, two.alpha, one.omega, two.omega
+    rep = check_isomorphism(one.algebra, two.algebra, witness.map, a1, a2, w1, w2)
     r = Report("isocheck", f"{args.file1} ~ {args.file2}")
     r.check("invertible", rep.invertible)
     r.check("bracket_preserving", not rep.bracket_defects)

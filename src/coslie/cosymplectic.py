@@ -29,7 +29,7 @@ from .errors import (
     SingularPhi,
     SingularSystem,
 )
-from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, is_2cocycle, volume_coeff
+from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
 from .lie_core import LieAlgebra, LinearMap, bracket, is_derivation
 from .scalars import Scalar, Vector
 
@@ -387,14 +387,9 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
 
 
 def ist_defects_empty(P: SymplecticPair, D: LinearMap) -> bool:
-    m = P.algebra.dim
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = P.omega.value(D.column(i), sc.basis_vec(m, j))
-            rhs = P.omega.value(sc.basis_vec(m, i), D.column(j))
-            if not sc.is_zero(lhs + rhs):
-                return False
-    return True
+    """D is an infinitesimal symplectic transformation: the twist of omega
+    by D is zero."""
+    return form_twist(P.omega, D).is_zero()
 
 
 def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticStructure:

@@ -23,7 +23,7 @@ from .cosymplectic import (
     to_symplectic,
 )
 from .errors import ConditionsFail, DimensionMismatch, NotCosymplectic
-from .exterior import OneForm, TwoForm
+from .exterior import OneForm, TwoForm, form_twist
 from .lie_core import (
     LieAlgebra,
     LinearMap,
@@ -64,19 +64,6 @@ class ExtensionData:
         return ExtensionData(
             LinearMap.zero(n), OneForm.zero(n), sc.zero_vec(n), sc.ZERO, TwoForm.zero(n)
         )
-
-
-def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
-    """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y)."""
-    n = theta.dim
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs[(i, j)] = (
-                theta.value(phi.column(i), sc.basis_vec(n, j))
-                + theta.value(sc.basis_vec(n, i), phi.column(j))
-            )
-    return TwoForm(n, coeffs)
 
 
 def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
@@ -206,13 +193,11 @@ def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentR
     xi = S.reeb
     phi_xi = E.phi.apply(xi)
 
+    twist = form_twist(obar, E.phi)
     cond_i = []
     for a in range(m):
         for b in range(a + 1, m):
-            val = (
-                obar.value(E.phi.apply(hbasis[a]), hbasis[b])
-                + obar.value(hbasis[a], E.phi.apply(hbasis[b]))
-            )
+            val = twist.value(hbasis[a], hbasis[b])
             if not sc.is_zero(val):
                 cond_i.append((a + 1, b + 1, val))
     cond_ii = []

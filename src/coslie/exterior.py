@@ -16,7 +16,7 @@ from typing import Mapping
 
 from . import scalars as sc
 from .errors import DimensionMismatch, EvenDimension, ParametricUnsupported
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, LinearMap
 from .scalars import Scalar, Vector
 
 
@@ -149,6 +149,20 @@ class TwoForm:
             sc.scalars_equal(self.value_basis(i, j), other.value_basis(i, j))
             for i, j in keys
         )
+
+
+def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
+    """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y); phi is an
+    infinitesimal symplectic transformation of theta iff it is zero."""
+    n = theta.dim
+    coeffs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coeffs[(i, j)] = (
+                theta.value(phi.column(i), sc.basis_vec(n, j))
+                + theta.value(sc.basis_vec(n, i), phi.column(j))
+            )
+    return TwoForm(n, coeffs)
 
 
 @dataclass(frozen=True)

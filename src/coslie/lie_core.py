@@ -21,17 +21,10 @@ from .scalars import Vector
 class LieAlgebra:
     dim: int
     brackets: dict = field(default_factory=dict)  # (i, j) 0-based, i<j -> Vector
-    basis_names: tuple = ()
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError("dimension must be positive")
-        if not self.basis_names:
-            object.__setattr__(
-                self, "basis_names", tuple(f"e{i + 1}" for i in range(self.dim))
-            )
-        if len(self.basis_names) != self.dim:
-            raise DimensionMismatch("basis_names length != dim")
         clean = {}
         for (i, j), v in self.brackets.items():
             if not (0 <= i < j < self.dim):
@@ -83,7 +76,6 @@ class LieAlgebra:
                 ij: tuple(sc.scalar_subs(x, assignment) for x in v)
                 for ij, v in self.brackets.items()
             },
-            self.basis_names,
         )
 
     def __eq__(self, other) -> bool:

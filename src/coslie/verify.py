@@ -231,6 +231,7 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
 
 def _verify_family(entry) -> list:
     out: list = []
+    make = _maker()
     L_sym = entry.algebra()
     jd = check_jacobi(L_sym)
     out.append(
@@ -297,8 +298,7 @@ def _verify_family(entry) -> list:
     )
 
     try:
-        Li, alpha_i, omega_i = cat.instantiate(entry.name, entry.sample)
-        S = CosymplecticStructure.make(Li, alpha_i, omega_i)
+        S = make(*cat.instantiate(entry.name, entry.sample))
         out.append(
             _result(
                 entry,
@@ -314,9 +314,9 @@ def _verify_family(entry) -> list:
         out.append(_result(entry, "instantiate", False, f"{type(exc).__name__}: {exc}"))
 
     if entry.lsa is not None:
-        out.extend(_verify_lsa(entry))
+        out.extend(_verify_lsa(entry, make))
     for nf in entry.normal_forms:
-        out.extend(_verify_normal_form(entry, nf))
+        out.extend(_verify_normal_form(entry, nf, make))
     return out
 
 
@@ -332,7 +332,7 @@ def _vec_str(v, prefix: str = "e") -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _verify_lsa(entry) -> list:
+def _verify_lsa(entry, make) -> list:
     out = []
     exp = entry.lsa
     ok_all = True
@@ -342,8 +342,7 @@ def _verify_lsa(entry) -> list:
         L = entry.algebra(subs)
         alpha = exp.alpha.subs(subs)
         omega = exp.omega.subs(subs)
-        S = CosymplecticStructure.make(L, alpha, omega)
-        got = S.table
+        got = make(L, alpha, omega).table
         want_entries = {
             ij: {k: sc.scalar_subs(sc.as_scalar(c), subs) for k, c in comps.items()}
             for ij, comps in exp.table.items()
@@ -359,9 +358,7 @@ def _verify_lsa(entry) -> list:
     if _known(entry, "lsa_printed_normal_form"):
         nf = entry.normal_forms[0]
         subs = {"lam": F(1)}
-        S_nf = CosymplecticStructure.make(
-            entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs)
-        )
+        S_nf = make(entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs))
         table_nf = S_nf.table.nonzero_entries()
         out.append(
             _result(
@@ -376,7 +373,7 @@ def _verify_lsa(entry) -> list:
     return out
 
 
-def _verify_normal_form(entry, nf) -> list:
+def _verify_normal_form(entry, nf, make) -> list:
     out = []
     name = f"{entry.name}-{nf.label}"
     L_sym = entry.algebra()
@@ -412,9 +409,7 @@ def _verify_normal_form(entry, nf) -> list:
     for lam in lam_values:
         subs = {"lam": lam} if lam is not None else {}
         try:
-            S = CosymplecticStructure.make(
-                entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs)
-            )
+            S = make(entry.algebra(subs), nf.alpha.subs(subs), nf.omega.subs(subs))
         except NotCosymplectic:
             all_ok = False
             continue
@@ -473,11 +468,26 @@ def _verify_heisenberg(entry) -> list:
     return out
 
 
-def _make(L, alpha, omega) -> tuple:
+def _maker():
+    """``CosymplecticStructure.make`` for the checks of one entry, which
+    share the structures it makes: each distinct cosymplectic triple is
+    made, and so validated, once."""
+    made: dict = {}
+
+    def make(L, alpha, omega) -> CosymplecticStructure:
+        key = (tuple(sorted(L.brackets.items())), alpha.coeffs, tuple(omega.coeffs.items()))
+        if key not in made:
+            made[key] = CosymplecticStructure.make(L, alpha, omega)
+        return made[key]
+
+    return make
+
+
+def _make(make, L, alpha, omega) -> tuple:
     """(structure or None, validation report) from the one validation in
-    ``CosymplecticStructure.make``."""
+    ``make``."""
     try:
-        S = CosymplecticStructure.make(L, alpha, omega)
+        S = make(L, alpha, omega)
     except NotCosymplectic as exc:
         return None, exc.report
     return S, S.report
@@ -485,13 +495,14 @@ def _make(L, alpha, omega) -> tuple:
 
 def _verify_aff(entry) -> list:
     out = []
+    make = _maker()
     L_sym = entry.algebra()
     jd = check_jacobi(L_sym)
     out.append(_result(entry, "jacobi", not jd, "holds for symbolic lam"))
 
     for lam in (F(0), F(1)):
         L = entry.algebra({"lam": lam})
-        S, rep = _make(L, entry.alpha, entry.omega)
+        S, rep = _make(make, L, entry.alpha, entry.omega)
         check = f"validate_lam{lam}"
         detail = str(rep)
         if not rep.ok and rep.cocycle2_defect is not None:
@@ -518,7 +529,7 @@ def _verify_aff(entry) -> list:
 
     for lam in (F(0), F(1)):
         L = cat.aff_corrected_algebra(lam)
-        S, rep = _make(L, entry.alpha, entry.omega)
+        S, rep = _make(make, L, entry.alpha, entry.omega)
         ok = rep.ok and not is_solvable(L)
         detail = f"corrected witness at lam={lam}: {rep}"
         if rep.ok:

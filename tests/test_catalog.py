@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from coslie.algfile import parse_algebra
+from coslie.algfile import format_algebra, parse_algebra
 from coslie.catalog import (
     export_entry,
     get_entry,
@@ -219,3 +219,24 @@ def test_verify_validates_only_inside_make(monkeypatch):
         calls.update(validate=0, make=0)
         verify._verify_aff(entry) if entry.kind == "aff" else verify._verify_family(entry)
         assert calls["make"] and calls["validate"] == calls["make"], (name, calls)
+
+
+def test_verify_makes_each_triple_once(monkeypatch):
+    # the checks of one entry share the structures they make: verify_all
+    # makes each of its 37 distinct triples once, and no structure outlives
+    # the call
+    import coslie.cosymplectic as cs
+    from coslie import verify
+
+    made = []
+    plain_make = cs.CosymplecticStructure.make
+
+    def make(L, alpha, omega):
+        made.append(format_algebra(L, alpha, omega))
+        return plain_make(L, alpha, omega)
+
+    monkeypatch.setattr(cs.CosymplecticStructure, "make", staticmethod(make))
+    verify.verify_all()
+    assert len(made) == len(set(made)) == 37
+    verify.verify_all()
+    assert made[37:] == made[:37]

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import catalog as cat
-from coslie.algfile import format_algebra, parse_algebra, parse_extension
+from coslie.algfile import format_algebra, parse_algebra, parse_extension, parse_map
 from coslie.cli import main
 from coslie.cosymplectic import exists_cosymplectic
 from coslie.errors import AlgFileError, DuplicateBracket, IndexOutOfRange
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
+from coslie.scalars import Poly
 
 G31_NORMAL = """\
 dim 3
@@ -187,6 +188,20 @@ def test_parse_error_carries_line_and_column():
     assert exc.value.column == 15
 
 
+def test_parsers_bind_params_and_record_symbols():
+    parsed = parse_algebra("dim 3\nbracket 1 2 : a 1 b 3\nparam b = 1\n", {"a": Fraction(2)})
+    assert parsed.algebra.brackets[(0, 1)] == (2, 0, 1)
+    assert parsed.symbols == {"a", "b"} and parsed.params == {"a": 2, "b": 1}
+    ext = parse_extension("dim 2\nphi 1 : c 2\nt = d\n", {"c": Fraction(3)})
+    assert ext.data.phi.column(0) == (0, 3) and ext.data.t == Poly.var("d")
+    assert ext.symbols == {"c", "d"}
+    witness = parse_map("dim 2\nmap 1 : 1 1\nmap 2 : m 2\n", {"m": Fraction(-1)})
+    assert witness.map.column(1) == (0, -1) and witness.symbols == {"m"}
+    with pytest.raises(AlgFileError) as exc:
+        parse_map("dim 2\nparam m = 1\nmap 1 : m 1\n", {"m": Fraction(1)})
+    assert (exc.value.line, exc.value.column) == (2, 7)
+
+
 def test_parse_extension_file():
     parsed = parse_extension(EXT_A)
     assert parsed.dim == 3
@@ -351,6 +366,39 @@ def test_isocheck_command(files, capsys):
     )
     assert main(["isocheck", one, two, witness]) == 0
     assert "isomorphic: YES" in capsys.readouterr().out
+    # --params binds a symbol that only the witness map uses
+    symbolic = files("s.map", Path(witness).read_text().replace(": 1/2 2", ": s 2"))
+    assert main(["isocheck", one, two, symbolic, "--params", "s=1/2"]) == 0
+    assert "isomorphic: YES" in capsys.readouterr().out
+
+
+P_ONLY = "dim 3\nbracket 1 3 : 1 1\nbracket 2 3 : -1 2\nalpha : p 3\nomega 1 2 : 1\n"
+
+
+def test_params_name_symbols_of_the_input_once(files, capsys):
+    path = files("p.alg", P_ONLY)
+    assert main(["validate", path, "--params", "p=2"]) == 0
+    assert capsys.readouterr().out == (
+        "cocycle1: ok\ncocycle2: ok\nvolume: 2 (nonzero)\ncosymplectic: YES\nreeb: 1/2 e3\n"
+    )
+    for params, error in (
+        ("q=2", "--params binds no symbol of the input: q"),
+        ("p=2,q=2,a=1", "--params binds no symbol of the input: a, q"),
+        ("p=2,p=3", "--params gives 'p' twice"),
+    ):
+        assert main(["validate", path, "--params", params]) == 2
+        assert capsys.readouterr().err == f"parse error: line 0, col 0: {error}\n"
+    # a name bound by a param line, and a param line given twice
+    bound = files("bound.alg", P_ONLY + "param p = 2\n")
+    assert main(["validate", bound, "--params", "p=3"]) == 2
+    assert capsys.readouterr().err == "parse error: line 6, col 7: parameter 'p' bound twice\n"
+    twice = files("twice.alg", P_ONLY + "param p = 2\nparam p = 3\n")
+    assert main(["validate", twice]) == 2
+    assert capsys.readouterr().err == "parse error: line 7, col 7: parameter 'p' bound twice\n"
+    # extend checks the names against the base and the data file together
+    base, ext = files("base3.alg", BASE3), files("ext_s.ext", EXT_A.replace("t = -1", "t = s"))
+    assert main(["extend", "--construction", "A", "--data", ext, base, "--params", "s=-1,w=1"]) == 2
+    assert capsys.readouterr().err.endswith("binds no symbol of the input: w\n")
 
 
 def test_parse_error_exit_code(files, capsys):

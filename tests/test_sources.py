@@ -104,3 +104,55 @@ def test_cosymplectic_keeps_one_path_for_every_scalar_type():
     business of ``scalars``, so ``cosymplectic`` never tests for one."""
     [path] = [p for p in SOURCES if p.name == "cosymplectic.py"]
     assert scalar_type_tests(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def substitutions(tree: ast.AST) -> list:
+    """Line numbers of calls that substitute values for symbols: a
+    ``.subs(...)`` method call or ``scalar_subs``, named directly or
+    through a module."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr in ("subs", "scalar_subs"))
+            or (isinstance(node.func, ast.Name) and node.func.id == "scalar_subs")
+        )
+    ]
+
+
+def definitions(tree: ast.AST, name: str) -> list:
+    """Line numbers of the functions and classes called name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name == name
+    ]
+
+
+def test_the_scans_see_substitutions_and_definitions():
+    for text in ("L.subs(p)", "x = sc.scalar_subs(c, p)", "scalar_subs(c, p)", "f(a.b.subs({}))"):
+        assert substitutions(ast.parse(text)), text
+    for text in ("subs = 1", "L.subs", "substitute(c)", "parse_algebra(text, params)"):
+        assert not substitutions(ast.parse(text)), text
+    assert definitions(ast.parse("def form_twist(t, p):\n    pass"), "form_twist") == [1]
+    assert definitions(ast.parse("class A:\n    def form_twist(self):\n        pass"), "form_twist")
+    used = "from .exterior import form_twist\nform_twist(t, p)"
+    assert not definitions(ast.parse(used), "form_twist")
+
+
+def test_parameters_are_bound_by_the_parser_alone():
+    """``--params`` is bound where the files are read, in ``algfile``; the
+    CLI substitutes no value itself."""
+    [path] = [p for p in SOURCES if p.name == "cli.py"]
+    assert substitutions(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_one_module_defines_the_form_twist():
+    owners = [
+        p.name
+        for p in SOURCES
+        if definitions(ast.parse(p.read_text(encoding="utf-8")), "form_twist")
+    ]
+    assert owners == ["exterior.py"]
