@@ -310,14 +310,15 @@ def cmd_isocheck(args) -> int:
     one, two, witness = _inputs(
         args, (parse_algebra, args.file1), (parse_algebra, args.file2), (parse_map, args.map)
     )
-    a1, a2, w1, w2 = one.alpha, two.alpha, one.omega, two.omega
-    rep = check_isomorphism(one.algebra, two.algebra, witness.map, a1, a2, w1, w2)
+    rep = check_isomorphism(
+        one.algebra, two.algebra, witness.map, one.alpha, two.alpha, one.omega, two.omega
+    )
     r = Report("isocheck", f"{args.file1} ~ {args.file2}")
     r.check("invertible", rep.invertible)
     r.check("bracket_preserving", not rep.bracket_defects)
-    if a1 is not None and a2 is not None:
+    if one.alpha is not None and two.alpha is not None:
         r.check("alpha_pullback", rep.alpha_defect is None)
-    if w1 is not None and w2 is not None:
+    if one.omega is not None and two.omega is not None:
         r.check("omega_pullback", not rep.omega_defects)
     r.result["isomorphic"] = rep.ok
     r.say(f"isomorphic: {'YES' if rep.ok else 'NO'}")

@@ -231,7 +231,6 @@ def _structure_checks(entry_name, S: CosymplecticStructure, out: list, suffix=""
 
 def _verify_family(entry) -> list:
     out: list = []
-    make = _maker()
     L_sym = entry.algebra()
     jd = check_jacobi(L_sym)
     out.append(
@@ -297,6 +296,7 @@ def _verify_family(entry) -> list:
         )
     )
 
+    make = _maker()
     try:
         S = make(*cat.instantiate(entry.name, entry.sample))
         out.append(
