@@ -806,3 +806,99 @@ def test_table_is_immutable_so_cached_views_stay_valid(g34):
         T.left[0][0] = ()
     assert T.products is products
     assert all(type(M) is tuple and all(type(r) is tuple for r in M) for M in T.left)
+
+
+def seed_kernel_parts(S):
+    """The h brackets, omega_h and D = ad_xi|_h of the kernel reduction,
+    from brackets and form values on the adapted basis vectors."""
+    L, alpha = S.algebra, S.alpha
+    n = L.dim
+    pivot = next(k for k in range(n) if not sc.is_zero(alpha.coeffs[k]))
+    ap = alpha.coeffs[pivot]
+    kept = tuple(k for k in range(n) if k != pivot)
+    hbasis = []
+    for k in kept:
+        v = list(sc.zero_vec(n))
+        v[k] = sc.ONE
+        coef = alpha.coeffs[k]
+        if not sc.is_zero(coef):
+            v[pivot] = -(coef / ap)
+        hbasis.append(tuple(v))
+
+    def h_coords(w):
+        return tuple(w[k] for k in kept)
+
+    m = len(kept)
+    hb = {}
+    for a in range(m):
+        for b in range(a + 1, m):
+            v = bracket(L, hbasis[a], hbasis[b])
+            if not sc.vec_is_zero(v):
+                hb[(a, b)] = h_coords(v)
+    w_h = TwoForm(
+        m, {(a, b): S.omega.value(hbasis[a], hbasis[b]) for a in range(m) for b in range(a + 1, m)}
+    )
+    dcols = [h_coords(bracket(L, S.reeb, hbasis[a])) for a in range(m)]
+    deriv = LinearMap.from_columns(dcols) if m else LinearMap.zero(0)
+    return LieAlgebra(m, hb), w_h, deriv, tuple(hbasis) + (S.reeb,)
+
+
+def printed(x):
+    """Values with the strings they print as, for a comparison of both."""
+    if isinstance(x, dict):
+        return {k: printed(v) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(printed(v) for v in x)
+    return x, str(x)
+
+
+def with_symbolic_omega(S):
+    """S with omega + p z, z the first cocycle of the echelon basis of Z^2
+    off omega's span: xi and D then carry quotients in p."""
+    z = next(w for w in cocycle_spaces(S.algebra)[1] if w != S.omega)
+    p = Poly.var("p")
+    coeffs = dict(S.omega.coeffs)
+    for pair, c in z.coeffs.items():
+        coeffs[pair] = coeffs.get(pair, sc.ZERO) + p * c
+    return make(S.algebra, S.alpha, TwoForm(S.dim, coeffs))
+
+
+@settings(max_examples=25)
+@given(
+    st.sampled_from(SMALL_STRUCTURES).flatmap(
+        lambda S: st.tuples(
+            st.just(S),
+            st.lists(st.integers(-2, 2), min_size=S.dim ** 2, max_size=S.dim ** 2),
+            st.permutations(range(S.dim)),
+            st.lists(
+                st.sampled_from([F(1), F(2), F(-1, 2), F(1, 3)]),
+                min_size=S.dim,
+                max_size=S.dim,
+            ),
+            st.booleans(),
+        )
+    )
+)
+def test_kernel_reduction_matches_brackets_of_the_adapted_basis(case):
+    # values and printed strings of the h brackets, omega_h, D and the
+    # adapted basis; with a symbol in omega, xi and D carry quotients
+    S0, entries, perm, scale, symbolic = case
+    S = change_basis(S0, dense_change(S0.dim, entries, perm, scale))
+    if symbolic:
+        S = with_symbolic_omega(S)
+    red = kernel_symplectic(S)
+    halg, w_h, deriv, basis = seed_kernel_parts(S)
+    assert printed(red.pair.algebra.brackets) == printed(halg.brackets)
+    assert printed(red.pair.omega.coeffs) == printed(w_h.coeffs)
+    assert printed(red.deriv.matrix) == printed(deriv.matrix)
+    assert printed(red.basis) == printed(basis)
+
+
+def test_kernel_reduction_of_the_seven_dimensional_structures():
+    for name, S in STRUCTURES:
+        if S.dim == 7:
+            halg, w_h, deriv, _ = seed_kernel_parts(S)
+            red = kernel_symplectic(S)
+            assert printed(red.pair.algebra.brackets) == printed(halg.brackets), name
+            assert printed(red.pair.omega.coeffs) == printed(w_h.coeffs), name
+            assert printed(red.deriv.matrix) == printed(deriv.matrix), name

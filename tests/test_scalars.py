@@ -407,6 +407,48 @@ def test_common_denominator_round_trips():
     assert all(sc.scalars_equal(x, v) for x, v in zip(sc.quotients(nums, den), mixed))
 
 
+def seed_common_denominator(values):
+    """``common_denominator`` as first written: every non-rational value
+    multiplied by the denominator, even when that is the unit Poly."""
+    ints = sc._over_lcm(values)
+    if ints is not None:
+        return ints
+    values = [sc.as_scalar(v) for v in values]
+    dens: list = []
+    for v in values:
+        if isinstance(v, RatFn) and v.den not in dens:
+            dens.append(v.den)
+    den = Poly.const(1)
+    for d in dens:
+        den = den * d
+    return [
+        v.num * den.exact_div(v.den) if isinstance(v, RatFn) else den * v for v in values
+    ], den
+
+
+polynomial_values = st.lists(
+    st.one_of(
+        rationals,
+        st.tuples(rationals, rationals, st.integers(0, 2)).map(
+            lambda t: t[0] * Poly.var("p") ** t[2] + t[1] * Poly.var("q")
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(polynomial_values)
+def test_common_denominator_without_quotients_keeps_the_values(values):
+    # no RatFn: the denominator is the unit Poly and the numerators are the
+    # values themselves, as the multiplication by it gave them
+    nums, den = sc.common_denominator(values)
+    want, want_den = seed_common_denominator(values)
+    assert den == want_den
+    assert [(x, str(x)) for x in nums] == [(x, str(x)) for x in want]
+    assert sc.quotients(nums, den) == sc.quotients(want, want_den)
+
+
 square_systems = st.integers(1, 4).flatmap(
     lambda n: st.tuples(
         st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n),
