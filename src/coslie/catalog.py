@@ -94,6 +94,8 @@ class CatalogEntry:
         return L
 
     def param_names(self) -> list:
+        if self.kind == "heisenberg":
+            return ["n"]
         names = set()
         for comps in self.brackets.values():
             for c in comps.values():

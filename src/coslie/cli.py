@@ -28,7 +28,7 @@ from .cosymplectic import (
     to_symplectic,
     validate,
 )
-from .errors import AlgFileError, ConditionsFail, CoslieError, NotCosymplectic
+from .errors import AlgFileError, ConditionsFail, CoslieError, MissingParam, NotCosymplectic
 from .extensions import construct_A, construct_B, construct_C
 from .lie_core import check_isomorphism
 from .verify import _vec_str, verify_all
@@ -335,7 +335,17 @@ def cmd_catalog(args) -> int:
         if not args.name:
             print("catalog export needs an entry name", file=sys.stderr)
             return USAGE_FAIL
-        print(cat.export_entry(args.name, _parse_params(args.params)), end="")
+        params = _parse_params(args.params)
+        unused = sorted(set(params).difference(cat.get_entry(args.name).param_names()))
+        if unused:
+            raise AlgFileError(
+                f"--params binds no parameter of {args.name}: {', '.join(unused)}", 0, 0
+            )
+        try:
+            text = cat.export_entry(args.name, params)
+        except MissingParam as exc:  # a missing value is a usage error, like a bad one
+            raise AlgFileError(str(exc), 0, 0) from None
+        print(text, end="")
         return PASS
     if args.action == "verify-all":
         report = verify_all()

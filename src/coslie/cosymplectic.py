@@ -30,7 +30,7 @@ from .errors import (
     SingularSystem,
 )
 from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
-from .lie_core import LieAlgebra, LinearMap, bracket, is_derivation
+from .lie_core import LieAlgebra, LinearMap, is_derivation
 from .scalars import Scalar, Vector
 
 
@@ -350,28 +350,29 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
             v[pivot] = -(coef / ap)
         hbasis.append(tuple(v))
 
-    def h_coords(w: Vector) -> Vector:
-        # valid for w in ker alpha: coordinates are the kept components
-        return tuple(w[k] for k in kept)
-
+    # The change of basis on numerators, with H the columns h_a over h: the
+    # brackets [h_a, h_b] and [xi, h_b] are the columns b of ad_x H for
+    # x = h_a and x = xi, and omega(h_a, h_b) is H^T W H.  A bracket lies in
+    # ker alpha (alpha is closed), where the adapted coordinates (the rows
+    # of ``coords``) are the kept components.
     m = len(kept)
+    ad, r = L.ad_numerators
+    H, h = sc.mat_numerators([[v[p] for v in hbasis] for p in range(n)])
+    X, x = sc.common_denominator(S.reeb)
+    W, w = sc.mat_numerators(S.omega.matrix())
     hb = {}
     for a in range(m):
+        M = sc.mat_mul(sc.mat_comb(_column(H, a), ad), H)
         for b in range(a + 1, m):
-            v = bracket(L, hbasis[a], hbasis[b])
-            if not sc.vec_is_zero(v):
-                hb[(a, b)] = h_coords(v)
+            v = [M[k][b] for k in kept]
+            if any(v):
+                hb[(a, b)] = sc.quotients(v, h * h * r)
     halg = LieAlgebra(m, hb)
-    w_h = TwoForm(
-        m,
-        {
-            (a, b): S.omega.value(hbasis[a], hbasis[b])
-            for a in range(m)
-            for b in range(a + 1, m)
-        },
-    )
-    dcols = [h_coords(bracket(L, S.reeb, hbasis[a])) for a in range(m)]
-    deriv = LinearMap.from_columns(dcols) if m else LinearMap.zero(0)
+    Wh = sc.mat_mul(list(zip(*H)), sc.mat_mul(W, H))
+    wh = {(a, b): Wh[a][b] for a in range(m) for b in range(a + 1, m) if Wh[a][b]}
+    w_h = TwoForm(m, dict(zip(wh, sc.quotients(list(wh.values()), h * h * w))))
+    XH = sc.mat_mul(sc.mat_comb(X, ad), H)
+    deriv = LinearMap(m, m, tuple(sc.quotients(XH[k], x * h * r) for k in kept))
     pair = SymplecticPair(halg, w_h)
     if is_derivation(halg, deriv):
         raise NotDerivation("ad_xi does not restrict to a derivation of ker alpha")
@@ -553,17 +554,18 @@ class LsaTable:
 
 def _solve_products(M: list, L: LieAlgebra) -> LsaTable:
     """The table with M(x.y) = -(M y) o ad_x, where M x is the covector
-    paired with x: the right-hand sides -(M e_j) o ad_{e_i} of all n^2
-    basis pairs share the matrix M and are solved in one elimination."""
+    paired with x.  On numerators M' of M and ad_i of L (over r), the
+    right-hand sides of e_i . e_j are the rows j of -M'^T ad_i; all n^2 of
+    them share the matrix M' and are solved in one elimination, whose
+    solution over den is the table over den r."""
     n = L.dim
-    rhs = []
-    for i in range(n):
-        ad_i = [[(k, c) for k, c in enumerate(L.bracket_basis(i, l)) if c] for l in range(n)]
-        for j in range(n):
-            rhs.append([-sum((M[k][j] * c for k, c in v), start=sc.ZERO) for v in ad_i])
-    nums, den = sc.solve_fraction_free(M, rhs)
+    Mn, _ = sc.mat_numerators(M)
+    ad, r = L.ad_numerators
+    minus_MT = [[-x for x in col] for col in zip(*Mn)]
+    rhs = [row for A in ad for row in sc.mat_mul(minus_MT, A)]
+    nums, den = sc.solve_fraction_free(Mn, rhs)
     left = [[[nums[i * n + j][k] for j in range(n)] for k in range(n)] for i in range(n)]
-    return LsaTable.over(n, left, den)
+    return LsaTable.over(n, left, den * r)
 
 
 def symplectic_lsa(P: SymplecticPair) -> LsaTable:
@@ -635,13 +637,12 @@ def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
                 v = _column(M, k)
                 if any(v):
                     assoc.append((i + 1, j + 1, k + 1, sc.quotients(v, d * d)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    br, r = sc.common_denominator([x for i, j in pairs for x in L.bracket_basis(i, j)])
+    ad, r = L.ad_numerators
     comm = []
-    for p, (i, j) in enumerate(pairs):
+    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
         v = [
             (x - y) * r - d * b
-            for x, y, b in zip(_column(T.left[i], j), _column(T.left[j], i), br[p * n:])
+            for x, y, b in zip(_column(T.left[i], j), _column(T.left[j], i), _column(ad[i], j))
         ]
         if any(v):
             comm.append((i + 1, j + 1, sc.quotients(v, d * r)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 from typing import Mapping
 
 from . import scalars as sc
@@ -151,18 +151,32 @@ class TwoForm:
         )
 
 
+def _skew_numerators(theta: TwoForm) -> tuple:
+    """(W, w): the skew matrix of theta, W[i][j] / w = theta(e_i, e_j), as
+    ring numerators over one denominator."""
+    nums, w = sc.common_denominator(list(theta.coeffs.values()))
+    W = [[0] * theta.dim for _ in range(theta.dim)]
+    for (i, j), c in zip(theta.coeffs, nums):
+        W[i][j], W[j][i] = c, -c
+    return W, w
+
+
 def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
     """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y); phi is an
-    infinitesimal symplectic transformation of theta iff it is zero."""
+    infinitesimal symplectic transformation of theta iff it is zero.  Its
+    matrix is phi^T W + W phi = X - X^T with X = W phi, W theta's skew
+    matrix, on numerators."""
     n = theta.dim
+    W, w = _skew_numerators(theta)
+    P, p = sc.mat_numerators(phi.matrix)
+    X = sc.mat_mul(W, P)
     coeffs = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs[(i, j)] = (
-                theta.value(phi.column(i), sc.basis_vec(n, j))
-                + theta.value(sc.basis_vec(n, i), phi.column(j))
-            )
-    return TwoForm(n, coeffs)
+            c = X[i][j] - X[j][i]
+            if c:
+                coeffs[(i, j)] = c
+    return TwoForm(n, dict(zip(coeffs, sc.quotients(list(coeffs.values()), w * p))))
 
 
 @dataclass(frozen=True)
@@ -194,51 +208,56 @@ class ThreeForm:
 def d1(L: LieAlgebra, alpha: OneForm) -> TwoForm:
     if alpha.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
-    coeffs = {}
-    for (i, j), v in L.brackets.items():
-        coeffs[(i, j)] = -alpha.apply(v)
-    return TwoForm(L.dim, coeffs)
+    ad, r = L.ad_numerators
+    a, s = sc.common_denominator(alpha.coeffs)
+    pairs = list(L.brackets)
+    nums = [-sum((x * ad[i][k][j] for k, x in enumerate(a) if x), start=0) for i, j in pairs]
+    return TwoForm(L.dim, dict(zip(pairs, sc.quotients(nums, s * r))))
 
 
 def _triple_rows(L: LieAlgebra) -> list:
-    """The degree-2 differential as sparse rows, one per triple i < j < k
-    whose row is nonzero: ``((i, j, k), {(p, q): c})`` with
+    """The degree-2 differential as sparse rows of ring numerators, one per
+    triple i < j < k whose row is nonzero: ``((i, j, k), {(p, q): c})`` with
     ``omega([e_i,e_j],e_k) + omega([e_j,e_k],e_i) + omega([e_k,e_i],e_j)
-    = sum c * omega_pq``.
+    = sum c * omega_pq / r`` for r of ``L.ad_numerators``.
 
     omega(x, e_m) picks up +x_l on e^{lm} for l < m and -x_l on e^{ml} for
     l > m, so each nonzero bracket component enters exactly one monomial.
     """
+    ad = L.ad_numerators[0]
     rows = []
     for i, j, k in combinations(range(L.dim), 3):
         row: dict = {}
-        for ab, m, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
-            x = L.brackets.get(ab)
-            if x is None:
+        for (a, b), m, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            if (a, b) not in L.brackets:
                 continue
-            for l, xl in enumerate(x):
-                if l == m or sc.is_zero(xl):
+            for l, xrow in enumerate(ad[a]):
+                xl = xrow[b]
+                if l == m or not xl:
                     continue
                 pair = (l, m) if l < m else (m, l)
                 term = xl if (sign > 0) == (l < m) else -xl
-                row[pair] = row.get(pair, sc.ZERO) + term
-        row = {pair: c for pair, c in row.items() if not sc.is_zero(c)}
+                row[pair] = row.get(pair, 0) + term
+        row = {pair: c for pair, c in row.items() if c}
         if row:
             rows.append(((i, j, k), row))
     return rows
 
 
 def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
+    """d(omega)(e_i, e_j, e_k) = N_i[k][j] + N_j[i][k] + N_k[j][i] with N_i =
+    W ad_i, since N_i[k][j] is omega(e_k, [e_i, e_j]) on numerators."""
     if omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
+    ad, r = L.ad_numerators
+    W, w = _skew_numerators(omega)
+    N = [sc.mat_mul(W, A) for A in ad]
     coeffs = {}
-    for triple, row in _triple_rows(L):
-        s = sum(
-            (c * omega.coeffs[pair] for pair, c in row.items() if pair in omega.coeffs),
-            start=sc.ZERO,
-        )
-        coeffs[triple] = -s
-    return ThreeForm(L.dim, coeffs)
+    for i, j, k in combinations(range(L.dim), 3):
+        c = N[i][k][j] + N[j][i][k] + N[k][j][i]
+        if c:
+            coeffs[(i, j, k)] = c
+    return ThreeForm(L.dim, dict(zip(coeffs, sc.quotients(list(coeffs.values()), w * r))))
 
 
 def is_1cocycle(L: LieAlgebra, alpha: OneForm) -> bool:
@@ -311,6 +330,11 @@ def _pair_index(dim: int):
     return pairs, {p: n for n, p in enumerate(pairs)}
 
 
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row]
+
+
 def cocycle_spaces(L: LieAlgebra):
     """(basis of Z^1 as OneForms, basis of Z^2 as TwoForms), echelon order."""
     if L.is_parametric():
@@ -318,8 +342,11 @@ def cocycle_spaces(L: LieAlgebra):
     dim = L.dim
     pairs, index = _pair_index(dim)
 
+    # Every row is of int numerators divided by their gcd, which keeps the
+    # integers of the elimination small and does not change the rref.
     # Z^1: one row per nonzero bracket, columns by dual basis index l.
-    rows1 = [list(v) for v in L.brackets.values()]
+    ad = L.ad_numerators[0]
+    rows1 = [_primitive([row[j] for row in ad[i]]) for i, j in L.brackets]
     if rows1:
         z1 = [OneForm(dim, v) for v in sc.nullspace(rows1)]
     else:
@@ -329,10 +356,10 @@ def cocycle_spaces(L: LieAlgebra):
     # all-zero rows left out do not change the rref.
     rows2 = []
     for _, row in _triple_rows(L):
-        dense = [sc.ZERO] * len(pairs)
+        dense = [0] * len(pairs)
         for pair, c in row.items():
             dense[index[pair]] = c
-        rows2.append(dense)
+        rows2.append(_primitive(dense))
     if rows2:
         z2 = [
             TwoForm(dim, {pairs[c]: v[c] for c in range(len(pairs))})

@@ -4,12 +4,19 @@ Brackets are stored sparsely for i < j only (0-based internally), so
 antisymmetry holds by construction and cannot be violated by bad input.
 Human-facing constructors and defect reports use 1-based indices to match
 the usual e1..en naming.
+
+The Lie layer computes on one numerator form of the structure constants,
+``LieAlgebra.ad_numerators``: the matrices ad_{e_i} as numerators over one
+denominator (``scalars.common_denominator``: ints for rational data).
+Identities are matrix equations on it (``scalars.mat_mul``,
+``scalars.mat_comb``); a value becomes a Scalar only when it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import scalars as sc
@@ -62,12 +69,24 @@ class LieAlgebra:
         v = self.brackets.get((j, i))
         return sc.zero_vec(self.dim) if v is None else tuple(-x for x in v)
 
+    @cached_property
+    def ad_numerators(self) -> tuple:
+        """(ad, r): ad[i][k][j] / r is the e_k component of [e_i, e_j], so
+        ad[i] is the matrix of ad_{e_i} as ring numerators over r; filled
+        from the stored brackets alone."""
+        n = self.dim
+        pairs = list(self.brackets.items())
+        nums, r = sc.common_denominator([x for _, v in pairs for x in v])
+        ad = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for p, ((i, j), _) in enumerate(pairs):
+            for k, x in enumerate(nums[p * n:(p + 1) * n]):
+                if x:
+                    ad[i][k][j] = x
+                    ad[j][k][i] = -x
+        return tuple(tuple(map(tuple, M)) for M in ad), r
+
     def is_parametric(self) -> bool:
-        return any(
-            not isinstance(x, Fraction) and not sc.is_rational(x)
-            for v in self.brackets.values()
-            for x in v
-        )
+        return any(not sc.is_rational(x) for v in self.brackets.values() for x in v)
 
     def subs(self, assignment: Mapping[str, Fraction]) -> "LieAlgebra":
         return LieAlgebra(
@@ -139,36 +158,45 @@ class LinearMap:
 # Operations
 
 
+def _column(M, k) -> list:
+    return [row[k] for row in M]
+
+
 def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear antisymmetric extension of the structure constants."""
+    """[x, y] = sum_ij x_i y_j [e_i, e_j], over the nonzero components of x
+    and y only."""
     if len(x) != L.dim or len(y) != L.dim:
         raise DimensionMismatch("vector length != algebra dim")
-    out = sc.zero_vec(L.dim)
-    for (i, j), v in L.brackets.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if not sc.is_zero(c):
-            out = sc.vec_add(out, sc.vec_scale(c, v))
-    return out
+    n = L.dim
+    ad, r = L.ad_numerators
+    nums, den = sc.common_denominator(tuple(x) + tuple(y))
+    ys = [(j, b) for j, b in enumerate(nums[n:]) if b]
+    acc = [0] * n
+    for a, A in zip(nums[:n], ad):
+        if a:
+            for k, row in enumerate(A):
+                for j, b in ys:
+                    if row[j]:
+                        acc[k] += a * b * row[j]
+    return sc.quotients(acc, den * den * r)
 
 
 def check_jacobi(L: LieAlgebra) -> list:
-    """All (i, j, k) 1-based triples with a nonzero cyclic defect."""
+    """All (i, j, k) 1-based triples, i < j < k, with a nonzero cyclic
+    defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]: column k of
+    ad_{[e_i,e_j]} - [ad_i, ad_j], on numerators over r^2."""
+    ad, r = L.ad_numerators
     defects = []
-    for i in range(L.dim):
-        ei = sc.basis_vec(L.dim, i)
+    for i, Ai in enumerate(ad):
         for j in range(i + 1, L.dim):
-            ej = sc.basis_vec(L.dim, j)
+            Aj = ad[j]
+            M = sc.mat_comb(
+                (1, -1, 1), (sc.mat_comb(_column(Ai, j), ad), sc.mat_mul(Ai, Aj), sc.mat_mul(Aj, Ai))
+            )
             for k in range(j + 1, L.dim):
-                ek = sc.basis_vec(L.dim, k)
-                d = sc.vec_add(
-                    bracket(L, L.bracket_basis(i, j), ek),
-                    sc.vec_add(
-                        bracket(L, L.bracket_basis(j, k), ei),
-                        bracket(L, L.bracket_basis(k, i), ej),
-                    ),
-                )
-                if not sc.vec_is_zero(d):
-                    defects.append((i + 1, j + 1, k + 1, d))
+                v = _column(M, k)
+                if any(v):
+                    defects.append((i + 1, j + 1, k + 1, sc.quotients(v, r * r)))
     return defects
 
 
@@ -227,29 +255,41 @@ def derived_dim(L: LieAlgebra) -> int:
     return len(derived_series(L)[1])
 
 
+def _partial_phi_numerators(L: LieAlgebra, phi: LinearMap) -> tuple:
+    """(Ms, den): column j of Ms[i] holds the numerators over den of
+    partial_phi at (e_i, e_j), from phi ad_i - ad_i phi - ad_{phi e_i}."""
+    ad, r = L.ad_numerators
+    P, p = sc.mat_numerators(phi.matrix)
+    Ms = [
+        sc.mat_comb((1, -1, -1), (sc.mat_mul(P, A), sc.mat_mul(A, P), sc.mat_comb(_column(P, i), ad)))
+        for i, A in enumerate(ad)
+    ]
+    return Ms, p * r
+
+
 def partial_phi(L: LieAlgebra, phi: LinearMap) -> dict:
     """The vector-valued 2-form phi([x,y]) - [phi x, y] - [x, phi y] on the
     0-based basis pairs i < j."""
-    out = {}
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            out[(i, j)] = sc.vec_sub(
-                phi.apply(L.bracket_basis(i, j)),
-                sc.vec_add(
-                    bracket(L, phi.column(i), sc.basis_vec(L.dim, j)),
-                    bracket(L, sc.basis_vec(L.dim, i), phi.column(j)),
-                ),
-            )
-    return out
+    Ms, den = _partial_phi_numerators(L, phi)
+    return {
+        (i, j): sc.quotients(_column(M, j), den)
+        for i, M in enumerate(Ms)
+        for j in range(i + 1, L.dim)
+    }
 
 
 def is_derivation(L: LieAlgebra, phi: LinearMap) -> list:
     """Nonzero values of ``partial_phi`` as 1-based (i, j, defect); [] = pass."""
     if phi.source_dim != L.dim or phi.target_dim != L.dim:
         raise DimensionMismatch("map is not an endomorphism of the algebra")
-    return [
-        (i + 1, j + 1, d) for (i, j), d in partial_phi(L, phi).items() if not sc.vec_is_zero(d)
-    ]
+    Ms, den = _partial_phi_numerators(L, phi)
+    out = []
+    for i, M in enumerate(Ms):
+        for j in range(i + 1, L.dim):
+            v = _column(M, j)
+            if any(v):
+                out.append((i + 1, j + 1, sc.quotients(v, den)))
+    return out
 
 
 @dataclass

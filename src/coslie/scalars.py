@@ -116,15 +116,15 @@ class Poly:
 
         return tuple(names), remap(self), remap(other)
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(other)
-
     def __add__(self, other):
         if isinstance(other, RatFn):
             return other + self
-        other = self._coerce(other)
+        if not isinstance(other, Poly):
+            # a rational summand moves the constant term only
+            out = dict(self.terms)
+            key = (0,) * len(self.variables)
+            out[key] = out.get(key, ZERO) + _as_fraction(other)
+            return Poly(self.variables, out)
         names, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
@@ -145,7 +145,10 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, RatFn):
             return other * self
-        other = self._coerce(other)
+        if not isinstance(other, Poly):
+            # a rational factor scales the coefficients
+            c = _as_fraction(other)
+            return Poly(self.variables, {e: x * c for e, x in self.terms.items()})
         names, a, b = self._aligned(other)
         out: dict = {}
         for e1, c1 in a.items():
@@ -597,6 +600,14 @@ def mat_comb(coeffs, mats) -> list:
     return out
 
 
+def mat_numerators(m) -> tuple:
+    """(rows, den): the entries of the matrix m as ring numerators over one
+    denominator (``common_denominator``), in m's shape."""
+    nums, den = common_denominator([x for row in m for x in row])
+    it = iter(nums)
+    return [[next(it) for _ in row] for row in m], den
+
+
 def mat_vec(a, x) -> Vector:
     return tuple(sum((a[i][k] * x[k] for k in range(len(x))), start=ZERO) for i in range(len(a)))
 
@@ -672,7 +683,10 @@ def _ring_row(row) -> list:
 
 def _over_lcm(values) -> Optional[tuple]:
     """(nums, den): int numerators of rational values over the lcm of their
-    denominators; None when a value is not rational."""
+    denominators (ints stay as they are, over 1); None when a value is not
+    rational."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     values = [as_scalar(v) for v in values]
     if not all(is_rational(v) for v in values):
         return None
@@ -753,7 +767,8 @@ def quotients(nums, den) -> Vector:
 def common_denominator(values) -> tuple:
     """(nums, den) with values[i] = nums[i] / den: ints over the lcm of the
     denominators when every value is rational, Polys over the product of
-    the distinct RatFn denominators otherwise."""
+    the distinct RatFn denominators otherwise; when no value is a RatFn,
+    each value is its own numerator over the unit Poly."""
     ints = _over_lcm(values)
     if ints is not None:
         return ints
@@ -762,6 +777,8 @@ def common_denominator(values) -> tuple:
     for v in values:
         if isinstance(v, RatFn) and v.den not in dens:
             dens.append(v.den)
+    if not dens:
+        return values, Poly.const(1)
     den = Poly.const(1)
     for d in dens:
         den = den * d

@@ -13,7 +13,7 @@ from coslie import catalog as cat
 from coslie.algfile import format_algebra, parse_algebra, parse_extension, parse_map
 from coslie.cli import main
 from coslie.cosymplectic import exists_cosymplectic
-from coslie.errors import AlgFileError, DuplicateBracket, IndexOutOfRange
+from coslie.errors import AlgFileError, DuplicateBracket, IndexOutOfRange, MissingParam
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly
@@ -545,6 +545,35 @@ def test_catalog_export_heisenberg_with_params(capsys):
     assert main(["catalog", "export", "Heisenberg", "--params", "n=2"]) == 0
     parsed = parse_algebra(capsys.readouterr().out)
     assert parsed.algebra.dim == 5
+
+
+def test_catalog_export_params_name_parameters_of_the_entry(capsys):
+    # as for input files, a --params name that binds nothing is a parse error
+    bound = "a3=1,a12=1,a13=0,a23=0"
+    assert main(["catalog", "export", "g_{3.4}^{-1}", "--params", bound + ",zzz=5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--params binds no parameter of g_{3.4}^{-1}: zzz" in err
+    assert main(["catalog", "export", "g_{3.4}^{-1}", "--params", bound]) == 0
+    out = capsys.readouterr().out
+    assert "param a13 = 0" in out and "zzz" not in out
+    assert main(["catalog", "export", "Heisenberg", "--params", "n=2,m=1"]) == 2
+    assert "no parameter of Heisenberg: m" in capsys.readouterr().err
+
+
+def test_catalog_export_with_a_missing_parameter_is_a_usage_error(capsys):
+    # exit 2 (usage), not 1 (a mathematical failure); the library call
+    # still raises MissingParam
+    assert main(["catalog", "export", "g_{3.1}", "--params", "a2=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "missing parameters for g_{3.1}: a12, a13, a23, a3" in err
+    assert main(["catalog", "export", "g_{3.1}", "--params", "zzz=1"]) == 2
+    assert "no parameter of g_{3.1}: zzz" in capsys.readouterr().err
+    assert main(["catalog", "export", "Heisenberg"]) == 2
+    assert "Heisenberg needs the parameter n" in capsys.readouterr().err
+    with pytest.raises(MissingParam):
+        cat.instantiate("g_{3.1}", {"a2": 1})
 
 
 def test_catalog_verify_all_deterministic_and_flagged(capsys):

@@ -5,7 +5,7 @@ accumulated densely over the stored pairs, the Jacobi identity as a
 triple loop of brackets, forms evaluated pair by pair.  The tests compare
 values and printed strings on random structure constants of dimension
 1-7 (most of them violate the Jacobi identity), and on symbolic ones of
-dimension 1-5: polynomials in two symbols, and quotients in one symbol,
+dimension 1-4: polynomials in two symbols, and quotients in one symbol,
 where a quotient has a unique reduced printed form.
 """
 
@@ -156,7 +156,7 @@ KINDS = {
 
 
 # symbolic arithmetic is slow, so symbolic algebras stay smaller
-MAX_DIM = {"rational": 7, "poly": 5, "ratfn": 4}
+MAX_DIM = {"rational": 7, "poly": 4, "ratfn": 3}
 
 
 @st.composite
