@@ -30,7 +30,7 @@ from .errors import (
     SingularSystem,
 )
 from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
-from .lie_core import LieAlgebra, LinearMap, is_derivation
+from .lie_core import LieAlgebra, LinearMap, _column, is_derivation
 from .scalars import Scalar, Vector
 
 
@@ -442,14 +442,11 @@ def to_symplectic(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> SymplecticPa
 
 
 # A product table keeps the matrices of left multiplication as ring
-# numerators over one common denominator.  ``scalars`` chooses the ring (int
-# for rational data, Poly otherwise) and multiplies and combines the
-# matrices (``mat_mul``, ``mat_comb``); the steps below use only +, -, * and
-# truth tests, so rational and symbolic tables share every one of them.
-
-
-def _column(M, k) -> list:
-    return [row[k] for row in M]
+# numerators over one common denominator.  ``scalars`` chooses them (ints
+# for rational data, symbolic values or Polys otherwise) and multiplies and
+# combines the matrices (``mat_mul``, ``mat_comb``); the steps below use
+# only +, -, * and truth tests, so rational and symbolic tables share every
+# one of them.
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -151,23 +151,13 @@ class TwoForm:
         )
 
 
-def _skew_numerators(theta: TwoForm) -> tuple:
-    """(W, w): the skew matrix of theta, W[i][j] / w = theta(e_i, e_j), as
-    ring numerators over one denominator."""
-    nums, w = sc.common_denominator(list(theta.coeffs.values()))
-    W = [[0] * theta.dim for _ in range(theta.dim)]
-    for (i, j), c in zip(theta.coeffs, nums):
-        W[i][j], W[j][i] = c, -c
-    return W, w
-
-
 def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
     """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y); phi is an
     infinitesimal symplectic transformation of theta iff it is zero.  Its
     matrix is phi^T W + W phi = X - X^T with X = W phi, W theta's skew
     matrix, on numerators."""
     n = theta.dim
-    W, w = _skew_numerators(theta)
+    W, w = sc.mat_numerators(theta.matrix())
     P, p = sc.mat_numerators(phi.matrix)
     X = sc.mat_mul(W, P)
     coeffs = {}
@@ -250,7 +240,7 @@ def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
     if omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
     ad, r = L.ad_numerators
-    W, w = _skew_numerators(omega)
+    W, w = sc.mat_numerators(omega.matrix())
     N = [sc.mat_mul(W, A) for A in ad]
     coeffs = {}
     for i, j, k in combinations(range(L.dim), 3):
