@@ -902,3 +902,40 @@ def test_kernel_reduction_of_the_seven_dimensional_structures():
             assert printed(red.pair.algebra.brackets) == printed(halg.brackets), name
             assert printed(red.pair.omega.coeffs) == printed(w_h.coeffs), name
             assert printed(red.deriv.matrix) == printed(deriv.matrix), name
+
+
+# alpha's pivot coefficient carries the symbol (g_{2.1}+g_1, A_{5,1})
+ALPHA_PIVOT_SYMBOLIC = [
+    ("a2", 3, {(1, 2): {1: 1}}, {2: Poly.var("a2"), 3: F(-1, 2)}, {(1, 2): 2, (2, 3): -2}),
+    (
+        "a3",
+        5,
+        {(3, 5): {1: 1}, (4, 5): {2: 1}},
+        {3: Poly.var("a3"), 5: F(1, 2)},
+        {(1, 4): 2, (2, 3): 2, (2, 4): -1, (2, 5): F(-1, 2), (3, 4): F(-1, 2), (3, 5): -2,
+         (4, 5): F(1, 2)},
+    ),
+]
+
+
+@pytest.mark.parametrize("case", ALPHA_PIVOT_SYMBOLIC, ids=lambda c: c[0])
+def test_a_symbolic_alpha_pivot_gives_the_substituted_tables(case):
+    # the kernel basis and xi then hold quotients in the symbol, which the
+    # product solve receives as numerators over their denominators
+    var, dim, brackets, alpha, omega = case
+
+    def structure(assignment):
+        L = LieAlgebra.from_table(dim, brackets)
+        a, w = OneForm.from_dict(dim, alpha), TwoForm.from_dict(dim, omega)
+        return make(L, a.subs(assignment), w) if assignment else make(L, a, w)
+
+    S = structure({})
+    assert left_symmetry_defect(S.table, S.algebra)["pass"]
+    rep = biinvariance(S)
+    for value in (F(3), F(-2, 5)):
+        R = structure({var: value})
+        assert [
+            [tuple(sc.poly_eval(x, {var: value}) for x in v) for v in row] for row in S.table.products
+        ] == [[tuple(v) for v in row] for row in R.table.products]
+        rep_at = biinvariance(R)
+        assert (rep_at.failed_conditions, rep_at.associative) == (rep.failed_conditions, rep.associative)
