@@ -235,18 +235,18 @@ def _triple_rows(L: LieAlgebra) -> list:
 
 
 def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
-    """d(omega)(e_i, e_j, e_k) = N_i[k][j] + N_j[i][k] + N_k[j][i] with N_i =
-    W ad_i, since N_i[k][j] is omega(e_k, [e_i, e_j]) on numerators."""
+    """d(omega) from the triple rows and omega's numerators, so only the
+    nonzero bracket components enter."""
     if omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
-    ad, r = L.ad_numerators
-    W, w = sc.mat_numerators(omega.matrix())
-    N = [sc.mat_mul(W, A) for A in ad]
+    r = L.ad_numerators[1]
+    nums, w = sc.common_denominator(list(omega.coeffs.values()))
+    wn = dict(zip(omega.coeffs, nums))
     coeffs = {}
-    for i, j, k in combinations(range(L.dim), 3):
-        c = N[i][k][j] + N[j][i][k] + N[k][j][i]
+    for triple, row in _triple_rows(L):
+        c = sum((x * wn[pair] for pair, x in row.items() if pair in wn), start=0)
         if c:
-            coeffs[(i, j, k)] = c
+            coeffs[triple] = -c
     return ThreeForm(L.dim, dict(zip(coeffs, sc.quotients(list(coeffs.values()), w * r))))
 
 
