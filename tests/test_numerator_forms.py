@@ -228,8 +228,8 @@ def test_check_jacobi_matches_the_triple_loop(case):
     assert all(same(a[3], b[3]) for a, b in zip(got, want))
 
 
-def test_check_jacobi_reports_every_defect_of_a_random_algebra():
-    # dimension 7 with every pair bracketed: many triples fail at once
+def test_check_jacobi_reports_every_defect_of_a_dense_algebra():
+    # dimension 7 with every pair bracketed: all 35 triples fail at once
     n = 7
     L = LieAlgebra(
         n,
@@ -254,9 +254,7 @@ def test_partial_phi_and_is_derivation_match_the_seed_loop(case):
     assert [(i, j) for i, j, _ in is_derivation(L, phi)] == [
         (i + 1, j + 1) for (i, j), v in want.items() if not sc.vec_is_zero(v)
     ]
-    assert all(
-        same(d, want[(i - 1, j - 1)]) for i, j, d in is_derivation(L, phi)
-    )
+    assert all(same(d, want[(i - 1, j - 1)]) for i, j, d in is_derivation(L, phi))
 
 
 def test_partial_phi_vanishes_on_inner_derivations():
