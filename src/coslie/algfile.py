@@ -9,12 +9,17 @@
 Extension-data files reuse the grammar with ``phi i : c1 k1 ...`` (the
 image of e_i), ``lambda : ...``, ``v : ...``, ``t = c`` and
 ``theta i j : c``; isomorphism-witness files use ``map i : c1 k1 ...``.
+``_GRAMMAR`` states every keyword's line.  A keyword line appears at most
+once per index set (one ``alpha`` line, one ``bracket 1 2`` line, one
+``phi 1`` line); a repeat is an error.
 
 A coefficient token is a rational ``p/q``, a symbol, or ``rational*symbol``
 (e.g. ``2*a24``); unbound symbols become polynomial variables, ``param``
 lines bind them.  Each parser also takes the bindings of a command line
-(``params``); binding one name twice, by a repeated ``param`` line or by a
-line and ``params``, is an error.  ``#`` starts a comment.
+(``params``, read from ``--params`` by ``parse_params``); binding one name
+twice, by a repeated ``param`` line or by a line and ``params``, is an
+error.  Every value, of a ``param`` line, ``--params`` or ``--alpha-d``,
+is a rational ``p/q`` with a nonzero denominator.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -31,11 +36,27 @@ from .extensions import ExtensionData
 from .lie_core import LieAlgebra, LinearMap
 from .scalars import Scalar
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-_SYMBOL = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_PRODUCT = re.compile(r"^([+-]?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)$")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PRODUCT = re.compile(r"([+-]?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)")
+_TOKEN = re.compile(r"\S+")
 
-_RESERVED = {"dim", "bracket", "alpha", "omega", "param", "phi", "lambda", "v", "t", "theta", "map"}
+# keyword: (basis indices before the separator, whether one coefficient
+# follows it rather than coefficient/index pairs, the separator); two
+# indices are a pair i < j
+_GRAMMAR = {
+    "bracket": (2, False, ":"),
+    "alpha": (0, False, ":"),
+    "omega": (2, True, ":"),
+    "phi": (1, False, ":"),
+    "lambda": (0, False, ":"),
+    "v": (0, False, ":"),
+    "t": (0, True, "="),
+    "theta": (2, True, ":"),
+    "map": (1, False, ":"),
+}
+_TAKES = ("no indices before '{}'", "one column index", "two indices")
+_RESERVED = {"dim", "param", *_GRAMMAR}
 
 
 @dataclass
@@ -63,257 +84,204 @@ class ParsedMap:
     symbols: frozenset = frozenset()
 
 
-def _tokens(line: str):
-    out = []
-    for m in re.finditer(r"\S+", line):
-        out.append((m.group(0), m.start() + 1))
-    return out
+def _rational(tok: str) -> Optional[Fraction]:
+    """The rational that tok spells as p/q; None when it spells none or has
+    a zero denominator."""
+    m = _RATIONAL.fullmatch(tok)
+    if m is None:
+        return None
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    return Fraction(int(num), int(den)) if int(den) else None
 
 
-def _rational(tok: str, lineno: int, col: int) -> Fraction:
-    """The rational that tok spells; AlgFileError at (lineno, col) when it
-    spells none or has a zero denominator."""
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise AlgFileError(f"bad rational '{tok}'", lineno, col) from None
+def parse_rational(tok: str) -> Fraction:
+    """A command-line value (``--params``, ``--alpha-d``): p/q, as in a
+    ``param`` line; AlgFileError at line 0, column 0 otherwise."""
+    value = _rational(tok)
+    if value is None:
+        raise AlgFileError(f"bad rational '{tok}'", 0, 0)
+    return value
 
 
-def _coeff(tok: str, lineno: int, col: int) -> Scalar:
-    if _RATIONAL.match(tok):
-        return _rational(tok, lineno, col)
-    m = _PRODUCT.match(tok)
-    if m:
-        return _rational(m.group(1), lineno, col) * sc.Poly.var(m.group(2))
-    if _SYMBOL.match(tok):
-        if tok in _RESERVED:
-            raise AlgFileError(f"'{tok}' cannot be used as a symbol", lineno, col)
-        return sc.Poly.var(tok)
-    raise AlgFileError(f"bad coefficient token '{tok}'", lineno, col)
-
-
-def _index(tok: str, dim: int, lineno: int, col: int) -> int:
-    if not tok.isdecimal():
-        raise AlgFileError(f"expected basis index, got '{tok}'", lineno, col)
-    k = int(tok)
-    if not (1 <= k <= dim):
-        raise IndexOutOfRange(f"index {k} outside 1..{dim}", lineno, col)
-    return k
-
-
-def _split_colon(toks, lineno):
-    for pos, (t, _) in enumerate(toks):
-        if t == ":":
-            return toks[:pos], toks[pos + 1 :]
-    raise AlgFileError("expected ':'", lineno, toks[-1][1] if toks else 0)
-
-
-def _pairs(after, dim, lineno, what):
-    if len(after) % 2 != 0 or not after:
-        raise AlgFileError(
-            f"{what} needs coefficient/index pairs", lineno, after[0][1] if after else 0
-        )
-    out = []
-    for n in range(0, len(after), 2):
-        ctok, ccol = after[n]
-        ktok, kcol = after[n + 1]
-        out.append((_coeff(ctok, lineno, ccol), _index(ktok, dim, lineno, kcol)))
-    return out
+def parse_params(text: str) -> dict:
+    """The bindings ``name=p/q,...`` of ``--params``, each name once."""
+    params: dict = {}
+    for piece in filter(None, (p.strip() for p in text.split(","))):
+        name, eq, value = piece.partition("=")
+        if not eq:
+            raise AlgFileError(f"bad --params piece '{piece}'", 0, 0)
+        name = name.strip()
+        if name in params:
+            raise AlgFileError(f"--params gives '{name}' twice", 0, 0)
+        params[name] = parse_rational(value.strip())
+    return params
 
 
 class _Reader:
-    """Shared line reader and binder; subclasses declare which keywords
-    they accept."""
+    """One file read by ``_GRAMMAR``, for the keywords of one file kind.
 
-    keywords: tuple = ()
+    ``lines[key][idx]`` is the key line with 0-based basis indices idx: a
+    list of dim values (coefficient/index pairs), or one value.  Values are
+    bound by ``params`` and the ``param`` lines, which may come after their
+    use; ``symbols`` are the names the coefficients use."""
 
-    def __init__(self, text: str, params: Optional[dict] = None):
+    def __init__(self, text: str, params: Optional[dict], keywords: tuple):
         self.dim: Optional[int] = None
         self.params: dict = dict(params or {})
         self.symbols: set = set()
-        self.lines: list = []
+        self.lines: dict = {key: {} for key in keywords}
+        body = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
+            line = raw.split("#", 1)[0]
+            words = line.split()
+            if not words:
                 continue
-            toks = _tokens(line)
-            key, col = toks[0]
+            self.at = (lineno, line)
+            key = words[0]
             if key == "dim":
                 if self.dim is not None:
-                    raise AlgFileError("duplicate dim line", lineno, col)
-                if len(toks) != 2 or not toks[1][0].isdecimal():
-                    raise AlgFileError("dim takes one integer", lineno, col)
-                self.dim = int(toks[1][0])
+                    raise self.error("duplicate dim line", 0)
+                if len(words) != 2 or not words[1].isdecimal():
+                    raise self.error("dim takes one integer", 0)
+                self.dim = int(words[1])
                 if self.dim <= 0:
-                    raise AlgFileError("dim must be positive", lineno, col)
-                continue
-            if key == "param":
-                if len(toks) != 4 or toks[2][0] != "=":
-                    raise AlgFileError("param syntax: param name = p/q", lineno, col)
-                name, ncol = toks[1]
-                if not _SYMBOL.match(name):
-                    raise AlgFileError(f"bad parameter name '{name}'", lineno, ncol)
-                if name in self.params:
-                    raise AlgFileError(f"parameter '{name}' bound twice", lineno, ncol)
-                vtok, vcol = toks[3]
-                if not _RATIONAL.match(vtok):
-                    raise AlgFileError(f"bad parameter value '{vtok}'", lineno, vcol)
-                self.params[name] = _rational(vtok, lineno, vcol)
-                continue
-            if key not in self.keywords:
-                raise AlgFileError(f"unknown keyword '{key}'", lineno, col)
-            if self.dim is None:
-                raise AlgFileError("dim must come first", lineno, col)
-            self.lines.append((lineno, key, toks))
-
-    def require_dim(self) -> int:
+                    raise self.error("dim must be positive", 0)
+            elif key == "param":
+                self._param(words)
+            elif key not in self.lines:
+                raise self.error(f"unknown keyword '{key}'", 0)
+            elif self.dim is None:
+                raise self.error("dim must come first", 0)
+            else:
+                body.append((self.at, words))
         if self.dim is None:
             raise AlgFileError("missing dim line", 0, 0)
-        return self.dim
+        for at, words in body:
+            self.at = at
+            self._line(words)
 
-    def bind(self, value: Scalar) -> Scalar:
-        """value with every bound name substituted; records its symbols."""
-        self.symbols |= sc.scalar_variables(value)
-        return sc.scalar_subs(value, self.params)
+    def error(self, message: str, k: Optional[int], kind=AlgFileError) -> AlgFileError:
+        """kind(message) at the current line and its word k (column 0 when
+        k is None)."""
+        lineno, line = self.at
+        col = 0 if k is None else [m.start() + 1 for m in _TOKEN.finditer(line)][k]
+        return kind(message, lineno, col)
+
+    def _param(self, words):
+        if len(words) != 4 or words[2] != "=":
+            raise self.error("param syntax: param name = p/q", 0)
+        name = words[1]
+        if not _SYMBOL.fullmatch(name):
+            raise self.error(f"bad parameter name '{name}'", 1)
+        if name in self.params:
+            raise self.error(f"parameter '{name}' bound twice", 1)
+        self.params[name] = self._rational(words[3], 3)
+
+    def _line(self, words):
+        key = words[0]
+        count, single, sep = _GRAMMAR[key]
+        try:
+            s = words.index(sep, 1)
+        except ValueError:
+            raise self.error(f"expected '{sep}'", len(words) - 1 or None) from None
+        if s != count + 1:
+            raise self.error(f"{key} takes " + _TAKES[count].format(sep), 0)
+        idx = tuple(self._index(words, k) for k in range(1, s))
+        if count == 2 and idx[0] >= idx[1]:
+            i, j = idx[0] + 1, idx[1] + 1
+            raise self.error(f"{key} indices must satisfy i < j, got {i} {j}", 1, IndexOutOfRange)
+        lines = self.lines[key]
+        if idx in lines:
+            kind = DuplicateBracket if key == "bracket" else AlgFileError
+            raise self.error(" ".join(words[:s]) + " given twice", 0, kind)
+        n = len(words) - s - 1
+        if single:
+            if n != 1:
+                raise self.error(f"{key} takes one coefficient", 0)
+            lines[idx] = self._coeff(words, s + 1)
+            return
+        if not n or n % 2:
+            raise self.error(f"{key} needs coefficient/index pairs", s + 1 if n else None)
+        v = [sc.ZERO] * self.dim
+        for k in range(s + 1, len(words), 2):
+            c, i = self._coeff(words, k), self._index(words, k + 1)
+            v[i] = c if v[i] is sc.ZERO else v[i] + c  # a slot's first value is not added to 0
+        lines[idx] = v
+
+    def _index(self, words, k) -> int:
+        """The 0-based basis index that word k names."""
+        tok = words[k]
+        if not tok.isdecimal():
+            raise self.error(f"expected basis index, got '{tok}'", k)
+        i = int(tok)
+        if not 1 <= i <= self.dim:
+            raise self.error(f"index {i} outside 1..{self.dim}", k, IndexOutOfRange)
+        return i - 1
+
+    def _rational(self, tok: str, k: int) -> Fraction:
+        value = _rational(tok)
+        if value is None:
+            raise self.error(f"bad rational '{tok}'", k)
+        return value
+
+    def _coeff(self, words, k) -> Scalar:
+        """The value of the coefficient at word k, its symbol bound."""
+        tok, name = words[k], None
+        if not _RATIONAL.fullmatch(tok):
+            m = _PRODUCT.fullmatch(tok)
+            if m:
+                tok, name = m.groups()
+            elif not _SYMBOL.fullmatch(tok):
+                raise self.error(f"bad coefficient token '{tok}'", k)
+            elif tok in _RESERVED:
+                raise self.error(f"'{tok}' cannot be used as a symbol", k)
+            else:
+                tok, name = "1", tok
+        value = self._rational(tok, k)
+        if name is None:
+            return value
+        self.symbols.add(name)
+        if name in self.params:
+            return value * self.params[name]
+        return value * sc.Poly.var(name) if value else value
+
+    def columns(self, key: str) -> list:
+        """The column lines of key (``phi i``, ``map i``) as a list."""
+        zero = sc.zero_vec(self.dim)
+        return [self.lines[key].get((i,), zero) for i in range(self.dim)]
 
 
 def parse_algebra(text: str, params: Optional[dict] = None) -> ParsedAlgebra:
-    reader = _AlgReader(text, params)
-    dim = reader.require_dim()
-    brackets: dict = {}
-    alpha_comps: Optional[list] = None
-    omega_comps: dict = {}
-    omega_seen = set()
-    for lineno, key, toks in reader.lines:
-        before, after = _split_colon(toks[1:], lineno)
-        if key == "bracket":
-            if len(before) != 2:
-                raise AlgFileError("bracket takes two indices", lineno, toks[0][1])
-            i = _index(before[0][0], dim, lineno, before[0][1])
-            j = _index(before[1][0], dim, lineno, before[1][1])
-            if i == j:
-                raise IndexOutOfRange(f"self-bracket [e{i}, e{i}]", lineno, before[0][1])
-            if i > j:
-                raise IndexOutOfRange(
-                    f"bracket indices must satisfy i < j, got {i} {j}", lineno, before[0][1]
-                )
-            if (i, j) in brackets:
-                raise DuplicateBracket(f"bracket {i} {j} given twice", lineno, toks[0][1])
-            comps: dict = {}
-            for c, k in _pairs(after, dim, lineno, "bracket"):
-                comps[k] = comps.get(k, sc.ZERO) + c
-            brackets[(i, j)] = comps
-        elif key == "alpha":
-            if before:
-                raise AlgFileError("alpha takes no indices before ':'", lineno, toks[0][1])
-            if alpha_comps is not None:
-                raise AlgFileError("duplicate alpha line", lineno, toks[0][1])
-            alpha_comps = _pairs(after, dim, lineno, "alpha")
-        elif key == "omega":
-            if len(before) != 2:
-                raise AlgFileError("omega takes two indices", lineno, toks[0][1])
-            i = _index(before[0][0], dim, lineno, before[0][1])
-            j = _index(before[1][0], dim, lineno, before[1][1])
-            if i >= j:
-                raise IndexOutOfRange(
-                    f"omega indices must satisfy i < j, got {i} {j}", lineno, before[0][1]
-                )
-            if (i, j) in omega_seen:
-                raise AlgFileError(f"omega {i} {j} given twice", lineno, toks[0][1])
-            omega_seen.add((i, j))
-            if len(after) != 1:
-                raise AlgFileError("omega takes one coefficient", lineno, toks[0][1])
-            omega_comps[(i, j)] = _coeff(after[0][0], lineno, after[0][1])
-    bind = reader.bind
-    table = {
-        ij: {k: bind(c) for k, c in comps.items()} for ij, comps in brackets.items()
-    }
-    algebra = LieAlgebra.from_table(dim, table)
-    alpha = None
-    if alpha_comps is not None:
-        comps: dict = {}
-        for c, k in alpha_comps:
-            comps[k] = comps.get(k, sc.ZERO) + bind(c)
-        alpha = OneForm.from_dict(dim, comps)
-    omega = None
-    if omega_comps:
-        omega = TwoForm.from_dict(dim, {ij: bind(c) for ij, c in omega_comps.items()})
-    return ParsedAlgebra(algebra, alpha, omega, reader.params, frozenset(reader.symbols))
-
-
-class _AlgReader(_Reader):
-    keywords = ("bracket", "alpha", "omega")
-
-
-class _ExtReader(_Reader):
-    keywords = ("phi", "lambda", "v", "t", "theta")
-
-
-class _MapReader(_Reader):
-    keywords = ("map",)
+    r = _Reader(text, params, ("bracket", "alpha", "omega"))
+    alpha, omega = r.lines["alpha"].get(()), r.lines["omega"]
+    return ParsedAlgebra(
+        LieAlgebra(r.dim, r.lines["bracket"]),
+        None if alpha is None else OneForm(r.dim, alpha),
+        TwoForm(r.dim, omega) if omega else None,
+        r.params,
+        frozenset(r.symbols),
+    )
 
 
 def parse_extension(text: str, params: Optional[dict] = None) -> ParsedExtension:
-    reader = _ExtReader(text, params)
-    dim = reader.require_dim()
-    bind = reader.bind
-    phi_cols = [list(sc.zero_vec(dim)) for _ in range(dim)]
-    lam: dict = {}
-    v = list(sc.zero_vec(dim))
-    t: Scalar = sc.ZERO
-    theta: dict = {}
-    for lineno, key, toks in reader.lines:
-        if key == "t":
-            if len(toks) != 3 or toks[1][0] != "=":
-                raise AlgFileError("t syntax: t = c", lineno, toks[0][1])
-            t = bind(_coeff(toks[2][0], lineno, toks[2][1]))
-            continue
-        before, after = _split_colon(toks[1:], lineno)
-        if key == "phi":
-            if len(before) != 1:
-                raise AlgFileError("phi takes one column index", lineno, toks[0][1])
-            i = _index(before[0][0], dim, lineno, before[0][1])
-            for c, k in _pairs(after, dim, lineno, "phi"):
-                phi_cols[i - 1][k - 1] += bind(c)
-        elif key == "lambda":
-            for c, k in _pairs(after, dim, lineno, "lambda"):
-                lam[k] = lam.get(k, sc.ZERO) + bind(c)
-        elif key == "v":
-            for c, k in _pairs(after, dim, lineno, "v"):
-                v[k - 1] += bind(c)
-        elif key == "theta":
-            if len(before) != 2:
-                raise AlgFileError("theta takes two indices", lineno, toks[0][1])
-            i = _index(before[0][0], dim, lineno, before[0][1])
-            j = _index(before[1][0], dim, lineno, before[1][1])
-            if i >= j:
-                raise IndexOutOfRange("theta indices must satisfy i < j", lineno, before[0][1])
-            if len(after) != 1:
-                raise AlgFileError("theta takes one coefficient", lineno, toks[0][1])
-            theta[(i, j)] = bind(_coeff(after[0][0], lineno, after[0][1]))
+    r = _Reader(text, params, ("phi", "lambda", "v", "t", "theta"))
+    zero = sc.zero_vec(r.dim)
     data = ExtensionData(
-        LinearMap.from_columns([tuple(col) for col in phi_cols]),
-        OneForm.from_dict(dim, lam),
-        tuple(v),
-        t,
-        TwoForm.from_dict(dim, theta),
+        LinearMap.from_columns(r.columns("phi")),
+        OneForm(r.dim, r.lines["lambda"].get((), zero)),
+        r.lines["v"].get((), zero),
+        r.lines["t"].get((), sc.ZERO),
+        TwoForm(r.dim, r.lines["theta"]),
     )
-    return ParsedExtension(dim, data, reader.params, frozenset(reader.symbols))
+    return ParsedExtension(r.dim, data, r.params, frozenset(r.symbols))
 
 
 def parse_map(text: str, params: Optional[dict] = None) -> ParsedMap:
-    reader = _MapReader(text, params)
-    dim = reader.require_dim()
-    cols = [list(sc.zero_vec(dim)) for _ in range(dim)]
-    for lineno, key, toks in reader.lines:
-        before, after = _split_colon(toks[1:], lineno)
-        if len(before) != 1:
-            raise AlgFileError("map takes one column index", lineno, toks[0][1])
-        i = _index(before[0][0], dim, lineno, before[0][1])
-        for c, k in _pairs(after, dim, lineno, "map"):
-            cols[i - 1][k - 1] += reader.bind(c)
-    witness = LinearMap.from_columns([tuple(c) for c in cols])
-    return ParsedMap(dim, witness, reader.params, frozenset(reader.symbols))
+    r = _Reader(text, params, ("map",))
+    witness = LinearMap.from_columns(r.columns("map"))
+    return ParsedMap(r.dim, witness, r.params, frozenset(r.symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +307,14 @@ def format_algebra(
     omega: Optional[TwoForm] = None,
     params: Optional[dict] = None,
 ) -> str:
+    def pairs(v) -> str:
+        return " ".join(f"{_coeff_token(c)} {k + 1}" for k, c in enumerate(v) if not sc.is_zero(c))
+
     lines = [f"dim {algebra.dim}"]
-    for (i, j) in sorted(algebra.brackets):
-        v = algebra.brackets[(i, j)]
-        parts = []
-        for k, c in enumerate(v):
-            if not sc.is_zero(c):
-                parts.append(f"{_coeff_token(c)} {k + 1}")
-        lines.append(f"bracket {i + 1} {j + 1} : " + " ".join(parts))
+    for (i, j), v in sorted(algebra.brackets.items()):
+        lines.append(f"bracket {i + 1} {j + 1} : {pairs(v)}")
     if alpha is not None and not alpha.is_zero():
-        parts = []
-        for k, c in enumerate(alpha.coeffs):
-            if not sc.is_zero(c):
-                parts.append(f"{_coeff_token(c)} {k + 1}")
-        lines.append("alpha : " + " ".join(parts))
+        lines.append(f"alpha : {pairs(alpha.coeffs)}")
     if omega is not None:
         for (i, j), c in sorted(omega.coeffs.items()):
             lines.append(f"omega {i + 1} {j + 1} : {_coeff_token(c)}")

@@ -14,17 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import catalog as cat
 from . import scalars as sc
-from .algfile import _rational, parse_algebra, parse_extension, parse_map
+from .algfile import parse_algebra, parse_extension, parse_map, parse_params, parse_rational
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
     exists_cosymplectic,
     left_symmetry_defect,
-    reeb,
+    phi_map,
+    solve_reeb,
     to_symplectic,
     validate,
 )
@@ -58,24 +58,6 @@ def _brackets_str(L) -> list:
     return out
 
 
-def _parse_params(text):
-    params = {}
-    if not text:
-        return params
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise AlgFileError(f"bad --params piece '{piece}'", 0, 0)
-        name, value = piece.split("=", 1)
-        name = name.strip()
-        if name in params:
-            raise AlgFileError(f"--params gives '{name}' twice", 0, 0)
-        params[name] = _rational(value.strip(), 0, 0)
-    return params
-
-
 def _read(path: str) -> str:
     # a non-UTF-8 byte reads as U+FFFD, which the parser rejects outside comments
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -85,7 +67,7 @@ def _read(path: str) -> str:
 def _inputs(args, *files) -> list:
     """Each (parser, path) of files parsed with ``--params`` bound; every
     name of ``--params`` must be a symbol of some file."""
-    params = _parse_params(args.params)
+    params = parse_params(args.params)
     parsed = [parse(_read(path), params) for parse, path in files]
     unused = sorted(set(params).difference(*(p.symbols for p in parsed)))
     if unused:
@@ -177,7 +159,7 @@ def cmd_validate(args) -> int:
     r.say(f"volume: {rep.volume} ({'nonzero' if rep.volume_nonzero else 'zero'})")
     r.say(f"cosymplectic: {'YES' if rep.ok else 'NO'}")
     if rep.ok and not L.is_parametric() and not alpha.is_parametric() and not omega.is_parametric():
-        xi = reeb(L, alpha, omega)
+        xi = solve_reeb(phi_map(L, alpha, omega), alpha)
         r.result["reeb"] = _vec_str(xi)
         r.say(f"reeb: {_vec_str(xi)}")
     r.emit(args.json)
@@ -275,7 +257,7 @@ def cmd_extend(args) -> int:
     _require_forms(alpha, omega)
     if ext.dim != L.dim:
         raise AlgFileError("extension data dimension != base dimension", 0, 0)
-    alpha_d = _rational(args.alpha_d, 0, 0) if args.alpha_d else Fraction(0)
+    alpha_d = parse_rational(args.alpha_d)
     r = Report("extend", f"{args.file} + {args.data}")
     try:
         if args.construction == "A":
@@ -335,7 +317,7 @@ def cmd_catalog(args) -> int:
         if not args.name:
             print("catalog export needs an entry name", file=sys.stderr)
             return USAGE_FAIL
-        params = _parse_params(args.params)
+        params = parse_params(args.params)
         unused = sorted(set(params).difference(cat.get_entry(args.name).param_names()))
         if unused:
             raise AlgFileError(
@@ -391,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="base algebra file with alpha and omega")
     p.add_argument("--construction", choices=("A", "B", "C"), required=True)
     p.add_argument("--data", required=True, help="extension data file")
-    p.add_argument("--alpha-d", default="", help="value of alpha(d) for B and C")
+    p.add_argument("--alpha-d", default="0", help="value p/q of alpha(d) for B and C")
     common(p)
     p.set_defaults(fn=cmd_extend)
 

@@ -25,7 +25,6 @@ from .errors import (
     NotCosymplectic,
     NotDerivation,
     NotIst,
-    ParametricUnsupported,
     SingularPhi,
     SingularSystem,
 )
@@ -104,10 +103,13 @@ def reeb(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Vector:
     P = phi_map(L, alpha, omega)
     if sc.is_zero(volume_coeff(L, alpha, omega)):
         raise SingularPhi("alpha ^ omega^n = 0")
-    return _solve_reeb(P, alpha)
+    return solve_reeb(P, alpha)
 
 
-def _solve_reeb(P: list, alpha: OneForm) -> Vector:
+def solve_reeb(P: list, alpha: OneForm) -> Vector:
+    """The Reeb vector from the matrix P of Phi (``phi_map``): Phi(xi) =
+    alpha.  P must be invertible, i.e. the volume alpha ^ omega^n nonzero;
+    callers that validated the triple solve here without computing it again."""
     return tuple(sc.solve_linear(P, [list(alpha.coeffs)])[0])
 
 
@@ -132,7 +134,7 @@ class CosymplecticStructure:
         if not report.ok:
             raise NotCosymplectic(report)
         P = phi_map(L, alpha, omega)
-        xi = _solve_reeb(P, alpha)
+        xi = solve_reeb(P, alpha)
         return CosymplecticStructure(L, alpha, omega, xi, tuple(tuple(row) for row in P), report)
 
     @property
@@ -268,8 +270,12 @@ def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
     rows = [list(a.coeffs) for a in z1]
     if not sc.nullspace(rows):
         return False
-    for w in z2:
-        rows.extend(w.matrix())
+    for w in z2:  # the rows of w's matrix from its coefficients, as ring numerators
+        block = [[0] * dim for _ in range(dim)]
+        nums, _ = sc.common_denominator(list(w.coeffs.values()))
+        for (i, j), c in zip(w.coeffs, nums):
+            block[i][j], block[j][i] = c, -c
+        rows.extend(block)
     return bool(sc.nullspace(rows))
 
 

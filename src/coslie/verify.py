@@ -21,7 +21,8 @@ from .cosymplectic import (
     deriv_identity_defect,
     exists_cosymplectic,
     left_symmetry_defect,
-    reeb,
+    phi_map,
+    solve_reeb,
 )
 from .errors import InexactDivision, NotCosymplectic
 from .exterior import cocycle_spaces, d1, d2, volume_coeff
@@ -390,16 +391,10 @@ def _verify_normal_form(entry, nf, make) -> list:
         )
     )
 
-    xi = reeb(L_sym, nf.alpha, nf.omega)
-    reeb_ok = sc.vecs_equal(xi, nf.expected_reeb)
-    out.append(
-        _result(
-            name,
-            "reeb",
-            reeb_ok,
-            f"reeb = {_vec_str(xi)}",
-        )
-    )
+    if sym_ok:  # the volume is nonzero, so Phi is invertible
+        xi = solve_reeb(phi_map(L_sym, nf.alpha, nf.omega), nf.alpha)
+        reeb_ok = sc.vecs_equal(xi, nf.expected_reeb)
+        out.append(_result(name, "reeb", reeb_ok, f"reeb = {_vec_str(xi)}"))
 
     uses_lam = any("lam" in sc.scalar_variables(c) for c in nf.alpha.coeffs) or any(
         "lam" in sc.scalar_variables(c) for c in nf.omega.coeffs.values()

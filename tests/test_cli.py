@@ -422,6 +422,51 @@ def test_zero_denominator_is_a_parse_error(files, capsys, text, params, where):
     assert capsys.readouterr().err == f"parse error: {where}\n"
 
 
+EXTEND_A = ["extend", "--construction", "A", "--data", "{ext}", "{base}"]
+
+
+@pytest.mark.parametrize(
+    "argv, ext, where",
+    [
+        # a keyword line appears at most once per index set
+        (EXTEND_A, EXT_A + "theta 1 2 : 1\ntheta 1 2 : 2\n", "line 8, col 1: theta 1 2 given twice"),
+        (EXTEND_A, EXT_A + "t = 2\n", "line 7, col 1: t given twice"),
+        (EXTEND_A, EXT_A + "phi 2 : 1 3\n", "line 7, col 1: phi 2 given twice"),
+        (EXTEND_A, EXT_A + "lambda : 1 1\n", "line 7, col 1: lambda given twice"),
+        (EXTEND_A, EXT_A + "v : 1 1\n", "line 7, col 1: v given twice"),
+        (["isocheck", "{base}", "{base}", "{map}"], EXT_A, "line 5, col 1: map 1 given twice"),
+        (["validate", "{dup}"], EXT_A, "line 5, col 1: alpha given twice"),
+        # tokens before ':' where the keyword takes none
+        (EXTEND_A, EXT_A.replace("lambda : 1 3", "lambda 7 junk : 1 1"),
+         "line 4, col 1: lambda takes no indices before ':'"),
+        (EXTEND_A, EXT_A.replace("v : 1 3", "v 1 2 3 : 1 2"),
+         "line 5, col 1: v takes no indices before ':'"),
+        # command-line values are p/q, as in a param line
+        (["validate", "{p}", "--params", "p=1.5"], EXT_A, "line 0, col 0: bad rational '1.5'"),
+        (["validate", "{p}", "--params", "p=1e3"], EXT_A, "line 0, col 0: bad rational '1e3'"),
+        (["validate", "{p}", "--params", "p=1_000"], EXT_A, "line 0, col 0: bad rational '1_000'"),
+        (["extend", "--construction", "C", "--data", "{ext}", "--alpha-d", "2.5", "{base}"], EXT_C,
+         "line 0, col 0: bad rational '2.5'"),
+        (["extend", "--construction", "C", "--data", "{ext}", "--alpha-d=", "{base}"], EXT_C,
+         "line 0, col 0: bad rational ''"),
+    ],
+    ids=[
+        "theta", "t", "phi", "lambda", "v", "map", "alpha", "lambda-junk", "v-indices",
+        "params-1.5", "params-1e3", "params-1_000", "alpha-d-2.5", "alpha-d-empty",
+    ],
+)
+def test_one_grammar_for_every_file_and_value(files, capsys, argv, ext, where):
+    paths = {
+        "ext": files("data.ext", ext),
+        "base": files("base3.alg", BASE3),
+        "map": files("w.map", ISO_MAP + "map 1 : 1 1\n"),
+        "dup": files("dup.alg", BASE3 + "alpha : 1 1\n"),
+        "p": files("p.alg", P_ONLY),
+    }
+    assert main([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == f"parse error: {where}\n"
+
+
 def test_bad_user_values_are_parse_errors(files, capsys, tmp_path):
     base = files("base3.alg", BASE3)
     ext = files("ext_c.ext", EXT_C)

@@ -161,3 +161,50 @@ def test_one_module_defines_the_form_twist():
         if definitions(ast.parse(p.read_text(encoding="utf-8")), "form_twist")
     ]
     assert owners == ["exterior.py"]
+
+
+def private_names_from(tree: ast.AST, module: str) -> list:
+    """The ``_``-prefixed names that tree takes from the package module
+    ``module``: imported (``from .module import _x``, ``from
+    coslie.module import _x``) or read off the module (``module._x`` after
+    ``from . import module``, under any alias)."""
+    names, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                names += [a.name for a in node.names if a.name.startswith("_")]
+            elif node.module in (None, "coslie"):
+                aliases |= {a.asname or a.name for a in node.names if a.name == module}
+    return names + [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and node.attr.startswith("_")
+    ]
+
+
+def test_the_scan_sees_private_names_of_a_module():
+    for text in (
+        "from .algfile import _rational",
+        "from coslie.algfile import parse_algebra, _Reader as R",
+        "from . import algfile as af\naf._rational('1')",
+        "from coslie import algfile\nx = algfile._GRAMMAR",
+    ):
+        assert private_names_from(ast.parse(text), "algfile"), text
+    for text in (
+        "from .algfile import parse_params, parse_rational",
+        "from .verify import _vec_str",
+        "from . import algfile\nalgfile.parse_algebra(t)",
+        "from . import verify\nverify._vec_str(v)",
+    ):
+        assert not private_names_from(ast.parse(text), "algfile"), text
+
+
+def test_cli_reads_files_and_values_through_the_public_parsers():
+    """The grammar of files and of command-line values (``--params``,
+    ``--alpha-d``) is ``algfile``'s; ``cli`` calls its public parsers and
+    takes none of its private helpers."""
+    [path] = [p for p in SOURCES if p.name == "cli.py"]
+    assert private_names_from(ast.parse(path.read_text(encoding="utf-8")), "algfile") == []
