@@ -3,7 +3,9 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from coslie import scalars as sc
 from coslie.algfile import format_algebra, parse_algebra
 from coslie.catalog import (
     export_entry,
@@ -240,3 +242,44 @@ def test_verify_makes_each_triple_once(monkeypatch):
     assert len(made) == len(set(made)) == 37
     verify.verify_all()
     assert made[37:] == made[:37]
+
+
+def seed_in_span(rows: list, vectors) -> bool:
+    """The span test of the catalog verifier before it compared ranks: the
+    rows are reduced to echelon rows once, and v lies in their span iff
+    nothing is left after v[p] times the echelon row of each pivot column
+    p is taken off."""
+    echelon, pivots = sc.rref(rows)
+    for v in vectors:
+        for row, p in zip(echelon, pivots):
+            if v[p]:
+                v = sc.vec_sub(v, sc.vec_scale(v[p], row))
+        if not sc.vec_is_zero(v):
+            return False
+    return True
+
+
+small = st.integers(-3, 3).map(F)
+
+
+@given(st.data())
+def test_span_test_agrees_with_the_echelon_loop(data):
+    # rows are combinations of fewer generators, so they are linearly
+    # dependent; the vectors mix members of their span and arbitrary ones
+    from coslie.verify import _in_span
+
+    width = data.draw(st.integers(2, 5))
+    vector = st.lists(small, min_size=width, max_size=width).map(tuple)
+    gens = data.draw(st.lists(vector, min_size=1, max_size=width - 1))
+
+    def combination(coeffs):
+        out = sc.zero_vec(width)
+        for c, g in zip(coeffs, gens):
+            out = sc.vec_add(out, sc.vec_scale(c, g))
+        return out
+
+    member = st.lists(small, min_size=len(gens), max_size=len(gens)).map(combination)
+    rows = data.draw(st.lists(member, min_size=len(gens) + 1, max_size=len(gens) + 3))
+    assert sc.rank(rows) < len(rows)
+    vectors = data.draw(st.lists(vector | member, min_size=1, max_size=3))
+    assert _in_span(rows, vectors) == seed_in_span(rows, vectors)

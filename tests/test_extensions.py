@@ -358,3 +358,109 @@ def test_each_construction_validates_the_base_once(monkeypatch):
     dims.clear()
     construct_C(GBAR, ABAR, OBAR, phi_mat(0, 1, 1, 1), (F(0), F(0), F(1)))
     assert sorted(dims) == [3, 5]
+
+
+# ---------------------------------------------------------------------------
+# exact failure lists
+
+G34 = LieAlgebra.from_table(3, {(1, 3): {1: 1}, (2, 3): {2: -1}})  # cosymplectic with ABAR, OBAR
+P = sc.Poly.var("p")
+
+
+def data(phi=None, lam=None, v=None, t=0, theta=None) -> ExtensionData:
+    return ExtensionData(
+        phi or LinearMap.zero(3),
+        lam or OneForm.zero(3),
+        v or sc.zero_vec(3),
+        t,
+        theta or TwoForm.zero(3),
+    )
+
+
+def failures_of(construct, *args, **kwargs) -> list:
+    with pytest.raises(ConditionsFail) as exc:
+        construct(*args, **kwargs)
+    return exc.value.failures
+
+
+def test_prop_conditions_lists_the_pairs_of_condition_2():
+    E = data(t=1, theta=TwoForm.from_dict(3, {(1, 3): 1}), lam=OneForm.dual(3, 1))
+    assert prop_conditions(GBAR, E) == [
+        "t theta - theta_phi != d(lambda) at (e1, e2)",
+        "t theta - theta_phi != d(lambda) at (e1, e3)",
+    ]
+    e12 = TwoForm.from_dict(3, {(1, 2): 1})
+    assert prop_conditions(GBAR, data(t=P, theta=e12)) == [
+        "t theta - theta_phi != d(lambda) at (e1, e2)"
+    ]
+    assert prop_conditions(GBAR, data(t=P, theta=e12, lam=OneForm(3, (-P, 0, 0)))) == []
+
+
+def test_prop_conditions_lists_the_first_witness_of_condition_3():
+    assert prop_conditions(GBAR, data(v=sc.basis_vec(3, 0))) == ["v not central against e2"]
+    E = data(v=(F(1), F(0), F(1)), theta=TwoForm.from_dict(3, {(2, 3): 1}))
+    assert prop_conditions(GBAR, E) == [
+        "partial(phi) != theta v at (e2, e3)",
+        "v not central against e2",
+        "v not in ker(theta) against e2",
+    ]
+    E = data(v=(0, 0, P), theta=TwoForm.from_dict(3, {(1, 3): 1}))
+    assert prop_conditions(GBAR, E) == [
+        "partial(phi) != theta v at (e1, e3)",
+        "v not in ker(theta) against e1",
+    ]
+
+
+def test_construct_B_lists_each_failing_condition():
+    assert failures_of(construct_B, GBAR, ABAR, OBAR, data(lam=OneForm.dual(3, 1))) == [
+        "t obar_phi - obar_phiphi != d(lambda) at (e1, e2)"
+    ]
+    assert failures_of(construct_B, G34, ABAR, OBAR, data(lam=OneForm(3, (1, 1, 1)))) == [
+        "t obar_phi - obar_phiphi != d(lambda) at (e1, e3)",
+        "t obar_phi - obar_phiphi != d(lambda) at (e2, e3)",
+    ]
+    E = data(LinearMap.identity(3), OneForm(3, (1, 1, 1)), (1, 0, 0), 0, OBAR)
+    assert failures_of(construct_B, G34, OneForm.dual(3, 1), OBAR, E) == [
+        "v must be zero for this construction",
+        "theta must equal obar_phi",
+        "phi is not a derivation of the base",
+        "abar o phi != 0",
+        "t obar_phi - obar_phiphi != d(lambda) at (e1, e2)",
+        "t obar_phi - obar_phiphi != d(lambda) at (e1, e3)",
+        "t obar_phi - obar_phiphi != d(lambda) at (e2, e3)",
+        "base triple is not cosymplectic",
+    ]
+
+
+def test_construct_C_lists_each_failing_condition():
+    zero = sc.zero_vec(3)
+    e1_to_e3 = LinearMap(3, 3, ((0, 0, 0), (0, 0, 0), (1, 0, 0)))
+    assert failures_of(construct_C, GBAR, ABAR, OBAR, e1_to_e3, zero) == [
+        "phi is not a derivation of the base",
+        "abar(phi([e1, e2])) != 0",
+    ]
+    to_e3 = LinearMap(3, 3, ((0, 0, 0), (0, 0, 0), (1, 1, 0)))
+    assert failures_of(construct_C, G34, ABAR, OBAR, to_e3, zero) == [
+        "phi is not a derivation of the base",
+        "abar(phi([e1, e3])) != 0",
+        "abar(phi([e2, e3])) != 0",
+    ]
+    assert failures_of(construct_C, GBAR, ABAR, OBAR, LinearMap.zero(3), sc.basis_vec(3, 0)) == [
+        "v is not central in the base",
+        "v is not in ker(obar)",
+    ]
+    e13 = TwoForm.from_dict(3, {(1, 3): 1})
+    assert failures_of(construct_C, GBAR, ABAR, e13, LinearMap.zero(3), (0, 0, 1)) == [
+        "v is not in ker(obar)",
+        "base triple is not cosymplectic",
+    ]
+    assert failures_of(
+        construct_C, GBAR, OneForm.dual(3, 1), OBAR, LinearMap.identity(3), (1, 1, 1)
+    ) == [
+        "obar_phi != 0",
+        "phi is not a derivation of the base",
+        "abar(phi([e1, e2])) != 0",
+        "v is not central in the base",
+        "v is not in ker(obar)",
+        "base triple is not cosymplectic",
+    ]

@@ -101,10 +101,11 @@ def test_the_scan_sees_every_scalar_type_test():
 def test_cosymplectic_keeps_one_path_for_every_scalar_type():
     """Product tables, their identities and the existence decision use ring
     operations only, and so do the Lie and form layers under them (brackets,
-    Jacobi, derivations, differentials, twists); which scalar type stands
-    behind a value is the business of ``scalars``, so ``cosymplectic``,
-    ``lie_core`` and ``exterior`` never test for one."""
-    layers = ("cosymplectic.py", "lie_core.py", "exterior.py")
+    Jacobi, derivations, differentials, twists) and the double extensions
+    built on them; which scalar type stands behind a value is the business
+    of ``scalars``, so ``cosymplectic``, ``lie_core``, ``exterior`` and
+    ``extensions`` never test for one."""
+    layers = ("cosymplectic.py", "lie_core.py", "exterior.py", "extensions.py")
     paths = [p for p in SOURCES if p.name in layers]
     assert sorted(p.name for p in paths) == sorted(layers)
     for path in paths:
