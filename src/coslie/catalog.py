@@ -41,6 +41,14 @@ P = sc.Poly.var
 F = Fraction
 
 
+def symbols(values) -> list:
+    """The sorted names of the symbols in values (scalars or ints)."""
+    names = set()
+    for c in values:
+        names |= sc.scalar_variables(sc.as_scalar(c))
+    return sorted(names)
+
+
 def _alpha(dim, comps):
     return OneForm.from_dict(dim, comps)
 
@@ -96,17 +104,12 @@ class CatalogEntry:
     def param_names(self) -> list:
         if self.kind == "heisenberg":
             return ["n"]
-        names = set()
-        for comps in self.brackets.values():
-            for c in comps.values():
-                names |= sc.scalar_variables(sc.as_scalar(c))
+        values = [c for comps in self.brackets.values() for c in comps.values()]
         if self.alpha is not None:
-            for c in self.alpha.coeffs:
-                names |= sc.scalar_variables(c)
+            values += self.alpha.coeffs
         if self.omega is not None:
-            for c in self.omega.coeffs.values():
-                names |= sc.scalar_variables(c)
-        return sorted(names)
+            values += self.omega.coeffs.values()
+        return symbols(values)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1141,7 @@ def _registry() -> tuple:
         for alias in entry.aliases:
             reg[alias] = entry
         for nf in entry.normal_forms:
+            nf_values = [*nf.alpha.coeffs, *nf.omega.coeffs.values()]
             child = CatalogEntry(
                 name=f"{entry.name}-{nf.label}",
                 aliases=tuple(f"{a}-{nf.label}" for a in entry.aliases),
@@ -1148,7 +1152,7 @@ def _registry() -> tuple:
                 omega=nf.omega,
                 nondeg=_normal_nondeg(entry, nf),
                 constraints=nf.param_range,
-                sample={"lam": F(1)} if _uses_lam(nf) else {},
+                sample={"lam": F(1)} if "lam" in symbols(nf_values) else {},
                 notes=f"normal form of {entry.name}",
             )
             reg[child.name] = child
@@ -1156,15 +1160,6 @@ def _registry() -> tuple:
             for a in child.aliases:
                 reg[a] = child
     return reg, [e.name for e in dim3] + children + [e.name for e in rest]
-
-
-def _uses_lam(nf: NormalForm) -> bool:
-    names = set()
-    for c in nf.alpha.coeffs:
-        names |= sc.scalar_variables(c)
-    for c in nf.omega.coeffs.values():
-        names |= sc.scalar_variables(c)
-    return "lam" in names
 
 
 def _normal_nondeg(entry: CatalogEntry, nf: NormalForm):

@@ -31,13 +31,13 @@ from .cosymplectic import (
 from .errors import AlgFileError, ConditionsFail, CoslieError, MissingParam, NotCosymplectic
 from .extensions import construct_A, construct_B, construct_C
 from .lie_core import check_isomorphism
-from .verify import _vec_str, verify_all
+from .verify import verify_all
 
 PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
 
 
 def _form_str(alpha) -> str:
-    return "none" if alpha is None else _vec_str(alpha.coeffs, "e^")
+    return "none" if alpha is None else sc.vec_str(alpha.coeffs, "e^")
 
 
 def _omega_str(omega) -> str:
@@ -54,7 +54,7 @@ def _omega_str(omega) -> str:
 def _brackets_str(L) -> list:
     out = []
     for (i, j) in sorted(L.brackets):
-        out.append(f"[e{i + 1},e{j + 1}] = {_vec_str(L.brackets[(i, j)])}")
+        out.append(f"[e{i + 1},e{j + 1}] = {sc.vec_str(L.brackets[(i, j)])}")
     return out
 
 
@@ -119,10 +119,10 @@ class Report:
                 print(line)
 
 
-def _require_forms(alpha, omega, need_alpha=True, need_omega=True):
-    if need_alpha and alpha is None:
+def _require_forms(alpha, omega):
+    if alpha is None:
         raise AlgFileError("file has no alpha line", 0, 0)
-    if need_omega and omega is None:
+    if omega is None:
         raise AlgFileError("file has no omega lines", 0, 0)
 
 
@@ -160,8 +160,8 @@ def cmd_validate(args) -> int:
     r.say(f"cosymplectic: {'YES' if rep.ok else 'NO'}")
     if rep.ok and not L.is_parametric() and not alpha.is_parametric() and not omega.is_parametric():
         xi = solve_reeb(phi_map(L, alpha, omega), alpha)
-        r.result["reeb"] = _vec_str(xi)
-        r.say(f"reeb: {_vec_str(xi)}")
+        r.result["reeb"] = sc.vec_str(xi)
+        r.say(f"reeb: {sc.vec_str(xi)}")
     r.emit(args.json)
     return PASS if rep.ok else MATH_FAIL
 
@@ -171,8 +171,8 @@ def cmd_reeb(args) -> int:
     S = _load_structure(args, r)
     if S is None:
         return MATH_FAIL
-    r.result["reeb"] = _vec_str(S.reeb)
-    r.say(f"reeb: {_vec_str(S.reeb)}")
+    r.result["reeb"] = sc.vec_str(S.reeb)
+    r.say(f"reeb: {sc.vec_str(S.reeb)}")
     r.emit(args.json)
     return PASS
 
@@ -187,7 +187,7 @@ def cmd_lsa(args) -> int:
     r.check("left_symmetric", defect["pass"])
     r.check("commutator", not defect["commutator"])
     entries = [
-        {"i": i, "j": j, "value": _vec_str(v)} for i, j, v in table.nonzero_entries()
+        {"i": i, "j": j, "value": sc.vec_str(v)} for i, j, v in table.nonzero_entries()
     ]
     r.result["products"] = entries
     for item in entries:
@@ -277,13 +277,13 @@ def cmd_extend(args) -> int:
     r.result["brackets"] = _brackets_str(S.algebra)
     r.result["alpha"] = _form_str(S.alpha)
     r.result["omega"] = _omega_str(S.omega)
-    r.result["reeb"] = _vec_str(S.reeb)
+    r.result["reeb"] = sc.vec_str(S.reeb)
     r.say(f"dim {S.dim} cosymplectic extension:")
     for line in _brackets_str(S.algebra):
         r.say("  " + line)
     r.say(f"alpha = {_form_str(S.alpha)}")
     r.say(f"omega = {_omega_str(S.omega)}")
-    r.say(f"reeb: {_vec_str(S.reeb)}")
+    r.say(f"reeb: {sc.vec_str(S.reeb)}")
     r.emit(args.json)
     return PASS
 

@@ -13,6 +13,7 @@ verifies: d sits at index n, e at index n+1 (0-based).  The bracket is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from . import scalars as sc
@@ -23,10 +24,11 @@ from .cosymplectic import (
     to_symplectic,
 )
 from .errors import ConditionsFail, DimensionMismatch, NotCosymplectic
-from .exterior import OneForm, TwoForm, form_twist
+from .exterior import OneForm, TwoForm, d1, form_twist
 from .lie_core import (
     LieAlgebra,
     LinearMap,
+    ad,
     bracket,
     check_jacobi,
     is_derivation,
@@ -66,6 +68,25 @@ class ExtensionData:
         )
 
 
+def _d_lambda_failures(Gbar: LieAlgebra, E: ExtensionData, theta: TwoForm, lhs: str) -> list:
+    """The failure "{lhs} != d(lambda)" at each pair where t theta - theta_phi
+    differs from d(lambda), for the t, phi and lambda of E."""
+    twist, dlam = form_twist(theta, E.phi), d1(Gbar, E.lam)
+    return [
+        f"{lhs} != d(lambda) at (e{i + 1}, e{j + 1})"
+        for i, j in combinations(range(Gbar.dim), 2)
+        if not sc.scalars_equal(
+            E.t * theta.value_basis(i, j) - twist.value_basis(i, j), dlam.value_basis(i, j)
+        )
+    ]
+
+
+def _noncentral(Gbar: LieAlgebra, v: Vector) -> list:
+    """The 1-based j with [v, e_j] != 0."""
+    ad_v = ad(Gbar, v)
+    return [j + 1 for j in range(Gbar.dim) if not sc.vec_is_zero(ad_v.column(j))]
+
+
 def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     """Failures of the three double-extension compatibility conditions.
 
@@ -74,28 +95,19 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     3. v central and in ker(theta)
     Works symbolically; an empty list means the assembled bracket is Lie.
     """
-    n = Gbar.dim
     failures = []
     dphi = partial_phi(Gbar, E.phi)
     for (i, j), val in dphi.items():
         want = sc.vec_scale(E.theta.value_basis(i, j), E.v)
         if not sc.vecs_equal(val, want):
             failures.append(f"partial(phi) != theta v at (e{i + 1}, e{j + 1})")
-    twist = form_twist(E.theta, E.phi)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = E.t * E.theta.value_basis(i, j) - twist.value_basis(i, j)
-            rhs = -E.lam.apply(Gbar.bracket_basis(i, j))
-            if not sc.scalars_equal(lhs, rhs):
-                failures.append(f"t theta - theta_phi != d(lambda) at (e{i + 1}, e{j + 1})")
-    for j in range(n):
-        if not sc.vec_is_zero(bracket(Gbar, E.v, sc.basis_vec(n, j))):
-            failures.append(f"v not central against e{j + 1}")
-            break
-    for j in range(n):
-        if not sc.is_zero(E.theta.value(E.v, sc.basis_vec(n, j))):
-            failures.append(f"v not in ker(theta) against e{j + 1}")
-            break
+    failures += _d_lambda_failures(Gbar, E, E.theta, "t theta - theta_phi")
+    noncentral = _noncentral(Gbar, E.v)
+    if noncentral:
+        failures.append(f"v not central against e{noncentral[0]}")
+    outside = [j + 1 for j, c in enumerate(E.theta.contract(E.v).coeffs) if not sc.is_zero(c)]
+    if outside:
+        failures.append(f"v not in ker(theta) against e{outside[0]}")
     return failures
 
 
@@ -233,20 +245,37 @@ class ConstructionResult:
         return self.structure.algebra
 
 
-def _extend_form_with_e_star(abar: OneForm, obar: TwoForm, n: int) -> TwoForm:
-    """obar + abar ^ e^* on the (n+2)-dimensional extension basis."""
-    coeffs = dict(obar.coeffs)
-    for i in range(n):
-        c = abar.coeffs[i]
-        if not sc.is_zero(c):
-            coeffs[(i, n + 1)] = c
-    return TwoForm(n + 2, coeffs)
+def _construct(
+    Gbar: LieAlgebra, E: ExtensionData, alpha: OneForm, omega: TwoForm, reeb: Vector, moved: str
+) -> ConstructionResult:
+    """The double extension of Gbar by E with the structure (alpha, omega),
+    whose Reeb vector must be reeb (AssertionError moved otherwise)."""
+    S = CosymplecticStructure.make(double_extend(Gbar, E), alpha, omega)
+    if not sc.vecs_equal(S.reeb, reeb):
+        raise AssertionError(moved)
+    return ConstructionResult(S, Gbar.dim)
 
 
-def _d_wedge_e_star(obar: TwoForm, n: int) -> TwoForm:
-    coeffs = dict(obar.coeffs)
-    coeffs[(n, n + 1)] = sc.ONE
-    return TwoForm(n + 2, coeffs)
+def _construct_on_base_reeb(
+    Gbar: LieAlgebra, abar: OneForm, obar: TwoForm, fields: tuple, failures: list, alpha_de: tuple
+) -> ConstructionResult:
+    """The end of constructions B and C: the failures, with the base's
+    own, raised, or else the extension by ``ExtensionData(*fields)``
+    (built only once the conditions hold) carrying (obar + d^* ^ e^*, abar
+    extended by (alpha(d), alpha(e)) = alpha_de), whose Reeb vector stays
+    the one of the base."""
+    try:
+        S_base = CosymplecticStructure.make(Gbar, abar, obar)
+    except NotCosymplectic:
+        failures.append("base triple is not cosymplectic")
+    if failures:
+        raise ConditionsFail(failures)
+    n = Gbar.dim
+    alpha = OneForm(n + 2, tuple(abar.coeffs) + alpha_de)
+    omega = TwoForm(n + 2, {**obar.coeffs, (n, n + 1): sc.ONE})
+    reeb = tuple(S_base.reeb) + (sc.ZERO, sc.ZERO)
+    E = ExtensionData(*fields)
+    return _construct(Gbar, E, alpha, omega, reeb, "Reeb vector of the extension moved")
 
 
 def construct_A(
@@ -269,9 +298,7 @@ def construct_A(
         failures.append(f"extension data is not an i.s.t.: components {ist_rep.failed()}")
     if is_derivation(Gbar, E.phi):
         failures.append("phi is not a derivation of the base")
-    if any(
-        not sc.vec_is_zero(bracket(Gbar, E.v, sc.basis_vec(n, j))) for j in range(n)
-    ):
+    if _noncentral(Gbar, E.v):
         failures.append("v is not central in the base")
     red = S.reduction
     m = red.pair.algebra.dim
@@ -289,14 +316,11 @@ def construct_A(
             break
     if failures:
         raise ConditionsFail(failures)
-    L = double_extend(Gbar, E)
     alpha = OneForm.dual(n + 2, n + 1)  # d^*
-    omega = _extend_form_with_e_star(abar, obar, n)
-    S_out = CosymplecticStructure.make(L, alpha, omega)
-    want = sc.basis_vec(n + 2, n)
-    if not sc.vecs_equal(S_out.reeb, want):
-        raise AssertionError("Reeb vector of the extension is not d")
-    return ConstructionResult(S_out, n)
+    e_star = {(i, n + 1): c for i, c in enumerate(abar.coeffs)}
+    omega = TwoForm(n + 2, {**obar.coeffs, **e_star})  # obar + abar ^ e^*
+    d = sc.basis_vec(n + 2, n)
+    return _construct(Gbar, E, alpha, omega, d, "Reeb vector of the extension is not d")
 
 
 def construct_B(
@@ -325,31 +349,9 @@ def construct_B(
     comp = [abar.apply(E.phi.column(i)) for i in range(n)]
     if any(not sc.is_zero(c) for c in comp):
         failures.append("abar o phi != 0")
-    twist2 = form_twist(obar_phi, E.phi)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = E.t * obar_phi.value_basis(i, j) - twist2.value_basis(i, j)
-            rhs = -E.lam.apply(Gbar.bracket_basis(i, j))
-            if not sc.scalars_equal(lhs, rhs):
-                failures.append(
-                    f"t obar_phi - obar_phiphi != d(lambda) at (e{i + 1}, e{j + 1})"
-                )
-    try:
-        S_base = CosymplecticStructure.make(Gbar, abar, obar)
-    except NotCosymplectic:
-        failures.append("base triple is not cosymplectic")
-    if failures:
-        raise ConditionsFail(failures)
-    L = double_extend(Gbar, ExtensionData(E.phi, E.lam, E.v, E.t, obar_phi))
-    alpha = OneForm(
-        n + 2, tuple(abar.coeffs) + (sc.as_scalar(alpha_d), sc.ZERO)
-    )
-    omega = _d_wedge_e_star(obar, n)
-    S_out = CosymplecticStructure.make(L, alpha, omega)
-    want = tuple(S_base.reeb) + (sc.ZERO, sc.ZERO)
-    if not sc.vecs_equal(S_out.reeb, want):
-        raise AssertionError("Reeb vector of the extension moved")
-    return ConstructionResult(S_out, n)
+    failures += _d_lambda_failures(Gbar, E, obar_phi, "t obar_phi - obar_phiphi")
+    fields = (E.phi, E.lam, E.v, E.t, obar_phi)
+    return _construct_on_base_reeb(Gbar, abar, obar, fields, failures, (alpha_d, 0))
 
 
 def construct_C(
@@ -377,32 +379,12 @@ def construct_C(
         failures.append("obar_phi != 0")
     if is_derivation(Gbar, phi):
         failures.append("phi is not a derivation of the base")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not sc.is_zero(abar.apply(phi.apply(Gbar.bracket_basis(i, j)))):
-                failures.append(f"abar(phi([e{i + 1}, e{j + 1}])) != 0")
-    if any(
-        not sc.vec_is_zero(bracket(Gbar, sc.vec(v), sc.basis_vec(n, j))) for j in range(n)
-    ):
+    # abar(phi([x, y])) = lambda([x, y]) = -d(lambda)(x, y)
+    for i, j in d1(Gbar, lam).coeffs:
+        failures.append(f"abar(phi([e{i + 1}, e{j + 1}])) != 0")
+    if _noncentral(Gbar, v):
         failures.append("v is not central in the base")
-    if any(
-        not sc.is_zero(obar.value(sc.vec(v), sc.basis_vec(n, j))) for j in range(n)
-    ):
+    if not obar.contract(v).is_zero():
         failures.append("v is not in ker(obar)")
-    try:
-        S_base = CosymplecticStructure.make(Gbar, abar, obar)
-    except NotCosymplectic:
-        failures.append("base triple is not cosymplectic")
-    if failures:
-        raise ConditionsFail(failures)
-    E = ExtensionData(phi, lam, sc.vec(v), t, TwoForm.zero(n))
-    L = double_extend(Gbar, E)
-    alpha = OneForm(
-        n + 2, tuple(abar.coeffs) + (sc.as_scalar(alpha_d), sc.as_scalar(-1))
-    )
-    omega = _d_wedge_e_star(obar, n)
-    S_out = CosymplecticStructure.make(L, alpha, omega)
-    want = tuple(S_base.reeb) + (sc.ZERO, sc.ZERO)
-    if not sc.vecs_equal(S_out.reeb, want):
-        raise AssertionError("Reeb vector of the extension moved")
-    return ConstructionResult(S_out, n)
+    fields = (phi, lam, v, t, TwoForm.zero(n))
+    return _construct_on_base_reeb(Gbar, abar, obar, fields, failures, (alpha_d, -1))

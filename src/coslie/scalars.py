@@ -527,6 +527,18 @@ def vecs_equal(x: Vector, y: Vector) -> bool:
     return len(x) == len(y) and all(scalars_equal(a, b) for a, b in zip(x, y))
 
 
+def vec_str(v, prefix: str = "e") -> str:
+    """Nonzero components as ``c e1 + e2 + ...``; ``prefix`` names the
+    basis (``e^`` for a one-form)."""
+    parts = []
+    for i, c in enumerate(v):
+        if is_zero(c):
+            continue
+        cs = str(c)
+        parts.append(f"{prefix}{i + 1}" if cs == "1" else f"{cs} {prefix}{i + 1}")
+    return " + ".join(parts) if parts else "0"
+
+
 # ---------------------------------------------------------------------------
 # Rational linear algebra (rref through the fraction-free elimination below)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import catalog as cat
 from . import scalars as sc
@@ -25,7 +26,7 @@ from .cosymplectic import (
     solve_reeb,
 )
 from .errors import InexactDivision, NotCosymplectic
-from .exterior import cocycle_spaces, d1, d2, volume_coeff
+from .exterior import TwoForm, cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
 
 F = Fraction
@@ -105,10 +106,6 @@ def _known(entry, check) -> bool:
 # Building blocks
 
 
-def _struct_sample(entry) -> dict:
-    return dict(entry.struct_params)
-
-
 def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
     """(status, detail); status in exact_multiple / vanishing_equivalent /
     deviates."""
@@ -143,46 +140,32 @@ def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
 
 
 def _in_span(rows: list, vectors) -> bool:
-    """True if every vector lies in the span of rows.  The space is reduced
-    to echelon rows once; v lies in it iff nothing is left after v[p] times
-    the echelon row of each pivot column p is taken off."""
-    echelon, pivots = sc.rref(rows)
-    for v in vectors:
-        for row, p in zip(echelon, pivots):
-            if v[p]:
-                v = sc.vec_sub(v, sc.vec_scale(v[p], row))
-        if not sc.vec_is_zero(v):
-            return False
-    return True
+    """True if every vector lies in the span of rows: adding them leaves
+    the rank unchanged."""
+    return sc.rank(rows + list(vectors)) == sc.rank(rows)
 
 
-def _family_vectors(form, params: list, is_two: bool, dim: int) -> list:
-    """Per-parameter coefficient vectors of a (linear, homogeneous) family."""
-    vectors = []
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    for p in params:
-        inst = form.subs({q: F(1) if q == p else F(0) for q in params})
-        if is_two:
-            vectors.append(tuple(inst.value_basis(i, j) for (i, j) in pairs))
-        else:
-            vectors.append(tuple(inst.coeffs))
-    return vectors
+def _vector(form) -> tuple:
+    """The coefficients of a one-form by basis index, or of a two-form over
+    the pairs i < j in lexicographic order, the columns of
+    ``cocycle_spaces``."""
+    if isinstance(form, TwoForm):
+        return tuple(form.value_basis(i, j) for i, j in combinations(range(form.dim), 2))
+    return form.coeffs
 
 
-def _form_params(form, is_two: bool) -> list:
-    names = set()
-    if is_two:
-        for c in form.coeffs.values():
-            names |= sc.scalar_variables(c)
-    else:
-        for c in form.coeffs:
-            names |= sc.scalar_variables(c)
-    return sorted(names)
+def _family_vectors(form, struct: dict) -> list:
+    """Per-parameter coefficient vectors of a (linear, homogeneous) family,
+    with the structure parameters set to struct."""
+    params = cat.symbols(_vector(form))
+    form = form.subs(struct)
+    return [_vector(form.subs({q: F(1) if q == p else F(0) for q in params})) for p in params]
 
 
-def _span_result(entry, check, family_vectors, space_rows, space_dim):
-    member = _in_span(space_rows, family_vectors)
+def _span_result(entry, check, family_vectors, space):
+    member = _in_span([_vector(f) for f in space], family_vectors)
     fam_rank = sc.rank(family_vectors)
+    space_dim = len(space)
     detail = f"family rank {fam_rank}, cocycle space dim {space_dim}"
     if not member:
         detail += "; some family member is not a cocycle"
@@ -263,28 +246,15 @@ def _verify_family(entry) -> list:
         )
     )
 
-    struct = _struct_sample(entry)
-    L = entry.algebra(struct) if struct else entry.algebra()
+    struct = entry.struct_params
+    L = entry.algebra(struct)
     z1, z2 = cocycle_spaces(L)
-    dim = entry.dim
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    family = _family_vectors(entry.alpha, struct), _family_vectors(entry.omega, struct)
+    out.append(_span_result(entry, "z1_span", family[0], z1))
+    out.append(_span_result(entry, "z2_span", family[1], z2))
 
-    a_params = _form_params(entry.alpha, False)
-    a_vectors = _family_vectors(entry.alpha.subs(struct), a_params, False, dim)
-    z1_rows = [list(f.coeffs) for f in z1]
-    out.append(_span_result(entry, "z1_span", a_vectors, z1_rows, len(z1)))
-
-    w_params = _form_params(entry.omega, True)
-    w_vectors = _family_vectors(entry.omega.subs(struct), w_params, True, dim)
-    z2_rows = [[f.value_basis(i, j) for (i, j) in pairs] for f in z2]
-    out.append(_span_result(entry, "z2_span", w_vectors, z2_rows, len(z2)))
-
-    vol = volume_coeff(
-        entry.algebra(struct) if struct else L_sym,
-        entry.alpha.subs(struct),
-        entry.omega.subs(struct),
-    )
-    printed = entry.nondeg.subs(struct) if struct else entry.nondeg
+    vol = volume_coeff(L, entry.alpha.subs(struct), entry.omega.subs(struct))
+    printed = entry.nondeg.subs(struct)
     status, detail = _nondeg_policy(printed, vol)
     out.append(
         _result(
@@ -305,7 +275,7 @@ def _verify_family(entry) -> list:
                 entry,
                 "instantiate",
                 True,
-                f"sample validates; reeb = {_vec_str(S.reeb)}",
+                f"sample validates; reeb = {sc.vec_str(S.reeb)}",
             )
         )
         _structure_checks(entry.name, S, out)
@@ -317,20 +287,8 @@ def _verify_family(entry) -> list:
     if entry.lsa is not None:
         out.extend(_verify_lsa(entry, make))
     for nf in entry.normal_forms:
-        out.extend(_verify_normal_form(entry, nf, make))
+        out.extend(_verify_normal_form(entry, nf, make, family))
     return out
-
-
-def _vec_str(v, prefix: str = "e") -> str:
-    """Nonzero components as ``c e1 + e2 + ...``; ``prefix`` names the
-    basis (``e^`` for a one-form)."""
-    parts = []
-    for i, c in enumerate(v):
-        if sc.is_zero(c):
-            continue
-        cs = str(c)
-        parts.append(f"{prefix}{i + 1}" if cs == "1" else f"{cs} {prefix}{i + 1}")
-    return " + ".join(parts) if parts else "0"
 
 
 def _verify_lsa(entry, make) -> list:
@@ -367,14 +325,16 @@ def _verify_lsa(entry, make) -> list:
                 "lsa_printed_normal_form",
                 False,
                 "printed normal form gives a different table: "
-                + str([(i, j, _vec_str(v)) for i, j, v in table_nf]),
+                + str([(i, j, sc.vec_str(v)) for i, j, v in table_nf]),
                 flagged=True,
             )
         )
     return out
 
 
-def _verify_normal_form(entry, nf, make) -> list:
+def _verify_normal_form(entry, nf, make, family: tuple) -> list:
+    """The checks of one normal form; family holds the coefficient vectors
+    of the entry's alpha and omega families."""
     out = []
     name = f"{entry.name}-{nf.label}"
     L_sym = entry.algebra()
@@ -394,11 +354,9 @@ def _verify_normal_form(entry, nf, make) -> list:
     if sym_ok:  # the volume is nonzero, so Phi is invertible
         xi = solve_reeb(phi_map(L_sym, nf.alpha, nf.omega), nf.alpha)
         reeb_ok = sc.vecs_equal(xi, nf.expected_reeb)
-        out.append(_result(name, "reeb", reeb_ok, f"reeb = {_vec_str(xi)}"))
+        out.append(_result(name, "reeb", reeb_ok, f"reeb = {sc.vec_str(xi)}"))
 
-    uses_lam = any("lam" in sc.scalar_variables(c) for c in nf.alpha.coeffs) or any(
-        "lam" in sc.scalar_variables(c) for c in nf.omega.coeffs.values()
-    )
+    uses_lam = "lam" in cat.symbols(_vector(nf.alpha) + _vector(nf.omega))
     lam_values = _LAM_SAMPLES if uses_lam else (None,)
     all_ok = True
     for lam in lam_values:
@@ -412,18 +370,10 @@ def _verify_normal_form(entry, nf, make) -> list:
     out.append(_result(name, "validate_samples", all_ok))
 
     # membership of the normal form in its family
-    struct = _struct_sample(entry)
     subs = {"lam": F(1)}
-    a_inst = nf.alpha.subs(subs)
-    w_inst = nf.omega.subs(subs)
-    a_params = _form_params(entry.alpha, False)
-    w_params = _form_params(entry.omega, True)
-    dim = entry.dim
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    a_rows = _family_vectors(entry.alpha.subs(struct), a_params, False, dim)
-    w_rows = _family_vectors(entry.omega.subs(struct), w_params, True, dim)
-    member = _in_span(a_rows, [tuple(a_inst.coeffs)]) and _in_span(
-        w_rows, [tuple(w_inst.value_basis(i, j) for (i, j) in pairs)]
+    member = all(
+        _in_span(rows, [_vector(form.subs(subs))])
+        for rows, form in zip(family, (nf.alpha, nf.omega))
     )
     out.append(_result(name, "normal_in_family", member))
 
@@ -529,7 +479,7 @@ def _verify_aff(entry) -> list:
         detail = f"corrected witness at lam={lam}: {rep}"
         if rep.ok:
             ok = ok and sc.vecs_equal(S.reeb, sc.basis_vec(7, 6))
-            detail += f"; reeb = {_vec_str(S.reeb)}"
+            detail += f"; reeb = {sc.vec_str(S.reeb)}"
             if lam == 1:
                 _structure_checks(entry.name, S, out, suffix="@corrected-lam=1")
         out.append(_result(entry, f"corrected_lam{lam}", ok, detail))

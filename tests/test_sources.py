@@ -209,3 +209,11 @@ def test_cli_reads_files_and_values_through_the_public_parsers():
     takes none of its private helpers."""
     [path] = [p for p in SOURCES if p.name == "cli.py"]
     assert private_names_from(ast.parse(path.read_text(encoding="utf-8")), "algfile") == []
+
+
+def test_cli_takes_no_private_name_from_the_package():
+    """``cli`` is a client of the package modules: what it calls, the
+    report format of vectors (``scalars.vec_str``) included, is public."""
+    [path] = [p for p in SOURCES if p.name == "cli.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [name for p in SOURCES for name in private_names_from(tree, p.stem)] == []
