@@ -87,6 +87,11 @@ def _noncentral(Gbar: LieAlgebra, v: Vector) -> list:
     return [j + 1 for j in range(Gbar.dim) if not sc.vec_is_zero(ad_v.column(j))]
 
 
+def _same_dim(Gbar: LieAlgebra, E: ExtensionData):
+    if E.dim != Gbar.dim:
+        raise DimensionMismatch(f"extension data of dim {E.dim} on a base of dim {Gbar.dim}")
+
+
 def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     """Failures of the three double-extension compatibility conditions.
 
@@ -95,6 +100,7 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     3. v central and in ker(theta)
     Works symbolically; an empty list means the assembled bracket is Lie.
     """
+    _same_dim(Gbar, E)
     failures = []
     dphi = partial_phi(Gbar, E.phi)
     for (i, j), val in dphi.items():
@@ -337,6 +343,7 @@ def construct_B(
     abar o phi = 0, and t obar_phi - obar_{phi,phi} = d(lambda).  The Reeb
     vector stays the one of the base.
     """
+    _same_dim(Gbar, E)
     n = Gbar.dim
     failures = []
     obar_phi = form_twist(obar, E.phi)

@@ -12,7 +12,7 @@ from coslie.cosymplectic import (
     to_symplectic,
     validate,
 )
-from coslie.errors import ConditionsFail
+from coslie.errors import ConditionsFail, DimensionMismatch
 from coslie.extensions import (
     ExtensionData,
     assemble_extension,
@@ -464,3 +464,16 @@ def test_construct_C_lists_each_failing_condition():
         "v is not in ker(obar)",
         "base triple is not cosymplectic",
     ]
+
+
+def test_extension_data_of_another_dimension_is_a_dimension_mismatch():
+    small = ExtensionData.zero(2)
+    for build in (
+        lambda: prop_conditions(GBAR, small),
+        lambda: double_extend(GBAR, small),
+        lambda: construct_A(GBAR, ABAR, OBAR, small),
+        lambda: construct_B(GBAR, ABAR, OBAR, small),
+        lambda: ist_component_check(GBAR, ABAR, OBAR, small),
+    ):
+        with pytest.raises(DimensionMismatch):
+            build()
