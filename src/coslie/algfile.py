@@ -20,10 +20,29 @@ lines bind them.  Each parser also takes the bindings of a command line
 twice, by a repeated ``param`` line or by a line and ``params``, is an
 error.  Every value, of a ``param`` line, ``--params`` or ``--alpha-d``,
 is a rational ``p/q`` with a nonzero denominator.  ``#`` starts a comment.
+
+A catalog file (``parse_catalog``, the package's ``catalog.alg``) is a
+sequence of entries, each an ``entry KIND NAME [ALIAS ...]`` line and an
+algebra file after it, with keywords of its own::
+
+    nondeg = a3*(a12 - a13)             # printed polynomial
+    sample = a3=1, a12=1, a13=0         # bindings, as in --params
+    deviation = nondeg z2_span          # names of known deviations
+
+and sections, each started by a header line and holding lines of its own:
+``normal LABEL`` (``alpha``/``omega``, ``reeb : 1/lam 3``, ``member = ...``
+bindings of the entry's family, witness ``map i : ...`` columns and
+``witness = p/q``, the lam of the normal side), ``lsa`` (``alpha``/``omega``,
+``product i j : 1/lam^2 3`` for e_i . e_j, ``note = text``) and
+``corrected`` (``bracket`` lines that replace or add to the entry's).  A
+``nondeg``, ``reeb`` or ``product`` value is an expression: integers and
+symbols under ``+ - * / ^`` and parentheses.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,22 +60,44 @@ _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _PRODUCT = re.compile(r"([+-]?\d+(?:/\d+)?)\*([A-Za-z_][A-Za-z0-9_]*)")
 _TOKEN = re.compile(r"\S+")
 
-# keyword: (basis indices before the separator, whether one coefficient
-# follows it rather than coefficient/index pairs, the separator); two
-# indices are a pair i < j
+# keyword: (basis indices before the separator, what follows it, the
+# separator); two indices are a pair i < j but in a product line.  What
+# follows is coefficient/index pairs ("pairs") or one coefficient ("one")
 _GRAMMAR = {
-    "bracket": (2, False, ":"),
-    "alpha": (0, False, ":"),
-    "omega": (2, True, ":"),
-    "phi": (1, False, ":"),
-    "lambda": (0, False, ":"),
-    "v": (0, False, ":"),
-    "t": (0, True, "="),
-    "theta": (2, True, ":"),
-    "map": (1, False, ":"),
+    "bracket": (2, "pairs", ":"),
+    "alpha": (0, "pairs", ":"),
+    "omega": (2, "one", ":"),
+    "phi": (1, "pairs", ":"),
+    "lambda": (0, "pairs", ":"),
+    "v": (0, "pairs", ":"),
+    "t": (0, "one", "="),
+    "theta": (2, "one", ":"),
+    "map": (1, "pairs", ":"),
 }
 _TAKES = ("no indices before '{}'", "one column index", "two indices")
 _RESERVED = {"dim", "param", *_GRAMMAR}
+# Catalog files only; these words stay free as symbols elsewhere.  What
+# follows may also be pairs with expression coefficients ("exprs"), one
+# expression ("expr"), bindings name=p/q,... ("params") or text
+_GRAMMAR |= {
+    "nondeg": (0, "expr", "="),
+    "sample": (0, "params", "="),
+    "deviation": (0, "text", "="),
+    "reeb": (0, "exprs", ":"),
+    "member": (0, "params", "="),
+    "witness": (0, "one", "="),
+    "product": (2, "exprs", ":"),
+    "note": (0, "text", "="),
+}
+# the keywords of a catalog entry's own lines, and of the sections that a
+# header line starts: (words after the header keyword, keywords)
+_ENTRY = ("bracket", "alpha", "omega", "nondeg", "sample", "deviation")
+_SECTIONS = {
+    "normal": (1, ("alpha", "omega", "reeb", "member", "map", "witness")),
+    "lsa": (0, ("alpha", "omega", "product", "note")),
+    "corrected": (0, ("bracket",)),
+}
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: sc.ratfn}
 
 
 @dataclass
@@ -82,6 +123,14 @@ class ParsedMap:
     map: LinearMap
     params: dict = field(default_factory=dict)
     symbols: frozenset = frozenset()
+
+
+@dataclass
+class ParsedEntry:
+    head: list      # the words after 'entry': kind, name, aliases
+    dim: int
+    lines: dict     # keyword -> {0-based indices: value}, as _Reader.lines
+    sections: list  # (header words, lines) of each section, in file order
 
 
 def _rational(tok: str) -> Optional[Fraction]:
@@ -125,15 +174,21 @@ class _Reader:
     ``lines[key][idx]`` is the key line with 0-based basis indices idx: a
     list of dim values (coefficient/index pairs), or one value.  Values are
     bound by ``params`` and the ``param`` lines, which may come after their
-    use; ``symbols`` are the names the coefficients use."""
+    use; ``symbols`` are the names the coefficients use.  A header line of
+    ``sections`` starts a section, which collects the lines after it in
+    lines of its own; ``self.sections`` lists (header words, lines).  The
+    text's first line is line ``first``."""
 
-    def __init__(self, text: str, params: Optional[dict], keywords: tuple):
+    def __init__(
+        self, text: str, params: Optional[dict], keywords: tuple, sections=None, first=1
+    ):
         self.dim: Optional[int] = None
         self.params: dict = dict(params or {})
         self.symbols: set = set()
-        self.lines: dict = {key: {} for key in keywords}
+        self.lines = lines = {key: {} for key in keywords}
+        self.sections: list = []
         body = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=first):
             line = raw.split("#", 1)[0]
             words = line.split()
             if not words:
@@ -150,17 +205,24 @@ class _Reader:
                     raise self.error("dim must be positive", 0)
             elif key == "param":
                 self._param(words)
-            elif key not in self.lines:
+            elif key in (sections or ()):
+                count, keys = sections[key]
+                if len(words) != count + 1:
+                    raise self.error(f"{key} takes {count} word(s)", 0)
+                if any(head == words for head, _ in self.sections):
+                    raise self.error(" ".join(words) + " given twice", 0)
+                lines = {k: {} for k in keys}
+                self.sections.append((words, lines))
+            elif key not in lines:
                 raise self.error(f"unknown keyword '{key}'", 0)
             elif self.dim is None:
                 raise self.error("dim must come first", 0)
             else:
-                body.append((self.at, words))
+                body.append((self.at, words, lines))
         if self.dim is None:
-            raise AlgFileError("missing dim line", 0, 0)
-        for at, words in body:
-            self.at = at
-            self._line(words)
+            raise AlgFileError("missing dim line", first - 1, 0)
+        for self.at, words, lines in body:
+            self._line(words, lines[words[0]])
 
     def error(self, message: str, k: Optional[int], kind=AlgFileError) -> AlgFileError:
         """kind(message) at the current line and its word k (column 0 when
@@ -179,9 +241,10 @@ class _Reader:
             raise self.error(f"parameter '{name}' bound twice", 1)
         self.params[name] = self._rational(words[3], 3)
 
-    def _line(self, words):
+    def _line(self, words, lines: dict):
+        """Read the key line words into lines, the lines of its key."""
         key = words[0]
-        count, single, sep = _GRAMMAR[key]
+        count, value, sep = _GRAMMAR[key]
         try:
             s = words.index(sep, 1)
         except ValueError:
@@ -189,15 +252,28 @@ class _Reader:
         if s != count + 1:
             raise self.error(f"{key} takes " + _TAKES[count].format(sep), 0)
         idx = tuple(self._index(words, k) for k in range(1, s))
-        if count == 2 and idx[0] >= idx[1]:
+        if count == 2 and key != "product" and idx[0] >= idx[1]:
             i, j = idx[0] + 1, idx[1] + 1
             raise self.error(f"{key} indices must satisfy i < j, got {i} {j}", 1, IndexOutOfRange)
-        lines = self.lines[key]
         if idx in lines:
             kind = DuplicateBracket if key == "bracket" else AlgFileError
             raise self.error(" ".join(words[:s]) + " given twice", 0, kind)
         n = len(words) - s - 1
-        if single:
+        if value in ("expr", "params", "text"):
+            if not n:
+                raise self.error(f"{key} needs a value", None)
+            rest = " ".join(words[s + 1:])
+            if value == "expr":
+                lines[idx] = self._expr(rest, s + 1)
+            elif value == "text":
+                lines[idx] = rest
+            else:
+                try:
+                    lines[idx] = parse_params(rest)
+                except AlgFileError as exc:
+                    raise self.error(exc.message, s + 1) from None
+            return
+        if value == "one":
             if n != 1:
                 raise self.error(f"{key} takes one coefficient", 0)
             lines[idx] = self._coeff(words, s + 1)
@@ -206,7 +282,8 @@ class _Reader:
             raise self.error(f"{key} needs coefficient/index pairs", s + 1 if n else None)
         v = [sc.ZERO] * self.dim
         for k in range(s + 1, len(words), 2):
-            c, i = self._coeff(words, k), self._index(words, k + 1)
+            c = self._expr(words[k], k) if value == "exprs" else self._coeff(words, k)
+            i = self._index(words, k + 1)
             v[i] = c if v[i] is sc.ZERO else v[i] + c  # a slot's first value is not added to 0
         lines[idx] = v
 
@@ -245,7 +322,36 @@ class _Reader:
         self.symbols.add(name)
         if name in self.params:
             return value * self.params[name]
-        return value * sc.Poly.var(name) if value else value
+        return sc.Poly((name,), {(1,): value}) if value else value
+
+    def _expr(self, text: str, k: int) -> Scalar:
+        """The value of the expression text at word k: integers and symbols
+        under + - * / ^ and parentheses, as ``a23*(a4*a15 + a5*a23)`` or
+        ``1/lam^2``."""
+
+        def value(node):
+            if isinstance(node, ast.BinOp) and type(node.op) in _ARITH:
+                return _ARITH[type(node.op)](value(node.left), value(node.right))
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant)
+                and type(node.right.value) is int
+            ):
+                return value(node.left) ** node.right.value
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+                return -value(node.operand)
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                return Fraction(node.value)
+            if isinstance(node, ast.Name):
+                self.symbols.add(node.id)
+                return self.params[node.id] if node.id in self.params else sc.Poly.var(node.id)
+            raise ValueError(node)
+
+        try:
+            return value(ast.parse(text.replace("^", "**"), mode="eval").body)
+        except (SyntaxError, ValueError, TypeError, ZeroDivisionError):
+            raise self.error(f"bad expression '{text}'", k) from None
 
     def columns(self, key: str) -> list:
         """The column lines of key (``phi i``, ``map i``) as a list."""
@@ -282,6 +388,24 @@ def parse_map(text: str, params: Optional[dict] = None) -> ParsedMap:
     r = _Reader(text, params, ("map",))
     witness = LinearMap.from_columns(r.columns("map"))
     return ParsedMap(r.dim, witness, r.params, frozenset(r.symbols))
+
+
+def parse_catalog(text: str) -> list:
+    """The entries of a catalog file, each read from its ``entry`` line to
+    the next like an algebra file, with the catalog keywords and sections."""
+    rows = text.splitlines()
+    starts = [n for n, row in enumerate(rows) if row.split("#", 1)[0].split()[:1] == ["entry"]]
+    for n, row in enumerate(rows[: starts[0] if starts else None]):
+        if row.split("#", 1)[0].strip():
+            raise AlgFileError("expected an entry line", n + 1, 1)
+    entries = []
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        head = rows[a].split("#", 1)[0].split()[1:]
+        if len(head) < 2:
+            raise AlgFileError("entry takes a kind and a name", a + 1, 1)
+        r = _Reader("\n".join(rows[a + 1:b]), None, _ENTRY, _SECTIONS, first=a + 2)
+        entries.append(ParsedEntry(head, r.dim, r.lines, r.sections))
+    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ class AlgFileError(CoslieError):
     """Syntax error in an .alg style file, with location."""
 
     def __init__(self, message: str, line: int, column: int = 0):
+        self.message = message
         self.line = line
         self.column = column
         super().__init__(f"line {line}, col {column}: {message}")

@@ -6,19 +6,22 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as F
+from importlib import resources
 from pathlib import Path
+
+import pytest
 
 from coslie import catalog as cat
 from coslie import scalars as sc
-from coslie.algfile import format_algebra
+from coslie.algfile import format_algebra, parse_catalog
 from coslie.cli import main
+from coslie.errors import AlgFileError
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra, LinearMap
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "catalog.json"
 SNAPSHOT = ROOT / "perfbench" / "data" / "catalog.alg"
-AFF = "aff(2,R)⋉<e7>"
 
 
 def show(x):
@@ -153,3 +156,86 @@ def test_benchmark_snapshot_matches_the_package():
     nondeg, text = blocks["aff(2,R)-corrected"]
     assert nondeg == "-"
     assert text == format_algebra(symbolic_corrected_aff(), cat.AFF_ALPHA, cat.AFF_OMEGA)
+
+
+# ---------------------------------------------------------------------------
+# The file and its grammar
+
+
+def test_the_catalog_file_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "catalog.alg" in config["tool"]["setuptools"]["package-data"]["coslie"]
+    assert resources.files("coslie").joinpath("catalog.alg").is_file()
+
+
+CATALOG = """\
+# comments and blank lines may come before the first entry
+
+entry family g34 g_{3.4}^{-1}  # a3*a12 != 0
+dim 3
+bracket 1 3 : 1 1
+bracket 2 3 : -1 2
+alpha : a3 3
+omega 1 2 : a12
+nondeg = a3*(a12 - 2*a3^2)/2
+sample = a3=1, a12=-1/2
+deviation = nondeg z2_span
+normal normal-1
+  alpha : lam 3
+  omega 1 2 : 1
+  reeb : 1/lam 3
+  member = a3=2, a12=2
+  map 2 : 1/2 2
+  witness = -1
+lsa
+  alpha : 1 3
+  omega 1 2 : 1
+  product 3 1 : -1/lam^2 1
+  note = as   printed
+"""
+
+
+def test_parse_catalog_reads_entries_and_sections():
+    [entry] = parse_catalog(CATALOG)
+    assert entry.head == ["family", "g34", "g_{3.4}^{-1}"]
+    assert entry.dim == 3
+    a3, a12, lam = (sc.Poly.var(x) for x in ("a3", "a12", "lam"))
+    assert entry.lines["nondeg"][()] == (a3 * a12 - 2 * a3 ** 3) / 2
+    assert entry.lines["sample"][()] == {"a3": 1, "a12": F(-1, 2)}
+    assert entry.lines["deviation"][()] == "nondeg z2_span"
+    assert entry.lines["bracket"][(1, 2)] == [0, -1, 0]
+    [(head, normal), (lsa_head, lsa)] = entry.sections
+    assert head == ["normal", "normal-1"] and lsa_head == ["lsa"]
+    assert normal["reeb"][()] == [0, 0, sc.ratfn(sc.Poly.const(1), lam)]
+    assert normal["member"][()] == {"a3": 2, "a12": 2}
+    assert normal["map"] == {(1,): [0, F(1, 2), 0]}
+    assert normal["witness"][()] == -1
+    assert lsa["product"][(2, 0)] == [-sc.ratfn(sc.Poly.const(1), lam ** 2), 0, 0]
+    assert lsa["note"][()] == "as printed"
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        ("# comments", "dim 3 #", "line 1, col 1: expected an entry line"),
+        ("entry family g34 g_{3.4}^{-1}", "entry family", "line 3, col 1: entry takes a kind and a name"),
+        ("nondeg =", "reeb :", "line 9, col 1: unknown keyword 'reeb'"),
+        ("  reeb :", "  nondeg =", "line 15, col 3: unknown keyword 'nondeg'"),
+        ("a3*(a12 - 2*a3^2)/2", "a3*(a12 -", "line 9, col 10: bad expression 'a3*(a12 -'"),
+        ("a3*(a12 - 2*a3^2)/2", "2.5*a3", "line 9, col 10: bad expression '2.5*a3'"),
+        ("a3*(a12 - 2*a3^2)/2", "a3/0", "line 9, col 10: bad expression 'a3/0'"),
+        ("a3=1, a12=-1/2", "a3", "line 10, col 10: bad --params piece 'a3'"),
+        ("deviation = nondeg z2_span", "deviation =", "line 11, col 0: deviation needs a value"),
+        ("normal normal-1", "normal", "line 12, col 1: normal takes 1 word(s)"),
+        ("lsa\n", "lsa\nlsa\n", "line 20, col 1: lsa given twice"),
+        ("  product 3 1", "  bracket 3 1", "line 22, col 3: unknown keyword 'bracket'"),
+        ("bracket 2 3", "bracket 3 2", "line 6, col 9: bracket indices must satisfy i < j, got 3 2"),
+        ("  witness = -1", "  witness = -1\n  witness = 1", "line 19, col 3: witness given twice"),
+    ],
+)
+def test_parse_catalog_errors_name_their_line(old, new, where):
+    assert old in CATALOG
+    with pytest.raises(AlgFileError) as exc:
+        parse_catalog(CATALOG.replace(old, new, 1))
+    assert str(exc.value) == where

@@ -449,10 +449,17 @@ EXTEND_A = ["extend", "--construction", "A", "--data", "{ext}", "{base}"]
          "line 0, col 0: bad rational '2.5'"),
         (["extend", "--construction", "C", "--data", "{ext}", "--alpha-d=", "{base}"], EXT_C,
          "line 0, col 0: bad rational ''"),
+        # the keywords of catalog files are not keywords of algebra files
+        (["validate", "{ext}"], "entry family g\n" + BASE3, "line 1, col 1: unknown keyword 'entry'"),
+        (["validate", "{ext}"], BASE3 + "nondeg = a3\n", "line 5, col 1: unknown keyword 'nondeg'"),
+        (["validate", "{ext}"], BASE3 + "sample = a3=1\n", "line 5, col 1: unknown keyword 'sample'"),
+        (["validate", "{ext}"], BASE3 + "normal normal-1\n",
+         "line 5, col 1: unknown keyword 'normal'"),
     ],
     ids=[
         "theta", "t", "phi", "lambda", "v", "map", "alpha", "lambda-junk", "v-indices",
         "params-1.5", "params-1e3", "params-1_000", "alpha-d-2.5", "alpha-d-empty",
+        "entry", "nondeg", "sample", "normal",
     ],
 )
 def test_one_grammar_for_every_file_and_value(files, capsys, argv, ext, where):

@@ -217,3 +217,61 @@ def test_cli_takes_no_private_name_from_the_package():
     [path] = [p for p in SOURCES if p.name == "cli.py"]
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [name for p in SOURCES for name in private_names_from(tree, p.stem)] == []
+
+
+def catalog_data_built_in_python(tree: ast.AST) -> list:
+    """Line numbers where a module writes catalog data as Python: a
+    ``Poly.var`` call, ``LinearMap.from_columns`` on literal columns, or a
+    ``CatalogEntry`` call with a literal name other than the Heisenberg
+    entry's."""
+
+    def called(node, owner, attr):
+        f = node.func
+        return (
+            isinstance(f, ast.Attribute)
+            and f.attr == attr
+            and (owner is None or getattr(f.value, "attr", getattr(f.value, "id", None)) == owner)
+        )
+
+    def literal_name(node):
+        values = [k.value for k in node.keywords if k.arg == "name"] + node.args[:1]
+        return any(isinstance(v, ast.Constant) and v.value != "Heisenberg" for v in values)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            called(node, "Poly", "var")
+            or (
+                called(node, "LinearMap", "from_columns")
+                and any(isinstance(a, (ast.List, ast.Tuple)) for a in node.args)
+            )
+            or (getattr(node.func, "id", None) == "CatalogEntry" and literal_name(node))
+        )
+    ]
+
+
+def test_the_scan_sees_catalog_data_written_in_python():
+    for text in (
+        'P = sc.Poly.var\nx = sc.Poly.var("a3")',
+        "Poly.var('lam')",
+        "m = LinearMap.from_columns([(1, 0), (0, 1)])",
+        'e = CatalogEntry(name="g_{3.1}", dim=3, kind="family")',
+        'e = CatalogEntry("A_{5,1}", 5, "family")',
+    ):
+        assert catalog_data_built_in_python(ast.parse(text)), text
+    for text in (
+        'h = CatalogEntry(name="Heisenberg", dim=0, kind="heisenberg")',
+        "e = CatalogEntry(name=name, dim=n, kind=kind)",
+        "m = LinearMap.from_columns(columns)",
+        "v = OneForm.var",
+    ):
+        assert not catalog_data_built_in_python(ast.parse(text)), text
+
+
+def test_the_catalog_data_is_the_package_file_alone():
+    """The catalog's entries are ``catalog.alg``; ``catalog.py`` reads
+    them and writes none itself, but for the Heisenberg family."""
+    [path] = [p for p in SOURCES if p.name == "catalog.py"]
+    assert catalog_data_built_in_python(ast.parse(path.read_text(encoding="utf-8"))) == []
