@@ -120,13 +120,12 @@ def _forms(dim: int, lines: dict) -> tuple:
     return OneForm(dim, lines["alpha"][()]), TwoForm(dim, lines["omega"])
 
 
-def _entry(parsed) -> tuple:
-    """(the catalog entry of a parsed file entry, its corrected algebra or
-    None)."""
+def _entry(parsed) -> CatalogEntry:
+    """The catalog entry of a parsed file entry."""
     kind, name, *aliases = parsed.head
     n, lines = parsed.dim, parsed.lines
     alpha, omega = _forms(n, lines)
-    normal_forms, lsa, corrected = [], None, None
+    normal_forms, lsa = [], None
     for (key, *label), s in parsed.sections:
         if key == "normal":
             member = s["member"].get(())
@@ -145,9 +144,7 @@ def _entry(parsed) -> tuple:
                 for (i, j), v in s["product"].items()
             }
             lsa = LsaExpectation(*_forms(n, s), table, s["note"].get((), ""))
-        else:
-            corrected = LieAlgebra(n, {**lines["bracket"], **s["bracket"]})
-    entry = CatalogEntry(
+    return CatalogEntry(
         name=name,
         dim=n,
         kind=kind,
@@ -161,7 +158,6 @@ def _entry(parsed) -> tuple:
         lsa=lsa,
         aliases=tuple(aliases),
     )
-    return entry, corrected
 
 
 def _normal_nondeg(entry: CatalogEntry, nf: NormalForm):
@@ -179,14 +175,14 @@ def _registry() -> tuple:
     text = resources.files(__package__).joinpath("catalog.alg").read_text(encoding="utf-8")
     entries, corrected = [], None
     for parsed in parse_catalog(text):
-        entry, fixed = _entry(parsed)
-        entries.append(entry)
-        corrected = fixed or corrected
+        entries.append(_entry(parsed))
+        for (key, *_), s in parsed.sections:
+            if key == "corrected":
+                corrected = LieAlgebra(parsed.dim, {**parsed.lines["bracket"], **s["bracket"]})
     reg, children = {}, []
     for entry in entries + [_HEISENBERG]:
-        reg[entry.name] = entry
-        for alias in entry.aliases:
-            reg[alias] = entry
+        for name in (entry.name, *entry.aliases):
+            reg[name] = entry
         for nf in entry.normal_forms:
             nf_values = [*nf.alpha.coeffs, *nf.omega.coeffs.values()]
             child = CatalogEntry(
