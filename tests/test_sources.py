@@ -220,41 +220,43 @@ def test_cli_takes_no_private_name_from_the_package():
 
 
 def catalog_data_built_in_python(tree: ast.AST) -> list:
-    """Line numbers where a module writes catalog data as Python: a
-    ``Poly.var`` call, ``LinearMap.from_columns`` on literal columns, or a
-    ``CatalogEntry`` call with a literal name other than the Heisenberg
-    entry's."""
+    """Line numbers where a module writes catalog data as Python: any use
+    of ``Poly.var`` (called or aliased), ``LinearMap.from_columns`` on
+    literal columns, or a ``CatalogEntry`` call with a literal name other
+    than the Heisenberg entry's."""
 
-    def called(node, owner, attr):
-        f = node.func
+    def read_off(node, owner, attr):
+        """True if node is ``owner.attr``, also through a module."""
         return (
-            isinstance(f, ast.Attribute)
-            and f.attr == attr
-            and (owner is None or getattr(f.value, "attr", getattr(f.value, "id", None)) == owner)
+            isinstance(node, ast.Attribute)
+            and node.attr == attr
+            and getattr(node.value, "attr", getattr(node.value, "id", None)) == owner
         )
 
-    def literal_name(node):
-        values = [k.value for k in node.keywords if k.arg == "name"] + node.args[:1]
+    def literal_name(call):
+        values = [k.value for k in call.keywords if k.arg == "name"] + call.args[:1]
         return any(isinstance(v, ast.Constant) and v.value != "Heisenberg" for v in values)
 
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (
-            called(node, "Poly", "var")
-            or (
-                called(node, "LinearMap", "from_columns")
-                and any(isinstance(a, (ast.List, ast.Tuple)) for a in node.args)
+        if read_off(node, "Poly", "var")
+        or (
+            isinstance(node, ast.Call)
+            and (
+                (
+                    read_off(node.func, "LinearMap", "from_columns")
+                    and any(isinstance(a, (ast.List, ast.Tuple)) for a in node.args)
+                )
+                or (getattr(node.func, "id", None) == "CatalogEntry" and literal_name(node))
             )
-            or (getattr(node.func, "id", None) == "CatalogEntry" and literal_name(node))
         )
     ]
 
 
 def test_the_scan_sees_catalog_data_written_in_python():
     for text in (
-        'P = sc.Poly.var\nx = sc.Poly.var("a3")',
+        "P = sc.Poly.var",
         "Poly.var('lam')",
         "m = LinearMap.from_columns([(1, 0), (0, 1)])",
         'e = CatalogEntry(name="g_{3.1}", dim=3, kind="family")',
