@@ -169,6 +169,14 @@ def test_the_catalog_file_is_package_data():
     assert resources.files("coslie").joinpath("catalog.alg").is_file()
 
 
+def test_the_catalog_file_is_read_once():
+    for name in cat.list_entries():
+        cat.export_entry(name, {"n": 1} if name == "Heisenberg" else None)
+    assert cat.AFF_ALPHA is cat.get_entry("aff(2,R)x<e7>").alpha
+    cat.aff_corrected_algebra(F(1))
+    assert cat._registry.cache_info().misses == 1
+
+
 CATALOG = """\
 # comments and blank lines may come before the first entry
 
