@@ -372,6 +372,22 @@ def test_isocheck_command(files, capsys):
     assert "isomorphic: YES" in capsys.readouterr().out
 
 
+def test_isocheck_failure_exit_code(files, capsys):
+    one = files("g31.alg", G31_NORMAL)
+    swap = files("swap.map", "dim 3\nmap 1 : 1 2\nmap 2 : 1 1\nmap 3 : 1 3\n")
+    assert main(["isocheck", one, one, swap]) == 1
+    assert capsys.readouterr().out == (
+        "invertible: ok\nbracket_preserving: FAIL\nalpha_pullback: FAIL\n"
+        "omega_pullback: FAIL\nisomorphic: NO\n"
+    )
+    zero = files("zero.map", "dim 3\n")
+    assert main(["isocheck", one, one, zero]) == 1
+    assert capsys.readouterr().out == (
+        "invertible: FAIL\nbracket_preserving: ok\nalpha_pullback: FAIL\n"
+        "omega_pullback: FAIL\nisomorphic: NO\n"
+    )
+
+
 P_ONLY = "dim 3\nbracket 1 3 : 1 1\nbracket 2 3 : -1 2\nalpha : p 3\nomega 1 2 : 1\n"
 
 

@@ -20,6 +20,7 @@ from coslie.cosymplectic import (
     _lsa_via_phi,
     biinvariance,
     cosymplectic_lsa,
+    deriv_identity_defect,
     exists_cosymplectic,
     from_symplectic_derivation,
     kernel_symplectic,
@@ -683,6 +684,109 @@ def test_biinvariance_matches_the_triple_loops_on_random_tables(case):
     rep = biinvariance(S)
     assert rep.associative == seed_associative(table)
     assert rep.defects[1] == seed_condition1(star, red.deriv, red.pair.omega)
+
+
+def seed_deriv_identity_defect(star, D):
+    """D(e_a * e_b) - (D e_a) * e_b - e_a * (D e_b) by Scalar products."""
+    m = star.dim
+    basis = [sc.basis_vec(m, a) for a in range(m)]
+    out = []
+    for a in range(m):
+        for b in range(m):
+            d = sc.vec_sub(
+                D.apply(seed_product(star, basis[a], basis[b])),
+                sc.vec_add(
+                    seed_product(star, D.column(a), basis[b]),
+                    seed_product(star, basis[a], D.column(b)),
+                ),
+            )
+            if not sc.vec_is_zero(d):
+                out.append((a + 1, b + 1, d))
+    return out
+
+
+def seed_biinvariance_defects(star, D, w):
+    """The defects of the four bi-invariance conditions by Scalar products."""
+    m = star.dim
+    basis = [sc.basis_vec(m, a) for a in range(m)]
+    defects = {1: seed_condition1(star, D, w), 2: [], 3: [], 4: []}
+    for a in range(m):
+        d = D.apply(D.column(a))
+        if not sc.vec_is_zero(d):
+            defects[4].append((a + 1, d))
+        for b in range(m):
+            d = seed_product(star, basis[a], D.column(b))
+            if not sc.vec_is_zero(d):
+                defects[2].append((a + 1, b + 1, d))
+            d = sc.vec_sub(
+                seed_product(star, D.column(a), basis[b]),
+                seed_product(star, D.column(b), basis[a]),
+            )
+            if not sc.vec_is_zero(d):
+                defects[3].append((a + 1, b + 1, d))
+    return defects
+
+
+def with_deriv(host, D):
+    """A fresh structure of host whose cached kernel reduction carries D in
+    place of ad_xi|_h, so every check on the reduction reads that D; its
+    product table is the host's (built from D, the parts route would no
+    longer agree with the Phi route)."""
+    red = host.reduction
+    S = make(host.algebra, host.alpha, host.omega)
+    S.__dict__["reduction"] = cs.KernelReduction(red.pair, D, red.basis, red.coords)
+    S.__dict__["table"] = host.table
+    return S
+
+
+# A_{5,30}^1 has the most nonzero kernel products among the five-dimensional
+# catalog structures; a catalog D passes every derivation identity
+DERIV_HOST = dict(STRUCTURES)["A_{5,30}^1"]
+
+
+def test_deriv_identity_defect_lists_a_perturbed_derivation():
+    D = DERIV_HOST.reduction.deriv
+    assert deriv_identity_defect(DERIV_HOST) == []
+    rows = [list(row) for row in D.matrix]
+    rows[0][0] += 1
+    S = with_deriv(DERIV_HOST, LinearMap(4, 4, rows))
+    assert deriv_identity_defect(S) == [
+        (2, 3, (F(1, 2), F(0), F(0), F(0))),
+        (3, 2, (F(-1, 2), F(0), F(0), F(0))),
+    ]
+    rows[0][0] += Poly.var("p")
+    S = with_deriv(DERIV_HOST, LinearMap(4, 4, rows))
+    half_p = Poly.var("p") / 2 + F(1, 2)
+    assert deriv_identity_defect(S) == [
+        (2, 3, (half_p, F(0), F(0), F(0))),
+        (3, 2, (-half_p, F(0), F(0), F(0))),
+    ]
+
+
+deriv_entries = st.one_of(table_entries, st.just(Poly.var("p")))
+
+
+@given(
+    st.sampled_from([DERIV_HOST] + BIINV_HOSTS).flatmap(
+        lambda S: st.tuples(
+            st.just(S),
+            st.lists(
+                st.lists(deriv_entries, min_size=S.dim - 1, max_size=S.dim - 1),
+                min_size=S.dim - 1,
+                max_size=S.dim - 1,
+            ),
+        )
+    )
+)
+def test_derivation_checks_match_the_loops_on_a_perturbed_derivation(case):
+    host, rows = case
+    m = host.dim - 1
+    D = LinearMap(m, m, tuple(tuple(row) for row in rows))
+    S = with_deriv(host, D)
+    assert deriv_identity_defect(S) == seed_deriv_identity_defect(S.star, D)
+    assert biinvariance(S).defects == seed_biinvariance_defects(
+        S.star, D, S.reduction.pair.omega
+    )
 
 
 # ---------------------------------------------------------------------------

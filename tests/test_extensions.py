@@ -432,6 +432,38 @@ def test_construct_B_lists_each_failing_condition():
     ]
 
 
+def test_construct_A_lists_each_failing_condition():
+    assert failures_of(construct_A, GBAR, ABAR, OBAR, data(theta=OBAR)) == [
+        "theta must be zero for this construction"
+    ]
+    assert failures_of(construct_A, GBAR, ABAR, OBAR, data(v=sc.basis_vec(3, 0))) == [
+        "extension data is not an i.s.t.: components ['iii']",
+        "v is not central in the base",
+    ]
+    # phi(xi) = e2 and [h1, h2] = e1 on GBAR: obar(e1, e2) != 0
+    e3_to_e2 = LinearMap(3, 3, ((0, 0, 0), (0, 0, 1), (0, 0, 0)))
+    assert failures_of(
+        construct_A, GBAR, ABAR, OBAR, data(e3_to_e2, OneForm.dual(3, 1))
+    ) == [
+        "phi is not a derivation of the base",
+        "obar([h1, h2], phi(xi)) != 0",
+    ]
+    # phi(xi) = e1 + e2 on G34: [phi(xi), xi] = e1 - e2 pairs with h1 and
+    # h2, and only the first is reported
+    e3_to_e12 = LinearMap(3, 3, ((0, 0, 1), (0, 0, 1), (0, 0, 0)))
+    assert failures_of(
+        construct_A, G34, ABAR, OBAR, data(e3_to_e12, OneForm(3, (1, -1, 0)))
+    ) == ["obar([phi(xi), xi], h1) != 0"]
+    E = data(e3_to_e12, v=sc.basis_vec(3, 0), theta=OBAR)
+    assert failures_of(construct_A, GBAR, ABAR, OBAR, E) == [
+        "theta must be zero for this construction",
+        "extension data is not an i.s.t.: components ['ii', 'iii']",
+        "phi is not a derivation of the base",
+        "v is not central in the base",
+        "obar([h1, h2], phi(xi)) != 0",
+    ]
+
+
 def test_construct_C_lists_each_failing_condition():
     zero = sc.zero_vec(3)
     e1_to_e3 = LinearMap(3, 3, ((0, 0, 0), (0, 0, 0), (1, 0, 0)))

@@ -174,3 +174,25 @@ def test_isomorphism_detects_bracket_defect(g31, g21):
     rep = check_isomorphism(g31, g21, LinearMap.identity(3))
     assert not rep.ok
     assert rep.bracket_defects
+
+
+def test_a_failing_isomorphism_names_each_failure(g31, g21):
+    alpha = OneForm.dual(3, 2)
+    omega = TwoForm.from_dict(3, {(1, 3): 1})
+    rep = check_isomorphism(g31, g31, LinearMap.zero(3), alpha, alpha, omega, omega)
+    assert (rep.invertible, rep.bracket_defects, rep.ok) == (False, [], False)
+    assert rep.alpha_defect == (F(0), F(-1), F(0))
+    assert rep.omega_defects == [(1, 3, F(-1))]
+    assert str(rep) == "map not invertible; alpha pullback mismatch; omega pullback mismatch at [(1, 3)]"
+    rep = check_isomorphism(g31, g21, LinearMap.identity(3))
+    assert rep.bracket_defects == [(1, 2, (F(-1), F(0), F(0))), (2, 3, (F(1), F(0), F(0)))]
+    assert str(rep) == "bracket defects at [(1, 2), (2, 3)]"
+    swap = LinearMap.from_columns([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    rep = check_isomorphism(g31, g31, swap, alpha, alpha, omega, omega)
+    assert rep.bracket_defects == [(1, 3, (F(-1), F(0), F(0))), (2, 3, (F(0), F(1), F(0)))]
+    assert rep.alpha_defect == (F(1), F(-1), F(0))
+    assert rep.omega_defects == [(1, 3, F(-1)), (2, 3, F(1))]
+    assert str(rep) == (
+        "bracket defects at [(1, 3), (2, 3)]; alpha pullback mismatch; "
+        "omega pullback mismatch at [(1, 3), (2, 3)]"
+    )
