@@ -308,41 +308,39 @@ def cmd_isocheck(args) -> int:
     return PASS if rep.ok else MATH_FAIL
 
 
-def cmd_catalog(args) -> int:
-    if args.action == "list":
-        for name in cat.list_entries():
-            print(name)
-        return PASS
-    if args.action == "export":
-        if not args.name:
-            print("catalog export needs an entry name", file=sys.stderr)
-            return USAGE_FAIL
-        params = parse_params(args.params)
-        unused = sorted(set(params).difference(cat.get_entry(args.name).param_names()))
-        if unused:
-            raise AlgFileError(
-                f"--params binds no parameter of {args.name}: {', '.join(unused)}", 0, 0
-            )
-        try:
-            text = cat.export_entry(args.name, params)
-        except MissingParam as exc:  # a missing value is a usage error, like a bad one
-            raise AlgFileError(str(exc), 0, 0) from None
-        print(text, end="")
-        return PASS
-    if args.action == "verify-all":
-        report = verify_all()
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=False, ensure_ascii=False))
-        else:
-            for r in report.results:
-                print(r.line())
-            print(
-                f"summary: {len(report.results)} checks, "
-                f"{len(report.failures())} failures, {len(report.flagged())} flagged"
-            )
-        return PASS if report.ok() else MATH_FAIL
-    print(f"unknown catalog action '{args.action}'", file=sys.stderr)
-    return USAGE_FAIL
+def cmd_catalog_list(args) -> int:
+    for name in cat.list_entries():
+        print(name)
+    return PASS
+
+
+def cmd_catalog_export(args) -> int:
+    params = parse_params(args.params)
+    unused = sorted(set(params).difference(cat.get_entry(args.name).param_names()))
+    if unused:
+        raise AlgFileError(
+            f"--params binds no parameter of {args.name}: {', '.join(unused)}", 0, 0
+        )
+    try:
+        text = cat.export_entry(args.name, params)
+    except MissingParam as exc:  # a missing value is a usage error, like a bad one
+        raise AlgFileError(str(exc), 0, 0) from None
+    print(text, end="")
+    return PASS
+
+
+def cmd_catalog_verify_all(args) -> int:
+    report = verify_all()
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=False, ensure_ascii=False))
+    else:
+        for r in report.results:
+            print(r.line())
+        print(
+            f"summary: {len(report.results)} checks, "
+            f"{len(report.failures())} failures, {len(report.flagged())} flagged"
+        )
+    return PASS if report.ok() else MATH_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,9 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def json_flag(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
+
+    def params_flag(p):
         p.add_argument("--params", default="", help="comma-separated name=p/q bindings")
+
+    def common(p):
+        json_flag(p)
+        params_flag(p)
 
     for name, fn, help_text in (
         ("validate", cmd_validate, "check the three structure conditions"),
@@ -384,11 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_isocheck)
 
-    p = sub.add_parser("catalog", help="catalog operations")
-    p.add_argument("action", choices=("list", "export", "verify-all"))
-    p.add_argument("name", nargs="?", default="")
-    common(p)
-    p.set_defaults(fn=cmd_catalog)
+    actions = sub.add_parser("catalog", help="catalog operations").add_subparsers(
+        dest="action", required=True
+    )
+    actions.add_parser("list", help="print every entry name").set_defaults(fn=cmd_catalog_list)
+    p = actions.add_parser("export", help="print an entry as an algebra file")
+    p.add_argument("name")
+    params_flag(p)
+    p.set_defaults(fn=cmd_catalog_export)
+    p = actions.add_parser("verify-all", help="recompute and check every catalog entry")
+    json_flag(p)
+    p.set_defaults(fn=cmd_catalog_verify_all)
     return parser
 
 

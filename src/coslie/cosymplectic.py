@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
 )
 from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
-from .lie_core import LieAlgebra, LinearMap, _column, is_derivation
+from .lie_core import LieAlgebra, LinearMap, is_derivation
 from .scalars import Scalar, Vector
 
 
@@ -60,13 +60,6 @@ class ValidationReport:
     volume: Scalar
     volume_nonzero: bool
     ok: bool
-
-    def checks(self) -> list:
-        return [
-            ("cocycle1", self.cocycle1),
-            ("cocycle2", self.cocycle2),
-            ("volume", self.volume_nonzero),
-        ]
 
     def __str__(self):
         bits = [
@@ -152,13 +145,6 @@ class CosymplecticStructure:
     @cached_property
     def table(self) -> "LsaTable":
         return cosymplectic_lsa(self)
-
-    def is_parametric(self) -> bool:
-        return (
-            self.algebra.is_parametric()
-            or self.alpha.is_parametric()
-            or self.omega.is_parametric()
-        )
 
 
 @dataclass(frozen=True)
@@ -324,15 +310,11 @@ class KernelReduction:
         """(D, W, B, C, q): ad_xi|_h, omega|_h, the adapted basis matrix
         (columns h_1..h_2n, xi) and its inverse ``coords``, as matrices of
         ring numerators over one common denominator q."""
-        mats = (
-            self.deriv.matrix,
-            self.pair.omega.matrix(),
-            [list(row) for row in zip(*self.basis)],
-            self.coords,
+        m = self.pair.algebra.dim  # D and W have m rows, B and C have m + 1
+        rows, q = sc.mat_numerators(
+            [*self.deriv.matrix, *self.pair.omega.matrix(), *zip(*self.basis), *self.coords]
         )
-        nums, q = sc.common_denominator([x for M in mats for row in M for x in row])
-        it = iter(nums)
-        return tuple([[next(it) for _ in row] for row in M] for M in mats) + (q,)
+        return rows[:m], rows[m:2 * m], rows[2 * m:3 * m + 1], rows[3 * m + 1:], q
 
 
 def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
@@ -368,11 +350,9 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     W, w = sc.mat_numerators(S.omega.matrix())
     hb = {}
     for a in range(m):
-        M = sc.mat_mul(sc.mat_comb(_column(H, a), ad), H)
-        for b in range(a + 1, m):
-            v = [M[k][b] for k in kept]
-            if any(v):
-                hb[(a, b)] = sc.quotients(v, h * h * r)
+        M = sc.mat_mul(sc.mat_comb(sc.column(H, a), ad), H)
+        cols = sc.nonzero_columns([M[k] for k in kept], h * h * r, range(a + 1, m))
+        hb.update(((a, b), v) for b, v in cols)
     halg = LieAlgebra(m, hb)
     Wh = sc.mat_mul(list(zip(*H)), sc.mat_mul(W, H))
     wh = {(a, b): Wh[a][b] for a in range(m) for b in range(a + 1, m) if Wh[a][b]}
@@ -382,7 +362,7 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     pair = SymplecticPair(halg, w_h)
     if is_derivation(halg, deriv):
         raise NotDerivation("ad_xi does not restrict to a derivation of ker alpha")
-    if not ist_defects_empty(pair, deriv):
+    if not form_twist(w_h, deriv).is_zero():
         raise NotIst("ad_xi restricted to ker alpha is not an i.s.t.")
     # x = h + alpha(x) xi, and the h_k coordinate of h = x - alpha(x) xi is
     # its k-th component
@@ -391,12 +371,6 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
         for k in kept
     ) + (alpha.coeffs,)
     return KernelReduction(pair, deriv, tuple(hbasis) + (S.reeb,), coords)
-
-
-def ist_defects_empty(P: SymplecticPair, D: LinearMap) -> bool:
-    """D is an infinitesimal symplectic transformation: the twist of omega
-    by D is zero."""
-    return form_twist(P.omega, D).is_zero()
 
 
 def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticStructure:
@@ -410,7 +384,7 @@ def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticS
         raise DimensionMismatch("derivation must be an endomorphism of the pair")
     if is_derivation(P.algebra, D):
         raise NotDerivation("map is not a derivation of the symplectic algebra")
-    if not ist_defects_empty(P, D):
+    if not form_twist(P.omega, D).is_zero():
         raise NotIst("map is not an infinitesimal symplectic transformation")
     n = m + 1
     brackets = {}
@@ -528,7 +502,7 @@ class LsaTable:
         L = self.left
         return tuple(
             tuple(
-                sc.mat_comb((1, -1), (sc.mat_comb(_column(Li, j), L), sc.mat_mul(Li, Lj)))
+                sc.mat_comb((1, -1), (sc.mat_comb(sc.column(Li, j), L), sc.mat_mul(Li, Lj)))
                 for j, Lj in enumerate(L)
             )
             for Li in L
@@ -540,7 +514,7 @@ class LsaTable:
             (i + 1, j + 1, self.products[i][j])
             for i in range(n)
             for j in range(n)
-            if any(_column(self.left[i], j))
+            if any(sc.column(self.left[i], j))
         ]
 
     def __eq__(self, other):
@@ -619,14 +593,15 @@ def _lsa_via_parts(S: CosymplecticStructure) -> LsaTable:
         for a, La in enumerate(star.left)
     ]
     adapted.append([[x * q * d for x in row] + [0] for row in D] + [[0] * n])
-    left = [sc.mat_mul(sc.mat_mul(B, sc.mat_comb(_column(C, i), adapted)), C) for i in range(n)]
+    left = [sc.mat_mul(sc.mat_mul(B, sc.mat_comb(sc.column(C, i), adapted)), C) for i in range(n)]
     return LsaTable.over(n, left, d * qq * qq * q)
 
 
 def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
     """Associator-symmetry and commutator defects; pass iff both empty.  On
     T's numerators: L_{e_i e_j} - L_i L_j = L_{e_j e_i} - L_j L_i column by
-    column, and e_i e_j - e_j e_i = [e_i, e_j] cross-multiplied with the
+    column, and e_i e_j - e_j e_i = [e_i, e_j] as column j of L_i - R_i =
+    ad_i, R_i the right multiplication by e_i, cross-multiplied with the
     denominator of the structure constants."""
     if T.dim != L.dim:
         raise DimensionMismatch("table/algebra dimension mismatch")
@@ -636,19 +611,13 @@ def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
     for i in range(n):
         for j in range(i + 1, n):
             M = sc.mat_comb((1, -1), (A[i][j], A[j][i]))
-            for k in range(n):
-                v = _column(M, k)
-                if any(v):
-                    assoc.append((i + 1, j + 1, k + 1, sc.quotients(v, d * d)))
+            assoc += [(i + 1, j + 1, k + 1, v) for k, v in sc.nonzero_columns(M, d * d, range(n))]
     ad, r = L.ad_numerators
     comm = []
-    for i, j in ((i, j) for i in range(n) for j in range(i + 1, n)):
-        v = [
-            (x - y) * r - d * b
-            for x, y, b in zip(_column(T.left[i], j), _column(T.left[j], i), _column(ad[i], j))
-        ]
-        if any(v):
-            comm.append((i + 1, j + 1, sc.quotients(v, d * r)))
+    for i, Li in enumerate(T.left):
+        Ri = [[Lj[k][i] for Lj in T.left] for k in range(n)]  # column j: e_j e_i
+        M = sc.mat_comb((r, -r, -d), (Li, Ri, ad[i]))
+        comm += [(i + 1, j + 1, v) for j, v in sc.nonzero_columns(M, d * r, range(i + 1, n))]
     return {"associator": assoc, "commutator": comm, "pass": not assoc and not comm}
 
 
@@ -661,12 +630,9 @@ def deriv_identity_defect(S: CosymplecticStructure) -> list:
     out = []
     for a, La in enumerate(Ls):
         M = sc.mat_comb(
-            (1, -1, -1), (sc.mat_mul(D, La), sc.mat_mul(La, D), sc.mat_comb(_column(D, a), Ls))
+            (1, -1, -1), (sc.mat_mul(D, La), sc.mat_mul(La, D), sc.mat_comb(sc.column(D, a), Ls))
         )
-        for b in range(len(Ls)):
-            v = _column(M, b)
-            if any(v):
-                out.append((a + 1, b + 1, sc.quotients(v, q * d)))
+        out += [(a + 1, b + 1, v) for b, v in sc.nonzero_columns(M, q * d, range(len(Ls)))]
     return out
 
 
@@ -694,28 +660,21 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
     Ls, d = star.left, star.den
     A = star.associator_numerators
     m = len(Ls)
-    dd, qqq = d * d, q * q * q
-    coeff = sc.mat_mul([_column(D, b) for b in range(m)], W)  # omega(D e_b, e_a) over q^2
-    DD = sc.mat_mul(D, D)
-    LD = [sc.mat_mul(La, D) for La in Ls]
-    LDe = [sc.mat_comb(_column(D, a), Ls) for a in range(m)]
-    defects: dict = {1: [], 2: [], 3: [], 4: []}
-    for a in range(m):
-        v = _column(DD, a)
-        if any(v):
-            defects[4].append((a + 1, sc.quotients(v, q * q)))
-        for b in range(m):
-            v = _column(LD[a], b)
-            if any(v):
-                defects[2].append((a + 1, b + 1, sc.quotients(v, d * q)))
-            v = [x - y for x, y in zip(_column(LDe[a], b), _column(LDe[b], a))]
-            if any(v):
-                defects[3].append((a + 1, b + 1, sc.quotients(v, d * q)))
-            c = coeff[b][a]
-            for k in range(m):
-                v = [x * qqq - c * y * dd for x, y in zip(_column(A[a][b], k), _column(D, k))]
-                if any(v):
-                    defects[1].append((a + 1, b + 1, k + 1, sc.quotients(v, dd * qqq)))
+    dd, qqq, every = d * d, q * q * q, range(m)
+    coeff = sc.mat_mul(list(zip(*D)), W)  # omega(D e_b, e_a) over q^2
+    LDe = [sc.mat_comb(sc.column(D, a), Ls) for a in every]
+    cols = sc.nonzero_columns(sc.mat_mul(D, D), q * q, every)
+    defects: dict = {1: [], 2: [], 3: [], 4: [(a + 1, v) for a, v in cols]}
+    for a, La in enumerate(Ls):
+        cols = sc.nonzero_columns(sc.mat_mul(La, D), d * q, every)
+        defects[2] += [(a + 1, b + 1, v) for b, v in cols]
+        R = [[LDe[b][k][a] for b in every] for k in every]  # column b: L_{D e_b} e_a
+        cols = sc.nonzero_columns(sc.mat_comb((1, -1), (LDe[a], R)), d * q, every)
+        defects[3] += [(a + 1, b + 1, v) for b, v in cols]
+        for b in every:
+            M = sc.mat_comb((qqq, -coeff[b][a] * dd), (A[a][b], D))
+            cols = sc.nonzero_columns(M, dd * qqq, every)
+            defects[1] += [(a + 1, b + 1, k + 1, v) for k, v in cols]
     failed = [k for k in (1, 2, 3, 4) if defects[k]]
     assoc = S.table.associator_numerators
     associative = not any(x for row in assoc for M in row for r in M for x in r)

@@ -17,12 +17,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import scalars as sc
-from .cosymplectic import (
-    CosymplecticStructure,
-    SymplecticPair,
-    ist_defects_empty,
-    to_symplectic,
-)
+from .cosymplectic import CosymplecticStructure, SymplecticPair, to_symplectic
 from .errors import ConditionsFail, DimensionMismatch, NotCosymplectic
 from .exterior import OneForm, TwoForm, d1, form_twist
 from .lie_core import (
@@ -161,7 +156,7 @@ def ist_check(P: SymplecticPair, D: LinearMap) -> bool:
     """omega(Dx, y) = -omega(x, Dy) on all basis pairs."""
     if D.source_dim != P.algebra.dim:
         raise DimensionMismatch("map/pair dimension mismatch")
-    return ist_defects_empty(P, D)
+    return form_twist(P.omega, D).is_zero()
 
 
 @dataclass
@@ -244,7 +239,6 @@ def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentR
 @dataclass
 class ConstructionResult:
     structure: CosymplecticStructure
-    base_dim: int
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -259,7 +253,7 @@ def _construct(
     S = CosymplecticStructure.make(double_extend(Gbar, E), alpha, omega)
     if not sc.vecs_equal(S.reeb, reeb):
         raise AssertionError(moved)
-    return ConstructionResult(S, Gbar.dim)
+    return ConstructionResult(S)
 
 
 def _construct_on_base_reeb(

@@ -69,14 +69,16 @@ class OneForm:
         return self.dim == other.dim and sc.vecs_equal(self.coeffs, other.coeffs)
 
 
-def _norm_pairs(dim: int, coeffs: Mapping) -> dict:
+def _norm_coeffs(coeffs: Mapping, valid, what: str) -> dict:
+    """The nonzero coefficients as Scalars, sorted by index; an index tuple
+    with valid(*index) false is a DimensionMismatch naming it as what."""
     out = {}
-    for (i, j), c in coeffs.items():
-        if not (0 <= i < j < dim):
-            raise DimensionMismatch(f"bad two-form index pair {(i, j)}")
+    for idx, c in coeffs.items():
+        if not valid(*idx):
+            raise DimensionMismatch(f"bad {what} {idx}")
         c = sc.as_scalar(c)
         if not sc.is_zero(c):
-            out[(i, j)] = c
+            out[idx] = c
     return dict(sorted(out.items()))
 
 
@@ -86,7 +88,9 @@ class TwoForm:
     coeffs: dict = field(default_factory=dict)  # (i, j) 0-based, i<j -> Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _norm_pairs(self.dim, self.coeffs))
+        valid = lambda i, j: 0 <= i < j < self.dim
+        coeffs = _norm_coeffs(self.coeffs, valid, "two-form index pair")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def zero(dim: int) -> "TwoForm":
@@ -175,20 +179,12 @@ class ThreeForm:
     coeffs: dict = field(default_factory=dict)  # (i, j, k) 0-based, i<j<k
 
     def __post_init__(self):
-        out = {}
-        for (i, j, k), c in self.coeffs.items():
-            if not (0 <= i < j < k < self.dim):
-                raise DimensionMismatch(f"bad three-form index triple {(i, j, k)}")
-            c = sc.as_scalar(c)
-            if not sc.is_zero(c):
-                out[(i, j, k)] = c
-        object.__setattr__(self, "coeffs", dict(sorted(out.items())))
+        valid = lambda i, j, k: 0 <= i < j < k < self.dim
+        coeffs = _norm_coeffs(self.coeffs, valid, "three-form index triple")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def value_basis(self, i: int, j: int, k: int) -> Scalar:
-        return self.coeffs.get((i, j, k), sc.ZERO)
 
 
 # ---------------------------------------------------------------------------

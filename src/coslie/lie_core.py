@@ -9,7 +9,9 @@ The Lie layer computes on one numerator form of the structure constants,
 ``LieAlgebra.ad_numerators``: the matrices ad_{e_i} as numerators over one
 denominator (``scalars.common_denominator``: ints for rational data).
 Identities are matrix equations on it (``scalars.mat_mul``,
-``scalars.mat_comb``); a value becomes a Scalar only when it is returned.
+``scalars.mat_comb``); a value becomes a Scalar only when it is returned,
+and a defect matrix is reported by its nonzero columns
+(``scalars.nonzero_columns``).
 """
 
 from __future__ import annotations
@@ -150,16 +152,9 @@ class LinearMap:
             for row in self.matrix
         )
 
-    def is_parametric(self) -> bool:
-        return any(not sc.is_rational(x) for row in self.matrix for x in row)
-
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def _column(M, k) -> list:
-    return [row[k] for row in M]
 
 
 def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
@@ -191,12 +186,11 @@ def check_jacobi(L: LieAlgebra) -> list:
         for j in range(i + 1, L.dim):
             Aj = ad[j]
             M = sc.mat_comb(
-                (1, -1, 1), (sc.mat_comb(_column(Ai, j), ad), sc.mat_mul(Ai, Aj), sc.mat_mul(Aj, Ai))
+                (1, -1, 1),
+                (sc.mat_comb(sc.column(Ai, j), ad), sc.mat_mul(Ai, Aj), sc.mat_mul(Aj, Ai)),
             )
-            for k in range(j + 1, L.dim):
-                v = _column(M, k)
-                if any(v):
-                    defects.append((i + 1, j + 1, k + 1, sc.quotients(v, r * r)))
+            cols = sc.nonzero_columns(M, r * r, range(j + 1, L.dim))
+            defects += [(i + 1, j + 1, k + 1, v) for k, v in cols]
     return defects
 
 
@@ -261,7 +255,9 @@ def _partial_phi_numerators(L: LieAlgebra, phi: LinearMap) -> tuple:
     ad, r = L.ad_numerators
     P, p = sc.mat_numerators(phi.matrix)
     Ms = [
-        sc.mat_comb((1, -1, -1), (sc.mat_mul(P, A), sc.mat_mul(A, P), sc.mat_comb(_column(P, i), ad)))
+        sc.mat_comb(
+            (1, -1, -1), (sc.mat_mul(P, A), sc.mat_mul(A, P), sc.mat_comb(sc.column(P, i), ad))
+        )
         for i, A in enumerate(ad)
     ]
     return Ms, p * r
@@ -272,7 +268,7 @@ def partial_phi(L: LieAlgebra, phi: LinearMap) -> dict:
     0-based basis pairs i < j."""
     Ms, den = _partial_phi_numerators(L, phi)
     return {
-        (i, j): sc.quotients(_column(M, j), den)
+        (i, j): sc.quotients(sc.column(M, j), den)
         for i, M in enumerate(Ms)
         for j in range(i + 1, L.dim)
     }
@@ -283,13 +279,11 @@ def is_derivation(L: LieAlgebra, phi: LinearMap) -> list:
     if phi.source_dim != L.dim or phi.target_dim != L.dim:
         raise DimensionMismatch("map is not an endomorphism of the algebra")
     Ms, den = _partial_phi_numerators(L, phi)
-    out = []
-    for i, M in enumerate(Ms):
-        for j in range(i + 1, L.dim):
-            v = _column(M, j)
-            if any(v):
-                out.append((i + 1, j + 1, sc.quotients(v, den)))
-    return out
+    return [
+        (i + 1, j + 1, v)
+        for i, M in enumerate(Ms)
+        for j, v in sc.nonzero_columns(M, den, range(i + 1, L.dim))
+    ]
 
 
 @dataclass

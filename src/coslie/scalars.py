@@ -612,6 +612,16 @@ def mat_comb(coeffs, mats) -> list:
     return out
 
 
+def column(m, k) -> list:
+    return [row[k] for row in m]
+
+
+def nonzero_columns(m, den, cols) -> list:
+    """(k, column k of m over den as Scalars) for each k in cols whose
+    column is nonzero: how a defect matrix on numerators is reported."""
+    return [(k, quotients(v, den)) for k in cols if any(v := column(m, k))]
+
+
 def mat_numerators(m) -> tuple:
     """(rows, den): the entries of the matrix m as ring numerators over one
     denominator (``common_denominator``), in m's shape."""

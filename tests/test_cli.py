@@ -644,6 +644,30 @@ def test_catalog_export_with_a_missing_parameter_is_a_usage_error(capsys):
         cat.instantiate("g_{3.1}", {"a2": 1})
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "list", "X"],
+        ["catalog", "list", "--params", "zz=1"],
+        ["catalog", "list", "--json"],
+        ["catalog", "export"],
+        ["catalog", "export", "g_{3.1}", "--json"],
+        ["catalog", "verify-all", "--params", "zz=1"],
+        ["catalog", "verify-all", "g_{3.1}"],
+    ],
+    ids=" ".join,
+)
+def test_catalog_actions_take_only_their_own_arguments(capsys, argv):
+    # each catalog action is a sub-command with the arguments it reads:
+    # list none, export NAME [--params], verify-all [--json]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_catalog_verify_all_deterministic_and_flagged(capsys):
     code1 = main(["catalog", "verify-all", "--json"])
     out1 = capsys.readouterr().out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
-from coslie.errors import EvenDimension
+from coslie.errors import DimensionMismatch, EvenDimension
 from coslie.exterior import (
     OneForm,
+    ThreeForm,
     TwoForm,
     cocycle_spaces,
     d1,
@@ -55,6 +57,26 @@ def oracle_volume(dim: int, alpha: OneForm, omega: TwoForm):
     for _ in range((dim - 1) // 2):
         result = wedge(result, w)
     return result.get(tuple(range(dim)), sc.ZERO)
+
+
+# ---------------------------------------------------------------------------
+# forms
+
+
+def test_forms_keep_nonzero_coefficients_on_increasing_indices():
+    w = TwoForm(3, {(1, 2): F(2), (0, 2): 0, (0, 1): Poly.var("p")})
+    assert list(w.coeffs) == [(0, 1), (1, 2)]
+    assert ThreeForm(4, {(1, 2, 3): 1, (0, 1, 3): 0}).coeffs == {(1, 2, 3): F(1)}
+    for form, coeffs, message in (
+        (TwoForm, {(1, 0): 1}, "bad two-form index pair (1, 0)"),
+        (TwoForm, {(1, 1): 1}, "bad two-form index pair (1, 1)"),
+        (TwoForm, {(-1, 2): 1}, "bad two-form index pair (-1, 2)"),
+        (TwoForm, {(0, 3): 0}, "bad two-form index pair (0, 3)"),
+        (ThreeForm, {(0, 2, 1): 1}, "bad three-form index triple (0, 2, 1)"),
+        (ThreeForm, {(0, 1, 3): 1}, "bad three-form index triple (0, 1, 3)"),
+    ):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            form(3, coeffs)
 
 
 # ---------------------------------------------------------------------------

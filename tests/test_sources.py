@@ -211,12 +211,21 @@ def test_cli_reads_files_and_values_through_the_public_parsers():
     assert private_names_from(ast.parse(path.read_text(encoding="utf-8")), "algfile") == []
 
 
-def test_cli_takes_no_private_name_from_the_package():
-    """``cli`` is a client of the package modules: what it calls, the
-    report format of vectors (``scalars.vec_str``) included, is public."""
-    [path] = [p for p in SOURCES if p.name == "cli.py"]
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert [name for p in SOURCES for name in private_names_from(tree, p.stem)] == []
+def test_no_module_takes_a_private_name_from_another():
+    """Each package module is a client of the others: what it takes from
+    them, such as the report format of vectors (``scalars.vec_str``) in
+    ``cli`` or the column reader of numerator matrices (``scalars.column``)
+    in ``cosymplectic``, is public."""
+    taken = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        taken += [
+            (path.stem, other.stem, name)
+            for other in SOURCES
+            if other != path
+            for name in private_names_from(tree, other.stem)
+        ]
+    assert taken == []
 
 
 def catalog_data_built_in_python(tree: ast.AST) -> list:
