@@ -12,6 +12,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,14 @@ from .cosymplectic import (
     to_symplectic,
     validate,
 )
-from .errors import AlgFileError, ConditionsFail, CoslieError, MissingParam, NotCosymplectic
+from .errors import (
+    AlgFileError,
+    ConditionsFail,
+    CoslieError,
+    MissingParam,
+    NotCosymplectic,
+    UnknownEntry,
+)
 from .extensions import construct_A, construct_B, construct_C
 from .lie_core import check_isomorphism
 from .verify import verify_all
@@ -316,7 +324,11 @@ def cmd_catalog_list(args) -> int:
 
 def cmd_catalog_export(args) -> int:
     params = parse_params(args.params)
-    unused = sorted(set(params).difference(cat.get_entry(args.name).param_names()))
+    try:
+        entry = cat.get_entry(args.name)
+    except UnknownEntry as exc:  # an unknown name is a usage error, like an unknown parameter
+        raise AlgFileError(str(exc), 0, 0) from None
+    unused = sorted(set(params).difference(entry.param_names()))
     if unused:
         raise AlgFileError(
             f"--params binds no parameter of {args.name}: {', '.join(unused)}", 0, 0
@@ -343,7 +355,11 @@ def cmd_catalog_verify_all(args) -> int:
     return PASS if report.ok() else MATH_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later one: ``parse_args`` keeps no state between calls, and each
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="coslie",
         description="Exact-arithmetic toolkit for cosymplectic Lie algebras",
@@ -410,7 +426,9 @@ def main(argv=None) -> int:
     except AlgFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input file that is missing, a directory or unreadable
+        if exc.filename is None:  # not a file, e.g. a closed stdout
+            raise
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return USAGE_FAIL
     except CoslieError as exc:

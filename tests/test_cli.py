@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +15,16 @@ from hypothesis import given, strategies as st
 
 from coslie import catalog as cat
 from coslie.algfile import format_algebra, parse_algebra, parse_extension, parse_map
+from coslie import cli
 from coslie.cli import main
 from coslie.cosymplectic import exists_cosymplectic
-from coslie.errors import AlgFileError, DuplicateBracket, IndexOutOfRange, MissingParam
+from coslie.errors import (
+    AlgFileError,
+    DuplicateBracket,
+    IndexOutOfRange,
+    MissingParam,
+    UnknownEntry,
+)
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly
@@ -423,6 +434,28 @@ def test_parse_error_exit_code(files, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_unreadable_input_is_a_usage_error(files, capsys, tmp_path):
+    # a directory (or a file without read permission) where an input file
+    # goes is a usage error, like a missing file, not a traceback
+    one = files("g31.alg", G31_NORMAL)
+    witness = files("w.map", ISO_MAP)
+    for argv, path in (
+        (["validate", str(tmp_path)], tmp_path),
+        (["isocheck", one, one, str(tmp_path)], tmp_path),
+        (["isocheck", one, one, witness + ".missing"], witness + ".missing"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"cannot read {path}\n")
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    # an OSError of no file, here of writing the report, is not a read error
+    with contextlib.redirect_stdout(Closed()), pytest.raises(BrokenPipeError):
+        main(["catalog", "list"])
+
+
 @pytest.mark.parametrize(
     "text, params, where",
     [
@@ -644,6 +677,15 @@ def test_catalog_export_with_a_missing_parameter_is_a_usage_error(capsys):
         cat.instantiate("g_{3.1}", {"a2": 1})
 
 
+def test_catalog_export_of_an_unknown_entry_is_a_usage_error(capsys):
+    assert main(["catalog", "export", "NOPE"]) == 2
+    assert capsys.readouterr() == (
+        "", "parse error: line 0, col 0: no catalog entry named 'NOPE'\n"
+    )
+    with pytest.raises(UnknownEntry):
+        cat.get_entry("NOPE")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -749,3 +791,98 @@ def test_per_file_commands_match_golden_file(tmp_path, monkeypatch, capsys):
     golden = (Path(__file__).parent / "data" / "commands.json").read_bytes()
     rendered = _command_outputs(tmp_path, monkeypatch, capsys)
     assert rendered.encode("utf-8") == golden
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once per process
+
+
+@pytest.fixture()
+def parsers_built(monkeypatch):
+    """A list that grows by one for every ArgumentParser constructed."""
+    built = []
+    plain_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        plain_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli.build_parser.cache_clear()
+    yield built
+    cli.build_parser.cache_clear()  # drop the parser built under the counter
+
+
+def test_main_builds_the_parser_on_its_first_call_only(files, capsys, parsers_built):
+    assert main(["catalog", "list"]) == 0
+    assert parsers_built[0] == "coslie" and len(parsers_built) == 13
+    assert main(["reeb", files("g31.alg", G31_NORMAL), "--json"]) == 0
+    assert main(["validate", files("bad.alg", NOT_COSYMPLECTIC)]) == 1
+    assert len(parsers_built) == 13
+    capsys.readouterr()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "plain_init = argparse.ArgumentParser.__init__\n"
+        "def init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    plain_init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = init\n"
+        "import coslie.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "0\n"
+
+
+def _outcome(argv) -> tuple:
+    """(exit code, stdout, stderr) of one main call; argparse's own exits
+    (usage errors, --help) count by their SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_call_leaves_nothing_in_the_parser_for_the_next(files):
+    base, ext = files("base3.alg", BASE3), files("ext_c.ext", EXT_C)
+    extend = ["extend", "--construction", "C", "--data", ext, base]
+    sequence = [
+        [*extend, "--alpha-d", "1/2"],
+        extend,  # --alpha-d is back at its default 0
+        ["catalog", "list", "X"],  # a usage error ...
+        ["catalog", "list"],  # ... then a valid call
+        ["--help"],
+        ["--help"],
+        ["reeb", "--json", base],
+        ["reeb", base],
+    ]
+    shared = [_outcome(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert shared == fresh
+    half, default, usage, listed, help1, help2, as_json, text = shared
+    assert "alpha = e^3 + 1/2 e^4 + -1 e^5\n" in half[1]
+    assert default[0] == 0 and "alpha = e^3 + -1 e^5\n" in default[1]
+    assert usage[0] == 2 and usage[1] == ""
+    assert usage[2].endswith("coslie: error: unrecognized arguments: X\n")
+    assert listed == (0, "".join(f"{n}\n" for n in cat.list_entries()), "")
+    assert help1 == help2 and help1[0] == 0 and help1[1].startswith("usage: coslie [-h]")
+    assert json.loads(as_json[1])["result"]["reeb"] == "e3"
+    assert text == (0, "cosymplectic: ok\nreeb: e3\n", "")
+    parser = cli.build_parser()
+    assert parser.parse_args([*extend, "--alpha-d", "1/2"]).alpha_d == "1/2"
+    assert parser.parse_args(extend).alpha_d == "0"
