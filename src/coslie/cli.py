@@ -300,6 +300,8 @@ def cmd_isocheck(args) -> int:
     one, two, witness = _inputs(
         args, (parse_algebra, args.file1), (parse_algebra, args.file2), (parse_map, args.map)
     )
+    if not one.algebra.dim == two.algebra.dim == witness.dim:
+        raise AlgFileError("algebra and map dimensions differ", 0, 0)
     rep = check_isomorphism(
         one.algebra, two.algebra, witness.map, one.alpha, two.alpha, one.omega, two.omega
     )

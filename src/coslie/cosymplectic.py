@@ -495,18 +495,18 @@ class LsaTable:
             [sum(a * b for a, b in zip(row, nums[n:])) for row in Lx], den * den * self.den
         )
 
-    @cached_property
-    def associator_numerators(self) -> tuple:
-        """[i][j] = L_{e_i e_j} - L_i L_j over den^2: its column k holds the
+    def associator(self, i: int, j: int) -> list:
+        """L_{e_i e_j} - L_i L_j over den^2: its column k holds the
         numerators of the associator (e_i e_j) e_k - e_i (e_j e_k)."""
         L = self.left
-        return tuple(
-            tuple(
-                sc.mat_comb((1, -1), (sc.mat_comb(sc.column(Li, j), L), sc.mat_mul(Li, Lj)))
-                for j, Lj in enumerate(L)
-            )
-            for Li in L
-        )
+        Li = L[i]
+        return sc.mat_comb((*sc.column(Li, j), -1), (*L, sc.mat_mul(Li, L[j])))
+
+    @cached_property
+    def associator_numerators(self) -> tuple:
+        """[i][j] = ``associator(i, j)`` for every pair."""
+        n = self.dim
+        return tuple(tuple(self.associator(i, j) for j in range(n)) for i in range(n))
 
     def nonzero_entries(self) -> list:
         n = self.dim
@@ -526,6 +526,7 @@ class LsaTable:
             for A, B in zip(self.left, other.left)
             for row_a, row_b in zip(A, B)
             for x, y in zip(row_a, row_b)
+            if x or y
         )
 
 
@@ -599,23 +600,25 @@ def _lsa_via_parts(S: CosymplecticStructure) -> LsaTable:
 
 def left_symmetry_defect(T: LsaTable, L: LieAlgebra) -> dict:
     """Associator-symmetry and commutator defects; pass iff both empty.  On
-    T's numerators: L_{e_i e_j} - L_i L_j = L_{e_j e_i} - L_j L_i column by
-    column, and e_i e_j - e_j e_i = [e_i, e_j] as column j of L_i - R_i =
+    T's numerators, for i < j: the associator of (e_i, e_j) minus that of
+    (e_j, e_i) is L_{e_i e_j - e_j e_i} - (L_i L_j - L_j L_i), column by
+    column; and e_i e_j - e_j e_i = [e_i, e_j] as column j of L_i - R_i =
     ad_i, R_i the right multiplication by e_i, cross-multiplied with the
     denominator of the structure constants."""
     if T.dim != L.dim:
         raise DimensionMismatch("table/algebra dimension mismatch")
-    n, d = T.dim, T.den
-    A = T.associator_numerators
+    n, d, left = T.dim, T.den, T.left
     assoc = []
-    for i in range(n):
+    for i, Li in enumerate(left):
         for j in range(i + 1, n):
-            M = sc.mat_comb((1, -1), (A[i][j], A[j][i]))
+            Lj = left[j]
+            e_ij = [x - y for x, y in zip(sc.column(Li, j), sc.column(Lj, i))]
+            M = sc.mat_comb((*e_ij, -1, 1), (*left, sc.mat_mul(Li, Lj), sc.mat_mul(Lj, Li)))
             assoc += [(i + 1, j + 1, k + 1, v) for k, v in sc.nonzero_columns(M, d * d, range(n))]
     ad, r = L.ad_numerators
     comm = []
-    for i, Li in enumerate(T.left):
-        Ri = [[Lj[k][i] for Lj in T.left] for k in range(n)]  # column j: e_j e_i
+    for i, Li in enumerate(left):
+        Ri = [[Lj[k][i] for Lj in left] for k in range(n)]  # column j: e_j e_i
         M = sc.mat_comb((r, -r, -d), (Li, Ri, ad[i]))
         comm += [(i + 1, j + 1, v) for j, v in sc.nonzero_columns(M, d * r, range(i + 1, n))]
     return {"associator": assoc, "commutator": comm, "pass": not assoc and not comm}
@@ -676,6 +679,8 @@ def biinvariance(S: CosymplecticStructure) -> BiinvarianceReport:
             cols = sc.nonzero_columns(M, dd * qqq, every)
             defects[1] += [(a + 1, b + 1, k + 1, v) for k, v in cols]
     failed = [k for k in (1, 2, 3, 4) if defects[k]]
-    assoc = S.table.associator_numerators
-    associative = not any(x for row in assoc for M in row for r in M for x in r)
+    table, n = S.table, S.dim  # the first nonzero associator entry decides
+    associative = not any(
+        x for i in range(n) for j in range(n) for row in table.associator(i, j) for x in row
+    )
     return BiinvarianceReport(not failed, failed, associative, defects)

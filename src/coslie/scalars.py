@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -31,12 +32,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _rational(value):
+    """value itself when it is an int or a Fraction: either one keeps a
+    Fraction coefficient a Fraction under +, - and *."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to a rational")
+
+
+def _as_fraction(value) -> Fraction:
+    value = _rational(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Poly:
@@ -60,6 +66,21 @@ class Poly:
             variables = tuple(names)
         self.variables = variables
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "Poly":
+        """The result of arithmetic, whose names are sorted and whose
+        coefficients are Fractions already: drop zero coefficients and
+        prune the variables that no term uses, and check nothing else."""
+        clean = {e: c for e, c in terms.items() if c}
+        used = [i for i, col in enumerate(zip(*clean)) if any(col)]
+        if len(used) != len(variables):
+            variables = tuple(variables[i] for i in used)
+            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
+        out = object.__new__(cls)
+        out.variables = variables
+        out.terms = clean
+        return out
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -116,28 +137,35 @@ class Poly:
 
         return tuple(names), remap(self), remap(other)
 
+    def _shift(self, c) -> "Poly":
+        """self + c for a rational c: only the constant term moves."""
+        if not c:
+            return self
+        out = dict(self.terms)
+        key = (0,) * len(self.variables)
+        out[key] = out.get(key, ZERO) + c
+        return Poly._trusted(self.variables, out)
+
     def __add__(self, other):
         if isinstance(other, RatFn):
             return other + self
         if not isinstance(other, Poly):
-            # a rational summand moves the constant term only
-            out = dict(self.terms)
-            key = (0,) * len(self.variables)
-            out[key] = out.get(key, ZERO) + _as_fraction(other)
-            return Poly(self.variables, out)
+            return self._shift(_rational(other))
         names, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
             out[e] = out.get(e, ZERO) + c
-        return Poly(names, out)
+        return Poly._trusted(names, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (Poly, RatFn)) else -_as_fraction(other))
+        if isinstance(other, (Poly, RatFn)):
+            return self + (-other)
+        return self._shift(-_rational(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -147,15 +175,17 @@ class Poly:
             return other * self
         if not isinstance(other, Poly):
             # a rational factor scales the coefficients
-            c = _as_fraction(other)
-            return Poly(self.variables, {e: x * c for e, x in self.terms.items()})
+            c = _rational(other)
+            if c == 1:
+                return self
+            return Poly._trusted(self.variables, {e: x * c for e, x in self.terms.items()})
         names, a, b = self._aligned(other)
         out: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, ZERO) + c1 * c2
-        return Poly(names, out)
+        return Poly._trusted(names, out)
 
     __rmul__ = __mul__
 
@@ -172,7 +202,7 @@ class Poly:
             other = _as_fraction(other)
             if other == 0:
                 raise ZeroDivisionError
-            return Poly(self.variables, {e: c / other for e, c in self.terms.items()})
+            return Poly._trusted(self.variables, {e: c / other for e, c in self.terms.items()})
         return ratfn(self, other)
 
     def __rtruediv__(self, other):
@@ -214,7 +244,7 @@ class Poly:
                     rem[key] = val
                 else:
                     rem.pop(key, None)
-        return Poly(names, qterms)
+        return Poly._trusted(names, qterms)
 
     # -- evaluation ---------------------------------------------------
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:

@@ -393,6 +393,20 @@ def test_isocheck_failure_exit_code(files, capsys):
     )
 
 
+def test_isocheck_dimension_mismatch_is_a_usage_error(files, capsys):
+    # inputs of different dimensions are a usage error, as in extend, not
+    # a failed isomorphism
+    one = files("g31.alg", G31_NORMAL)
+    five = files("a5.alg", "dim 5\nbracket 1 2 : 1 3\nbracket 4 5 : 1 3\n")
+    witness = files("w.map", ISO_MAP)
+    small = files("small.map", "dim 2\nmap 1 : 1 1\nmap 2 : 1 2\n")
+    for argv in (["isocheck", one, one, small], ["isocheck", one, five, witness]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "parse error: line 0, col 0: algebra and map dimensions differ\n"
+        )
+
+
 P_ONLY = "dim 3\nbracket 1 3 : 1 1\nbracket 2 3 : -1 2\nalpha : p 3\nomega 1 2 : 1\n"
 
 

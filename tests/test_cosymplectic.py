@@ -644,9 +644,16 @@ table_entries = st.one_of(
 )
 
 
-def random_tables(n):
+# symbolic entries: rationals, and c p and p + c for one free symbol p
+P = Poly.var("p")
+symbolic_entries = st.one_of(
+    table_entries, table_entries.map(lambda c: c * P), table_entries.map(lambda c: P + c)
+)
+
+
+def random_tables(n, entries=table_entries):
     return st.lists(
-        st.lists(st.tuples(*[table_entries] * n).map(tuple), min_size=n, max_size=n),
+        st.lists(st.tuples(*[entries] * n).map(tuple), min_size=n, max_size=n),
         min_size=n,
         max_size=n,
     ).map(lambda rows: LsaTable(n, tuple(tuple(r) for r in rows)))
@@ -656,6 +663,52 @@ def random_tables(n):
 def test_left_symmetry_defect_matches_the_triple_loop_on_random_tables(T):
     L = LieAlgebra.abelian(T.dim)
     assert left_symmetry_defect(T, L) == seed_left_symmetry_defect(T, L)
+
+
+def sparse_tables(n, entries=symbolic_entries):
+    """Tables with at most three nonzero structure constants, which are
+    often associative and otherwise fail at an arbitrary triple."""
+
+    def table(cells):
+        products = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+        for (i, j, k), c in cells.items():
+            products[i][j][k] = c
+        return LsaTable(n, products)
+
+    return st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * 3), entries, max_size=3).map(table)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: random_tables(n, symbolic_entries)))
+def test_left_symmetry_defect_matches_the_triple_loop_on_symbolic_tables(T):
+    L = LieAlgebra.abelian(T.dim)
+    assert left_symmetry_defect(T, L) == seed_left_symmetry_defect(T, L)
+
+
+def products_equal(T, U):
+    return all(
+        sc.scalars_equal(x, y)
+        for row_t, row_u in zip(T.products, U.products)
+        for v, w in zip(row_t, row_u)
+        for x, y in zip(v, w)
+    )
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: random_tables(n, symbolic_entries)),
+    st.sampled_from([2, -3, P, P + 1]),
+    st.data(),
+)
+def test_table_equality_matches_the_products(T, k, data):
+    n = T.dim
+    scaled = LsaTable.over(n, [[[x * k for x in row] for row in M] for M in T.left], T.den * k)
+    assert T == scaled and scaled == T and products_equal(T, scaled)
+    zeros = [(i, r, c) for i in range(n) for r in range(n) for c in range(n) if not T.left[i][r][c]]
+    if zeros:
+        i, r, c = data.draw(st.sampled_from(zeros))
+        left = [[list(row) for row in M] for M in T.left]
+        left[i][r][c] = T.den
+        changed = LsaTable.over(n, left, T.den)
+        assert T != changed and changed != T and not products_equal(T, changed)
 
 
 # g_{3.4} and a five-dimensional catalog instance: both have ad_xi != 0 on h
@@ -678,6 +731,30 @@ def test_biinvariance_matches_the_triple_loops_on_random_tables(case):
     host, star, table = case
     S = make(host.algebra, host.alpha, host.omega)
     # stand-in products: the cached values are what biinvariance reads
+    S.__dict__["star"] = star
+    S.__dict__["table"] = table
+    red = S.reduction
+    rep = biinvariance(S)
+    assert rep.associative == seed_associative(table)
+    assert rep.defects[1] == seed_condition1(star, red.deriv, red.pair.omega)
+
+
+@settings(max_examples=25)
+@given(
+    st.one_of(
+        *(
+            st.tuples(
+                st.just(S),
+                random_tables(S.dim - 1, symbolic_entries),
+                st.one_of(random_tables(S.dim, symbolic_entries), sparse_tables(S.dim)),
+            )
+            for S in BIINV_HOSTS
+        )
+    )
+)
+def test_biinvariance_matches_the_triple_loops_on_symbolic_tables(case):
+    host, star, table = case
+    S = make(host.algebra, host.alpha, host.omega)
     S.__dict__["star"] = star
     S.__dict__["table"] = table
     red = S.reduction

@@ -263,6 +263,43 @@ def test_unused_variables_are_pruned_for_equality():
     assert p == q
 
 
+def assert_canonical(r):
+    """Sorted names, each used; only nonzero Fraction coefficients; and the
+    same value and hash as the validating constructor gives."""
+    assert isinstance(r, Poly)
+    assert list(r.variables) == sorted(set(r.variables))
+    assert all(len(e) == len(r.variables) for e in r.terms)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+    assert all(type(c) is F and c != 0 for c in r.terms.values())
+    fresh = Poly(r.variables, r.terms)
+    assert (fresh.variables, fresh.terms, hash(fresh)) == (r.variables, r.terms, hash(r))
+
+
+# names out of order, which the validating constructor sorts; with
+# small_polys they make operands on different variables
+unsorted_polys = st.builds(
+    lambda terms: Poly(("y", "a"), {(e1, e2): F(c) for (e1, e2, c) in terms}),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)), max_size=4),
+)
+any_polys = st.one_of(small_polys, unsorted_polys)
+
+
+@given(any_polys, any_polys, rationals)
+def test_arithmetic_results_are_canonical(p, q, c):
+    results = [
+        p + q, p - q, p * q, -p, p * c, c * p, p + c, p - c, c - p,
+        p - p, (p + q) - q, (p * q) - (q * p), p * 0, -(p - p),
+    ]
+    if q:
+        results += [(p * q).exact_div(q), q.exact_div(q)]
+        assert results[-2] == p and results[-1] == 1
+    for r in results:
+        assert_canonical(r)
+    assert (p + q) - q == p and p - p == 0 and p * q == q * p
+    # adding a rational zero changes nothing, and builds nothing either
+    assert p + 0 is p and p - F(0) is p
+
+
 def test_exact_division_and_failure():
     a, b = Poly.var("a"), Poly.var("b")
     assert (a * a - b * b).exact_div(a - b) == a + b
