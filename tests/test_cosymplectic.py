@@ -645,9 +645,9 @@ table_entries = st.one_of(
 
 
 # symbolic entries: rationals, and c p and p + c for one free symbol p
-P = Poly.var("p")
+PARAM = Poly.var("p")
 symbolic_entries = st.one_of(
-    table_entries, table_entries.map(lambda c: c * P), table_entries.map(lambda c: P + c)
+    table_entries, table_entries.map(lambda c: c * PARAM), table_entries.map(lambda c: PARAM + c)
 )
 
 
@@ -695,7 +695,7 @@ def products_equal(T, U):
 
 @given(
     st.integers(1, 3).flatmap(lambda n: random_tables(n, symbolic_entries)),
-    st.sampled_from([2, -3, P, P + 1]),
+    st.sampled_from([2, -3, PARAM, PARAM + 1]),
     st.data(),
 )
 def test_table_equality_matches_the_products(T, k, data):
