@@ -360,8 +360,9 @@ def cmd_catalog_verify_all(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first call and shared by
-    every later one: ``parse_args`` keeps no state between calls, and each
-    returns a fresh namespace."""
+    every later one: parsing keeps no state between calls, and each returns
+    a fresh namespace.  Each command's namespace carries its own parser as
+    ``parser``, which reports the arguments that command does not take."""
     parser = argparse.ArgumentParser(
         prog="coslie",
         description="Exact-arithmetic toolkit for cosymplectic Lie algebras",
@@ -417,12 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = actions.add_parser("verify-all", help="recompute and check every catalog entry")
     json_flag(p)
     p.set_defaults(fn=cmd_catalog_verify_all)
+    for p in (*sub.choices.values(), *actions.choices.values()):
+        p.set_defaults(parser=p)  # the innermost command's parser wins
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except AlgFileError as exc:

@@ -1,13 +1,17 @@
-"""Alternating forms, the scalar Chevalley-Eilenberg differential in low
+"""Alternating forms, the scalar Chevalley-Eilenberg differential in every
 degree, cocycle predicates, and the top-form coefficient of alpha ^ omega^n.
 
-Sign convention: d(alpha)(x, y) = -alpha([x, y]), and in degree two
+Sign convention: for a k-form theta,
+d(theta)(x_0, ..., x_k) = sum_{a<b} (-1)^(a+b) theta([x_a, x_b], x_0, ...,
+^x_a, ..., ^x_b, ..., x_k), with ^ marking an omitted argument.  So
+d(alpha)(x, y) = -alpha([x, y]) and
 d(omega)(x, y, z) = -(omega([x,y],z) + omega([y,z],x) + omega([z,x],y)).
 Kernels are convention-independent.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -191,59 +195,58 @@ class ThreeForm:
 # Differentials
 
 
+def differential(L: LieAlgebra, k: int) -> list:
+    """The matrix of d: Lambda^k -> Lambda^(k+1) as sparse rows of ring
+    numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
+    increasing (k+1)-tuple T whose row is nonzero, in lexicographic order,
+    with d(theta)(e_T) = sum c * theta_S / r over increasing k-tuples S.
+
+    Only the nonzero brackets enter.  A component x on e_l of [e_i, e_j],
+    i < j, enters the row of each T = {i, j} u rest, with rest any k - 1
+    other indices, in the one monomial S = {l} u rest: its sign is the
+    (-1)^(a+b) of the convention, a and b the places of i and j in T, times
+    (-1)^(place of l in S) of moving e_l there."""
+    ad = L.ad_numerators[0]
+    rows: dict = {}
+    for i, j in L.brackets:
+        components = [(l, row[j]) for l, row in enumerate(ad[i]) if row[j]]
+        for rest in combinations([m for m in range(L.dim) if m != i and m != j], k - 1):
+            T = tuple(sorted((i, j) + rest))
+            sign = (T.index(i) + T.index(j)) % 2
+            row = rows.setdefault(T, {})
+            for l, x in components:
+                if l not in rest:
+                    pos = bisect_left(rest, l)
+                    S = rest[:pos] + (l,) + rest[pos:]
+                    row[S] = row.get(S, 0) + (-x if (sign + pos) % 2 else x)
+    rows = ((T, {S: c for S, c in row.items() if c}) for T, row in sorted(rows.items()))
+    return [(T, row) for T, row in rows if row]
+
+
+def _apply(L: LieAlgebra, k: int, coeffs: Mapping) -> dict:
+    """d of the k-form with coefficients {increasing k-tuple: Scalar}, as
+    {increasing (k+1)-tuple: Scalar}, from ``differential`` and the form's
+    numerators, so only the nonzero bracket components enter."""
+    nums, w = sc.common_denominator(list(coeffs.values()))
+    wn = dict(zip(coeffs, nums))
+    out = {}
+    for T, row in differential(L, k):
+        c = sum((x * wn[S] for S, x in row.items() if S in wn), start=0)
+        if c:
+            out[T] = c
+    return dict(zip(out, sc.quotients(list(out.values()), w * L.ad_numerators[1])))
+
+
 def d1(L: LieAlgebra, alpha: OneForm) -> TwoForm:
     if alpha.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
-    ad, r = L.ad_numerators
-    a, s = sc.common_denominator(alpha.coeffs)
-    pairs = list(L.brackets)
-    nums = [-sum((x * ad[i][k][j] for k, x in enumerate(a) if x), start=0) for i, j in pairs]
-    return TwoForm(L.dim, dict(zip(pairs, sc.quotients(nums, s * r))))
-
-
-def _triple_rows(L: LieAlgebra) -> list:
-    """The degree-2 differential as sparse rows of ring numerators, one per
-    triple i < j < k whose row is nonzero: ``((i, j, k), {(p, q): c})`` with
-    ``omega([e_i,e_j],e_k) + omega([e_j,e_k],e_i) + omega([e_k,e_i],e_j)
-    = sum c * omega_pq / r`` for r of ``L.ad_numerators``.
-
-    omega(x, e_m) picks up +x_l on e^{lm} for l < m and -x_l on e^{ml} for
-    l > m, so each nonzero bracket component enters exactly one monomial.
-    """
-    ad = L.ad_numerators[0]
-    rows = []
-    for i, j, k in combinations(range(L.dim), 3):
-        row: dict = {}
-        for (a, b), m, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
-            if (a, b) not in L.brackets:
-                continue
-            for l, xrow in enumerate(ad[a]):
-                xl = xrow[b]
-                if l == m or not xl:
-                    continue
-                pair = (l, m) if l < m else (m, l)
-                term = xl if (sign > 0) == (l < m) else -xl
-                row[pair] = row.get(pair, 0) + term
-        row = {pair: c for pair, c in row.items() if c}
-        if row:
-            rows.append(((i, j, k), row))
-    return rows
+    return TwoForm(L.dim, _apply(L, 1, {(l,): c for l, c in enumerate(alpha.coeffs)}))
 
 
 def d2(L: LieAlgebra, omega: TwoForm) -> ThreeForm:
-    """d(omega) from the triple rows and omega's numerators, so only the
-    nonzero bracket components enter."""
     if omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
-    r = L.ad_numerators[1]
-    nums, w = sc.common_denominator(list(omega.coeffs.values()))
-    wn = dict(zip(omega.coeffs, nums))
-    coeffs = {}
-    for triple, row in _triple_rows(L):
-        c = sum((x * wn[pair] for pair, x in row.items() if pair in wn), start=0)
-        if c:
-            coeffs[triple] = -c
-    return ThreeForm(L.dim, dict(zip(coeffs, sc.quotients(list(coeffs.values()), w * r))))
+    return ThreeForm(L.dim, _apply(L, 2, omega.coeffs))
 
 
 def is_1cocycle(L: LieAlgebra, alpha: OneForm) -> bool:
@@ -311,46 +314,28 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
 # Cocycle spaces
 
 
-def _pair_index(dim: int):
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return pairs, {p: n for n, p in enumerate(pairs)}
-
-
-def _primitive(row: list) -> list:
-    g = gcd(*row)
-    return [x // g for x in row]
+def _closed(L: LieAlgebra, k: int) -> tuple:
+    """(the increasing k-tuples in lexicographic order, an echelon basis of
+    the closed k-forms as coefficient vectors over them).  Each row of
+    ``differential`` is divided by the gcd of its int numerators, which
+    keeps the elimination's integers small and does not change the rref;
+    one zero row stands for d = 0, whose kernel is every k-form."""
+    cols = list(combinations(range(L.dim), k))
+    index = {S: n for n, S in enumerate(cols)}
+    rows = []
+    for _, row in differential(L, k):
+        g = gcd(*row.values())
+        dense = [0] * len(cols)
+        for S, c in row.items():
+            dense[index[S]] = c // g
+        rows.append(dense)
+    return cols, sc.nullspace(rows or [[0] * len(cols)])
 
 
 def cocycle_spaces(L: LieAlgebra):
     """(basis of Z^1 as OneForms, basis of Z^2 as TwoForms), echelon order."""
     if L.is_parametric():
         raise ParametricUnsupported("cocycle spaces need rational structure constants")
-    dim = L.dim
-    pairs, index = _pair_index(dim)
-
-    # Every row is of int numerators divided by their gcd, which keeps the
-    # integers of the elimination small and does not change the rref.
-    # Z^1: one row per nonzero bracket, columns by dual basis index l.
-    ad = L.ad_numerators[0]
-    rows1 = [_primitive([row[j] for row in ad[i]]) for i, j in L.brackets]
-    if rows1:
-        z1 = [OneForm(dim, v) for v in sc.nullspace(rows1)]
-    else:
-        z1 = [OneForm.dual(dim, l + 1) for l in range(dim)]
-
-    # Z^2: the nonzero triple rows, columns by pair monomials e^{pq}; the
-    # all-zero rows left out do not change the rref.
-    rows2 = []
-    for _, row in _triple_rows(L):
-        dense = [0] * len(pairs)
-        for pair, c in row.items():
-            dense[index[pair]] = c
-        rows2.append(_primitive(dense))
-    if rows2:
-        z2 = [
-            TwoForm(dim, {pairs[c]: v[c] for c in range(len(pairs))})
-            for v in sc.nullspace(rows2)
-        ]
-    else:
-        z2 = [TwoForm(dim, {p: sc.ONE}) for p in pairs]
-    return z1, z2
+    z1 = [OneForm(L.dim, v) for v in _closed(L, 1)[1]]
+    pairs, z2 = _closed(L, 2)
+    return z1, [TwoForm(L.dim, dict(zip(pairs, v))) for v in z2]

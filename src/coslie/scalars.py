@@ -595,10 +595,11 @@ def nullspace(m) -> list:
     """Echelon-normalized basis of the kernel, deterministic ordering.
 
     Basis vectors are indexed by free columns (ascending); each has a 1 in
-    its free slot.
+    its free slot.  A matrix without rows has no known width, so it is a
+    ValueError, not an empty kernel.
     """
     if not m:
-        return []
+        raise ValueError("nullspace of a matrix without rows: its width is unknown")
     rows, pivots = rref(m)
     ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]

@@ -884,7 +884,10 @@ def test_a_call_leaves_nothing_in_the_parser_for_the_next(files):
     assert "alpha = e^3 + 1/2 e^4 + -1 e^5\n" in half[1]
     assert default[0] == 0 and "alpha = e^3 + -1 e^5\n" in default[1]
     assert usage[0] == 2 and usage[1] == ""
-    assert usage[2].endswith("coslie: error: unrecognized arguments: X\n")
+    assert usage[2] == (
+        "usage: coslie catalog list [-h]\n"
+        "coslie catalog list: error: unrecognized arguments: X\n"
+    )
     assert listed == (0, "".join(f"{n}\n" for n in cat.list_entries()), "")
     assert help1 == help2 and help1[0] == 0 and help1[1].startswith("usage: coslie [-h]")
     assert json.loads(as_json[1])["result"]["reeb"] == "e3"
@@ -892,3 +895,22 @@ def test_a_call_leaves_nothing_in_the_parser_for_the_next(files):
     parser = cli.build_parser()
     assert parser.parse_args([*extend, "--alpha-d", "1/2"]).alpha_d == "1/2"
     assert parser.parse_args(extend).alpha_d == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, usage, extra",
+    [
+        (["catalog", "list", "X"], "coslie catalog list [-h]", "X"),
+        (["catalog", "verify-all", "--bogus"], "coslie catalog verify-all [-h] [--json]", "--bogus"),
+        (["reeb", "{file}", "extra"], "coslie reeb [-h] [--json] [--params PARAMS] file", "extra"),
+    ],
+    ids=["catalog-list", "catalog-verify-all", "reeb"],
+)
+def test_extra_arguments_are_reported_with_the_sub_command_usage(files, argv, usage, extra):
+    path = files("g31.alg", G31_NORMAL)
+    prog = usage.split(" [")[0]
+    assert _outcome([a.format(file=path) for a in argv]) == (
+        2,
+        "",
+        f"usage: {usage}\n{prog}: error: unrecognized arguments: {extra}\n",
+    )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,11 +17,12 @@ from coslie.exterior import (
     cocycle_spaces,
     d1,
     d2,
+    differential,
     is_1cocycle,
     is_2cocycle,
     volume_coeff,
 )
-from coslie.lie_core import LieAlgebra
+from coslie.lie_core import LieAlgebra, check_jacobi
 from coslie.scalars import Poly
 
 
@@ -210,8 +211,11 @@ def test_a52_volume_coefficient_exact_value():
 
 
 def test_cocycle_spaces_abelian():
-    z1, z2 = cocycle_spaces(LieAlgebra.abelian(3))
-    assert len(z1) == 3 and len(z2) == 3
+    # d = 0 gives no row, and the kernel of zero is the whole space
+    for dim in range(1, 6):
+        z1, z2 = cocycle_spaces(LieAlgebra.abelian(dim))
+        assert [f.coeffs for f in z1] == [OneForm.dual(dim, l + 1).coeffs for l in range(dim)]
+        assert [f.coeffs for f in z2] == [{p: F(1)} for p in combinations(range(dim), 2)]
 
 
 def test_cocycle_spaces_g21(g21):
@@ -329,3 +333,90 @@ def test_catalog_families_are_symbolically_closed():
         L = entry.algebra()
         assert d1(L, entry.alpha).is_zero(), name
         assert d2(L, entry.omega).is_zero(), name
+
+
+# ---------------------------------------------------------------------------
+# the differential in every degree
+
+
+def compose(upper: list, lower: list) -> dict:
+    """The nonzero entries of the product of two matrices of sparse rows
+    ``(T, {S: c})``, keyed by (row of upper, column of lower)."""
+    lower_rows = dict(lower)
+    out: dict = {}
+    for T, row in upper:
+        for S, c in row.items():
+            for R, x in lower_rows.get(S, {}).items():
+                out[(T, R)] = out.get((T, R), 0) + c * x
+    return {key: v for key, v in out.items() if v}
+
+
+def test_d_after_d_is_zero_in_every_degree():
+    from coslie.catalog import aff_corrected_algebra, get_entry, heisenberg, list_entries
+
+    algebras = {"H_9": heisenberg(4), "aff corrected at lam=1": aff_corrected_algebra(F(1))}
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind != "heisenberg":
+            L = entry.algebra(entry.struct_params)
+            if not L.is_parametric():
+                algebras[name] = L
+    assert len(algebras) == 34
+    for name, L in algebras.items():
+        assert differential(L, 1), name  # no catalog algebra is abelian
+        for k in range(1, min(4, L.dim - 1) + 1):
+            assert compose(differential(L, k + 1), differential(L, k)) == {}, (name, k)
+
+
+@st.composite
+def dense_tables(draw):
+    """An antisymmetric rational table with every bracket drawn, dimension
+    1-6: most violate the Jacobi identity, and those of dimension below 3
+    satisfy it."""
+    dim = draw(st.integers(1, 6))
+    return LieAlgebra(
+        dim, {ij: draw(st.tuples(*[table_entries] * dim)) for ij in combinations(range(dim), 2)}
+    )
+
+
+@given(dense_tables())
+def test_d2_after_d1_vanishes_exactly_on_lie_algebras(L):
+    # d2(d1 alpha)(x, y, z) = alpha(Jacobiator of x, y, z), for every alpha
+    assert bool(check_jacobi(L)) == bool(compose(differential(L, 2), differential(L, 1)))
+
+
+def monomial_value(S: tuple, vectors: list):
+    """e^S(v_1, ..., v_k): the determinant of the v_i read at the indices
+    of S, by the Leibniz formula."""
+    total = F(0)
+    for perm in permutations(range(len(S))):
+        inversions = sum(p > q for p, q in combinations(perm, 2))
+        term = F(-1) ** inversions
+        for v, col in zip(vectors, perm):
+            term *= v[S[col]]
+        total += term
+    return total
+
+
+def formula_entry(L, T: tuple, S: tuple):
+    """(d e^S)(e_T) from the defining sum over a < b of
+    (-1)^(a+b) e^S([e_{T_a}, e_{T_b}], the other e_{T_c})."""
+    basis = [sc.basis_vec(L.dim, m) for m in range(L.dim)]
+    total = F(0)
+    for a, b in combinations(range(len(T)), 2):
+        rest = [basis[m] for c, m in enumerate(T) if c not in (a, b)]
+        value = monomial_value(S, [L.bracket_basis(T[a], T[b]), *rest])
+        total += value if (a + b) % 2 == 0 else -value
+    return total
+
+
+@given(bracket_tables())
+def test_differential_in_degree_three_matches_the_formula(case):
+    L, _ = case
+    rows = dict(differential(L, 3))
+    r = L.ad_numerators[1]
+    for T in combinations(range(L.dim), 4):
+        row = rows.get(T, {})
+        assert all(row.values())
+        for S in combinations(range(L.dim), 3):
+            assert F(row.get(S, 0), r) == formula_entry(L, T, S), (T, S)

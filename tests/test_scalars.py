@@ -67,6 +67,14 @@ def test_nullspace_injective_map_is_empty():
     assert nullspace(eye) == []
 
 
+def test_nullspace_of_no_rows_is_an_error():
+    # an empty kernel would be wrong: without a row there is no width, and
+    # a zero row of the intended width gives the whole space
+    with pytest.raises(ValueError, match="width is unknown"):
+        nullspace([])
+    assert nullspace([[0, 0]]) == [(F(1), F(0)), (F(0), F(1))]
+
+
 def test_nullspace_one_cocycles_of_g21_plus_g1():
     # annihilator of the single bracket [e1,e2] = e1, acting on 1-forms
     rows = [[1, 0, 0]]  # alpha(e1) = 0
@@ -153,7 +161,11 @@ def test_rref_rank_and_nullspace_match_the_fraction_elimination(m):
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
         want.append(tuple(v))
-    assert nullspace(m) == want
+    if not m:  # no rows, so no width to take the kernel in
+        with pytest.raises(ValueError, match="width is unknown"):
+            nullspace(m)
+    else:
+        assert nullspace(m) == want
 
 
 # ---------------------------------------------------------------------------

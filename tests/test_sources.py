@@ -286,3 +286,56 @@ def test_the_catalog_data_is_the_package_file_alone():
     them and writes none itself, but for the Heisenberg family."""
     [path] = [p for p in SOURCES if p.name == "catalog.py"]
     assert catalog_data_built_in_python(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def bracket_reads(tree: ast.AST) -> list:
+    """Names of the top-level functions and classes that read bracket
+    components: ``.brackets``, or ``.ad_numerators`` other than its index 1
+    (the common denominator); unpacking it reads index 0 too."""
+    denominators = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "ad_numerators"
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 1
+    }
+    return [
+        top.name
+        for top in getattr(tree, "body", [])
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(
+            isinstance(node, ast.Attribute)
+            and (
+                node.attr == "brackets"
+                or (node.attr == "ad_numerators" and id(node) not in denominators)
+            )
+            for node in ast.walk(top)
+        )
+    ]
+
+
+def test_the_scan_sees_every_read_of_bracket_components():
+    for text in (
+        "def d1(L, a):\n    ad, r = L.ad_numerators\n    return r",
+        "def rows(L):\n    return L.ad_numerators[0]",
+        "def rows(L):\n    return list(L.brackets)",
+        "def f(L):\n    def g():\n        return L.brackets\n    return g",
+        "class A:\n    def f(self, L):\n        return L.ad_numerators",
+    ):
+        assert bracket_reads(ast.parse(text)), text
+    for text in (
+        "def d2(L, w):\n    return w * L.ad_numerators[1]",
+        "def f(w):\n    return w.coeffs",
+        "x = 1",
+    ):
+        assert bracket_reads(ast.parse(text)) == [], text
+
+
+def test_one_function_of_exterior_reads_the_brackets():
+    """Every differential, cocycle predicate and cocycle space takes its
+    rows from ``exterior.differential``, the one place where the sign
+    convention of d meets the structure constants."""
+    [path] = [p for p in SOURCES if p.name == "exterior.py"]
+    assert bracket_reads(ast.parse(path.read_text(encoding="utf-8"))) == ["differential"]
