@@ -196,8 +196,8 @@ class ThreeForm:
 
 
 def differential(L: LieAlgebra, k: int) -> list:
-    """The matrix of d: Lambda^k -> Lambda^(k+1) as sparse rows of ring
-    numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
+    """The matrix of d: Lambda^k -> Lambda^(k+1), k >= 1, as sparse rows of
+    ring numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
     increasing (k+1)-tuple T whose row is nonzero, in lexicographic order,
     with d(theta)(e_T) = sum c * theta_S / r over increasing k-tuples S.
 
@@ -228,7 +228,7 @@ def _apply(L: LieAlgebra, k: int, coeffs: Mapping) -> dict:
     {increasing (k+1)-tuple: Scalar}, from ``differential`` and the form's
     numerators, so only the nonzero bracket components enter."""
     nums, w = sc.common_denominator(list(coeffs.values()))
-    wn = dict(zip(coeffs, nums))
+    wn = {S: n for S, n in zip(coeffs, nums) if n}
     out = {}
     for T, row in differential(L, k):
         c = sum((x * wn[S] for S, x in row.items() if S in wn), start=0)

@@ -288,7 +288,7 @@ def test_the_catalog_data_is_the_package_file_alone():
     assert catalog_data_built_in_python(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def bracket_reads(tree: ast.AST) -> list:
+def bracket_reads(tree: ast.Module) -> list:
     """Names of the top-level functions and classes that read bracket
     components: ``.brackets``, or ``.ad_numerators`` other than its index 1
     (the common denominator); unpacking it reads index 0 too."""
@@ -303,7 +303,7 @@ def bracket_reads(tree: ast.AST) -> list:
     }
     return [
         top.name
-        for top in getattr(tree, "body", [])
+        for top in tree.body
         if isinstance(top, (ast.FunctionDef, ast.ClassDef))
         and any(
             isinstance(node, ast.Attribute)
