@@ -226,7 +226,7 @@ def differential(L: LieAlgebra, k: int) -> list:
 def _apply(L: LieAlgebra, k: int, coeffs: Mapping) -> dict:
     """d of the k-form with coefficients {increasing k-tuple: Scalar}, as
     {increasing (k+1)-tuple: Scalar}, from ``differential`` and the form's
-    numerators, so only the nonzero bracket components enter."""
+    nonzero numerators, so only the nonzero bracket components enter."""
     nums, w = sc.common_denominator(list(coeffs.values()))
     wn = {S: n for S, n in zip(coeffs, nums) if n}
     out = {}
