@@ -424,9 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
     if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        # the top-level parser takes no option but -h, so a leftover before
+        # the command name is its own, and the rest are the command's
+        argv = sys.argv[1:] if argv is None else list(argv)
+        owner = args.parser if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except AlgFileError as exc:

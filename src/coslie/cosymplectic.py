@@ -262,7 +262,8 @@ def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
         for (i, j), c in zip(w.coeffs, nums):
             block[i][j], block[j][i] = c, -c
         rows.extend(block)
-    return bool(sc.nullspace(rows))
+    # zero and repeated rows change neither the row space nor the kernel
+    return bool(sc.nullspace(list(dict.fromkeys(tuple(row) for row in rows if any(row)))))
 
 
 def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:

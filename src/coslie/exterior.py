@@ -196,16 +196,22 @@ class ThreeForm:
 
 
 def differential(L: LieAlgebra, k: int) -> list:
-    """The matrix of d: Lambda^k -> Lambda^(k+1), k >= 1, as sparse rows of
+    """The matrix of d: Lambda^k -> Lambda^(k+1), k >= 0, as sparse rows of
     ring numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
     increasing (k+1)-tuple T whose row is nonzero, in lexicographic order,
     with d(theta)(e_T) = sum c * theta_S / r over increasing k-tuples S.
+    d is zero on Lambda^0 (trivial coefficients), so k = 0 gives no rows;
+    k < 0 is a ValueError.
 
     Only the nonzero brackets enter.  A component x on e_l of [e_i, e_j],
     i < j, enters the row of each T = {i, j} u rest, with rest any k - 1
     other indices, in the one monomial S = {l} u rest: its sign is the
     (-1)^(a+b) of the convention, a and b the places of i and j in T, times
     (-1)^(place of l in S) of moving e_l there."""
+    if k < 0:
+        raise ValueError(f"no differential on forms of degree {k}")
+    if k == 0:
+        return []
     ad = L.ad_numerators[0]
     rows: dict = {}
     for i, j in L.brackets:
@@ -338,4 +344,4 @@ def cocycle_spaces(L: LieAlgebra):
         raise ParametricUnsupported("cocycle spaces need rational structure constants")
     z1 = [OneForm(L.dim, v) for v in _closed(L, 1)[1]]
     pairs, z2 = _closed(L, 2)
-    return z1, [TwoForm(L.dim, dict(zip(pairs, v))) for v in z2]
+    return z1, [TwoForm(L.dim, {S: c for S, c in zip(pairs, v) if c}) for v in z2]

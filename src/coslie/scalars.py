@@ -584,7 +584,7 @@ def rref(m) -> tuple:
     if None in rows:
         raise ParametricUnsupported("matrix has symbolic entries")
     rows, pivots, den = _echelon([nums for nums, _ in rows])
-    return [[Fraction(x, den) for x in row] for row in rows], pivots
+    return [[Fraction(x, den) if x else ZERO for x in row] for row in rows], pivots
 
 
 def rank(m) -> int:
@@ -608,7 +608,8 @@ def nullspace(m) -> list:
         v = [ZERO] * ncols
         v[f] = ONE
         for r, p in enumerate(pivots):
-            v[p] = -rows[r][f]
+            if x := rows[r][f]:
+                v[p] = -x
         basis.append(tuple(v))
     return basis
 
@@ -672,47 +673,84 @@ def mat_vec(a, x) -> Vector:
 def det_poly(m) -> Scalar:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Works over Fraction or Poly entries (any mix).  RatFn entries are not
-    expected here; nondegeneracy tests happen before division ever occurs.
+    Each row is cleared to ring elements (``_ring_row``): ints over the lcm
+    of its denominators, or Polys.  The forward elimination runs on those
+    rows through the row step of ``_echelon``, and the determinant is the
+    last pivot, with the sign of the row swaps, over the product of the row
+    denominators: a Fraction when every row is rational, a Poly otherwise
+    (but ZERO for a zero row or column, or a column without a pivot).
+    RatFn entries are a TypeError; nondegeneracy tests happen before
+    division ever occurs.
     """
     # forward-only, unlike _echelon: ZERO at the first column without a pivot
     n = len(m)
     if n == 0:
         return ONE
+    if any(len(row) != n for row in m):
+        raise ValueError("det of a non-square matrix")
+    rows, den = [], 1
     for row in m:
-        if len(row) != n:
-            raise ValueError("det of a non-square matrix")
-    a = [[as_scalar(x) for x in row] for row in m]
+        nums, d = _ring_row(row)
+        rows.append(nums)
+        den *= d
     # cheap exits: an all-zero row or column
-    for i in range(n):
-        if all(is_zero(x) for x in a[i]):
-            return ZERO
-        if all(is_zero(a[j][i]) for j in range(n)):
-            return ZERO
-    sign = 1
-    prev: Scalar = ONE
+    if not all(map(any, rows)) or not all(map(any, zip(*rows))):
+        return ZERO
+    step = _row_step(rows)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if not is_zero(a[i][k])), None)
-        if pivot is None:
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
             return ZERO
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
+        top = rows[k]
+        piv = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_quot(num, prev)
-            a[i][k] = ZERO
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
+            f = rows[i][k]
+            if f or piv != prev:
+                rows[i] = step(rows[i], top, piv, f, prev)
+        prev = piv
+    last = -rows[-1][-1] if sign < 0 else rows[-1][-1]
+    if step is _int_step:
+        return _quotient(last, den)
+    return (last if isinstance(last, Poly) else Poly.const(last)) / den
+
+
+def _row_step(rows):
+    """The row step for these rows: ``_int_step`` when every entry is an
+    int, ``_ring_step`` otherwise."""
+    return _int_step if all(type(x) is int for row in rows for x in row) else _ring_step
+
+
+def _int_step(row, top, piv, f, prev) -> list:
+    """(piv * row - f * top) / prev on int rows, as one floor quotient per
+    entry and one check of the row sums: every floor quotient q of v / prev
+    has prev * q on the same side of v, so prev * sum(q) equals the sum of
+    the v iff every quotient is exact; raises InexactDivision otherwise."""
+    if prev == 1:
+        return [piv * x - f * y for x, y in zip(row, top)]
+    new = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+    if prev * sum(new) != piv * sum(row) - f * sum(top):
+        raise InexactDivision(f"{prev} does not divide {piv} * row - {f} * top")
+    return new
+
+
+def _ring_step(row, top, piv, f, prev) -> list:
+    """(piv * row - f * top) / prev on rows with Poly entries, entry by
+    entry: zero products and quotients skipped, each quotient exact by
+    ``_exact_quot``."""
+    new = []
+    for x, y in zip(row, top):
+        v = (piv * x if x else 0) - (f * y if f and y else 0)
+        new.append(_exact_quot(v, prev) if v else 0)
+    return new
 
 
 def _exact_quot(num, den):
-    """Exact quotient num / den of Fractions, ints or Polys, as in Bareiss
-    elimination; raises InexactDivision when den does not divide num."""
-    if isinstance(den, Fraction):
-        return num / den
+    """Exact quotient num / den of ints or Polys, as in Bareiss elimination;
+    raises InexactDivision when den does not divide num."""
     if isinstance(num, int) and isinstance(den, int):
         q, r = divmod(num, den)
         if r:
@@ -722,16 +760,17 @@ def _exact_quot(num, den):
     return num.exact_div(den if isinstance(den, Poly) else Poly.const(den))
 
 
-def _ring_row(row) -> list:
-    """One equation as ring elements: a rational row times the lcm of its
-    denominators (ints), any other row as Polys."""
+def _ring_row(row) -> tuple:
+    """(nums, den): one equation as ring elements over den, a rational row
+    as ints over the lcm of its denominators, any other row as Polys over
+    1."""
     ints = _over_lcm(row)
     if ints is not None:
-        return ints[0]
+        return ints
     row = [as_scalar(x) for x in row]
     if any(isinstance(x, RatFn) for x in row):
-        raise TypeError("RatFn entry in a fraction-free solve")
-    return [x if isinstance(x, Poly) else Poly.const(x) for x in row]
+        raise TypeError("RatFn entry in a fraction-free elimination")
+    return [x if isinstance(x, Poly) else Poly.const(x) for x in row], 1
 
 
 def _over_lcm(values) -> Optional[tuple]:
@@ -755,13 +794,15 @@ def _echelon(rows) -> tuple:
 
     A column without a pivot is skipped, and the elimination stops once
     every row has one.  Every quotient by the previous pivot is exact
-    (``_exact_quot`` raises InexactDivision otherwise), so int rows stay
-    ints and a row turns into Polys once a Poly enters it.  Every pivot
-    entry ends equal to last, so the reduced row echelon form is
+    (InexactDivision otherwise).  When every entry is an int, each row is
+    updated whole by ``_int_step``; otherwise entry by entry by
+    ``_ring_step``, so a row turns into Polys once a Poly enters it.  Every
+    pivot entry ends equal to last, so the reduced row echelon form is
     rows / last.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
+    step = _row_step(rows)
     pivots: list = []
     prev = 1
     for c in range(ncols):
@@ -778,11 +819,7 @@ def _echelon(rows) -> tuple:
             f = rows[i][c]
             if i == r or (not f and piv == prev):
                 continue
-            row = []
-            for x, y in zip(rows[i], top):  # zero products and quotients skipped
-                v = (piv * x if x else 0) - (f * y if f and y else 0)
-                row.append(_exact_quot(v, prev) if v else 0)
-            rows[i] = row
+            rows[i] = step(rows[i], top, piv, f, prev)
         prev = piv
         pivots.append(c)
     return rows[: len(pivots)], pivots, prev
@@ -800,7 +837,9 @@ def solve_fraction_free(a, bs) -> tuple:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("solve of a non-square system")
-    rows, pivots, den = _echelon(_ring_row(list(a[i]) + [b[i] for b in bs]) for i in range(n))
+    rows, pivots, den = _echelon(
+        _ring_row(list(a[i]) + [b[i] for b in bs])[0] for i in range(n)
+    )
     if pivots[:n] != list(range(n)):
         raise SingularSystem("singular linear system")
     return [[row[n + k] for row in rows] for k in range(len(bs))], den

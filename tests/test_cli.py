@@ -914,3 +914,22 @@ def test_extra_arguments_are_reported_with_the_sub_command_usage(files, argv, us
         "",
         f"usage: {usage}\n{prog}: error: unrecognized arguments: {extra}\n",
     )
+
+
+def test_an_argument_before_the_command_is_reported_with_the_top_level_usage(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    assert _outcome(["--bogus", "catalog", "list"]) == (
+        2,
+        "",
+        "usage: coslie [-h]\n"
+        "              {validate,reeb,lsa,biinv,exists,symplectize,extend,isocheck,catalog}\n"
+        "              ...\n"
+        "coslie: error: unrecognized arguments: --bogus\n",
+    )
+    assert _outcome(["catalog", "list", "--bogus"]) == (
+        2,
+        "",
+        "usage: coslie catalog list [-h]\n"
+        "coslie catalog list: error: unrecognized arguments: --bogus\n",
+    )
+

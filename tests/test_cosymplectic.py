@@ -222,6 +222,41 @@ def test_phi_kernel_certificate_fires_only_on_zero_determinants(sl2, g31):
         assert not res.exists and sc.is_zero(res.det)
 
 
+def unpruned_certificate(dim, z1, z2) -> bool:
+    """The common-kernel certificate from every row: Z^1's, then each
+    omega's full skew matrix, zero and repeated rows included."""
+    if not z1:
+        return True
+    rows = [list(a.coeffs) for a in z1]
+    if not sc.nullspace(rows):
+        return False
+    for w in z2:
+        rows += [[w.value_basis(i, j) for j in range(dim)] for i in range(dim)]
+    return bool(sc.nullspace(rows))
+
+
+def test_pruned_certificate_rows_keep_the_verdict():
+    from test_cli import EXISTS_INPUTS
+
+    from coslie.algfile import parse_algebra
+
+    algebras = {f"H_{2 * n + 1}": heisenberg(n) for n in range(2, 6)}
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind != "heisenberg":
+            L = entry.algebra(entry.struct_params)
+            if not L.is_parametric() and L.dim % 2:
+                algebras[name] = L
+    algebras.update((name, parse_algebra(text).algebra) for name, text in EXISTS_INPUTS.items())
+    verdicts = set()
+    for name, L in algebras.items():
+        z1, z2 = cocycle_spaces(L)
+        got = cs._phi_kernel_certificate(L.dim, z1, z2)
+        assert got == unpruned_certificate(L.dim, z1, z2), name
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_rational_witness_points_equal_substituted_generic_forms(g31):
     a51 = LieAlgebra.from_table(5, {(3, 5): {1: 1}, (4, 5): {2: 1}})
     for L in (g31, heisenberg(1), R3_1, LieAlgebra.abelian(5), a51):

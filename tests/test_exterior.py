@@ -368,6 +368,20 @@ def test_d_after_d_is_zero_in_every_degree():
             assert compose(differential(L, k + 1), differential(L, k)) == {}, (name, k)
 
 
+def test_the_differential_on_functions_is_zero():
+    # d(f)(x) = x.f = 0 for trivial coefficients, so d_0 has no rows, and
+    # there are no forms of negative degree
+    from coslie.catalog import get_entry, heisenberg
+
+    entry = get_entry("g_{3.4}^{-1}")
+    for L in (heisenberg(1), entry.algebra(entry.struct_params)):
+        assert differential(L, 0) == []
+        assert differential(L, 1)
+        assert compose(differential(L, 1), differential(L, 0)) == {}
+        with pytest.raises(ValueError, match="degree -1"):
+            differential(L, -1)
+
+
 @st.composite
 def dense_tables(draw):
     """An antisymmetric rational table with every bracket drawn, dimension

@@ -210,6 +210,66 @@ def test_bareiss_agrees_with_cofactor_on_rational_matrices(m):
     assert sc.scalars_equal(det_poly([row[:] for row in m]), cofactor_det(m))
 
 
+@st.composite
+def mixed_det_matrices(draw):
+    """(m, symbolic): a square matrix, size 1-4, each rational row over its
+    own denominator, some diagonal entries zero so that the elimination
+    must swap rows, and maybe one row of Polys in x with an x in it."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-6, 6)
+    m = []
+    for _ in range(n):
+        den = draw(st.sampled_from([1, 2, 3, 5, 7]))
+        m.append([F(draw(ints), den) for _ in range(n)])
+    for i in range(n):
+        if draw(st.booleans()):
+            m[i][i] = F(0)
+    symbolic = draw(st.booleans())
+    if symbolic:
+        x = Poly.var("x")
+        k, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[k] = [draw(rationals) * x + draw(rationals) for _ in range(n)]
+        m[k][j] = x + draw(rationals)
+    return m, symbolic
+
+
+@given(mixed_det_matrices())
+def test_bareiss_on_ring_rows_agrees_with_cofactor(case):
+    m, symbolic = case
+    det = det_poly([row[:] for row in m])
+    assert sc.scalars_equal(det, cofactor_det(m))
+    if not symbolic:
+        assert type(det) is F
+    elif det:  # a zero determinant may come from a shortcut, as ZERO
+        assert type(det) is Poly
+
+
+@pytest.mark.parametrize("prev", [2, -2])
+def test_integer_row_step_refuses_a_row_that_prev_does_not_divide(prev):
+    # piv * row - f * top = [0, 2, 1, -1]: the last two floor quotients err
+    # on the same side, so their errors cannot cancel in the row sum
+    top, row = [1, 0, 0, 0], [0, 2, 1, -1]
+    with pytest.raises(InexactDivision):
+        sc._int_step(row, top, 1, 0, prev)
+    assert sc._int_step([0, 2, 4, -6], top, 1, 0, prev) == [0, 2 // prev, 4 // prev, -6 // prev]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=6),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+    st.sampled_from([1, -1, 2, -2, 3, -6, 7]),
+)
+def test_integer_row_step_matches_the_entrywise_quotients(pairs, piv, f, prev):
+    row, top = (list(t) for t in zip(*pairs))
+    v = [piv * x - f * y for x, y in pairs]
+    if all(x % prev == 0 for x in v):
+        assert sc._int_step(row, top, piv, f, prev) == [sc._exact_quot(x, prev) for x in v]
+    else:
+        with pytest.raises(InexactDivision):
+            sc._int_step(row, top, piv, f, prev)
+
+
 def test_bareiss_agrees_with_cofactor_symbolic():
     m = [[Poly.var(f"x{i}{j}") for j in range(4)] for i in range(4)]
     assert sc.scalars_equal(det_poly([row[:] for row in m]), cofactor_det(m))

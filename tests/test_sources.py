@@ -339,3 +339,44 @@ def test_one_function_of_exterior_reads_the_brackets():
     convention of d meets the structure constants."""
     [path] = [p for p in SOURCES if p.name == "exterior.py"]
     assert bracket_reads(ast.parse(path.read_text(encoding="utf-8"))) == ["differential"]
+
+
+SCALAR_BUILDERS = {"Fraction", "as_scalar", "to_fraction"}
+
+
+def scalar_builds(tree: ast.Module, function: str) -> list:
+    """The scalar builders (``Fraction``, ``as_scalar``, ``to_fraction``,
+    named directly or through a module) that the top-level function
+    ``function`` calls."""
+    [top] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return sorted(
+        name
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in SCALAR_BUILDERS
+    )
+
+
+def test_the_scan_sees_every_scalar_builder_call():
+    for text in (
+        "def f(m):\n    return [as_scalar(x) for x in m]",
+        "def f(x, d):\n    return Fraction(x, d)",
+        "def f(v):\n    def g():\n        return sc.to_fraction(v)\n    return g",
+    ):
+        assert scalar_builds(ast.parse(text), "f"), text
+    for text in (
+        "def f(x, d):\n    return _quotient(x, d)",
+        "def f(x):\n    return isinstance(x, Fraction)",
+        "def f(x):\n    return x if x else ZERO\ndef g(x):\n    return Fraction(x)",
+    ):
+        assert scalar_builds(ast.parse(text), "f") == [], text
+
+
+def test_elimination_runs_on_ring_numerators():
+    """``_echelon`` and ``det_poly`` eliminate ints and Polys only: rows are
+    cleared to ring elements before, and a Fraction is built, if at all,
+    from the result after."""
+    [path] = [p for p in SOURCES if p.name == "scalars.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for function in ("_echelon", "det_poly"):
+        assert scalar_builds(tree, function) == [], function
