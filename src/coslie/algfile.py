@@ -432,7 +432,7 @@ def format_algebra(
     params: Optional[dict] = None,
 ) -> str:
     def pairs(v) -> str:
-        return " ".join(f"{_coeff_token(c)} {k + 1}" for k, c in enumerate(v) if not sc.is_zero(c))
+        return " ".join(f"{_coeff_token(c)} {k + 1}" for k, c in enumerate(v) if c)
 
     lines = [f"dim {algebra.dim}"]
     for (i, j), v in sorted(algebra.brackets.items()):

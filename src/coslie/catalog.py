@@ -140,7 +140,7 @@ def _entry(parsed) -> CatalogEntry:
             ))
         elif key == "lsa":
             table = {
-                (i + 1, j + 1): {k + 1: c for k, c in enumerate(v) if not sc.is_zero(c)}
+                (i + 1, j + 1): {k + 1: c for k, c in enumerate(v) if c}
                 for (i, j), v in s["product"].items()
             }
             lsa = LsaExpectation(*_forms(n, s), table, s["note"].get((), ""))

@@ -248,7 +248,7 @@ def cmd_symplectize(args) -> int:
     c2, det, ok = pair.validate()
     r = Report("symplectize", args.file)
     r.check("cocycle2", c2)
-    r.check("nondegenerate", not sc.is_zero(det), f"det = {det}")
+    r.check("nondegenerate", bool(det), f"det = {det}")
     r.result["symplectic"] = ok
     r.say(f"dim {pair.algebra.dim} extension:")
     for line in _brackets_str(pair.algebra):

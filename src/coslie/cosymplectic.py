@@ -85,7 +85,7 @@ def validate(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> ValidationReport:
     vol = volume_coeff(L, alpha, omega)
     c1 = da.is_zero()
     c2 = dw.is_zero()
-    nz = not sc.is_zero(vol)
+    nz = bool(vol)
     return ValidationReport(
         c1, None if c1 else da, c2, None if c2 else dw, vol, nz, c1 and c2 and nz
     )
@@ -94,7 +94,7 @@ def validate(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> ValidationReport:
 def reeb(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Vector:
     """The unique xi with alpha(xi) = 1 and i_xi(omega) = 0."""
     P = phi_map(L, alpha, omega)
-    if sc.is_zero(volume_coeff(L, alpha, omega)):
+    if not volume_coeff(L, alpha, omega):
         raise SingularPhi("alpha ^ omega^n = 0")
     return solve_reeb(P, alpha)
 
@@ -160,7 +160,7 @@ class SymplecticPair:
         """(cocycle ok, det(omega) scalar, overall ok)."""
         c2 = is_2cocycle(self.algebra, self.omega)
         det = sc.det_poly(self.omega.matrix())
-        return c2, det, c2 and not sc.is_zero(det)
+        return c2, det, c2 and bool(det)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +218,14 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
 
     for assignment in _staged_assignments(svars + tvars):
         hit = found(assignment)
-        if not sc.is_zero(sc.det_poly(phi_map(L, hit.alpha, hit.omega))):
+        if sc.det_poly(phi_map(L, hit.alpha, hit.omega)):
             return hit
 
     n = (L.dim - 1) // 2
     _, generic = _span_forms(L.dim, [], z2, [], [sc.Poly.var(v) for v in tvars])
     for i, z in enumerate(z1):
         vol = volume_coeff(L, z, generic)
-        if sc.is_zero(vol):
+        if not vol:
             continue
         if sc.total_degree(vol) > n:
             raise AssertionError(
@@ -236,7 +236,7 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
         for v in tvars:
             for k in range(n + 1):
                 rest = sc.scalar_subs(vol, {v: Fraction(k)})
-                if not sc.is_zero(rest):
+                if rest:
                     break
             else:
                 raise AssertionError(f"volume polynomial vanishes at {v} = 0..{n}")
@@ -327,7 +327,7 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
     """
     L, alpha = S.algebra, S.alpha
     n = L.dim
-    pivot = next(k for k in range(n) if not sc.is_zero(alpha.coeffs[k]))
+    pivot = next(k for k in range(n) if alpha.coeffs[k])
     ap = alpha.coeffs[pivot]
     kept = tuple(k for k in range(n) if k != pivot)
     hbasis = []
@@ -335,7 +335,7 @@ def kernel_symplectic(S: CosymplecticStructure) -> KernelReduction:
         v = list(sc.zero_vec(n))
         v[k] = sc.ONE
         coef = alpha.coeffs[k]
-        if not sc.is_zero(coef):
+        if coef:
             v[pivot] = -(coef / ap)
         hbasis.append(tuple(v))
 
@@ -393,7 +393,7 @@ def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticS
         brackets[(i, j)] = tuple(v) + (sc.ZERO,)
     for i in range(m):
         col = D.column(i)
-        if not sc.vec_is_zero(col):
+        if any(col):
             brackets[(i, m)] = tuple(-x for x in col) + (sc.ZERO,)
     L = LieAlgebra(n, brackets)
     alpha = OneForm.dual(n, n)
@@ -410,11 +410,7 @@ def to_symplectic(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> SymplecticPa
     n = L.dim + 1
     brackets = {ij: tuple(v) + (sc.ZERO,) for ij, v in L.brackets.items()}
     big = LieAlgebra(n, brackets)
-    wc = dict(omega.coeffs)
-    for i in range(L.dim):
-        c = alpha.coeffs[i]
-        if not sc.is_zero(c):
-            wc[(i, L.dim)] = c
+    wc = {**omega.coeffs, **{(i, L.dim): c for i, c in enumerate(alpha.coeffs)}}
     return SymplecticPair(big, TwoForm(n, wc))
 
 

@@ -70,16 +70,14 @@ def _d_lambda_failures(Gbar: LieAlgebra, E: ExtensionData, theta: TwoForm, lhs: 
     return [
         f"{lhs} != d(lambda) at (e{i + 1}, e{j + 1})"
         for i, j in combinations(range(Gbar.dim), 2)
-        if not sc.scalars_equal(
-            E.t * theta.value_basis(i, j) - twist.value_basis(i, j), dlam.value_basis(i, j)
-        )
+        if E.t * theta.value_basis(i, j) - twist.value_basis(i, j) != dlam.value_basis(i, j)
     ]
 
 
 def _noncentral(Gbar: LieAlgebra, v: Vector) -> list:
     """The 1-based j with [v, e_j] != 0."""
     ad_v = ad(Gbar, v)
-    return [j + 1 for j in range(Gbar.dim) if not sc.vec_is_zero(ad_v.column(j))]
+    return [j + 1 for j in range(Gbar.dim) if any(ad_v.column(j))]
 
 
 def _same_dim(Gbar: LieAlgebra, E: ExtensionData):
@@ -100,13 +98,13 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     dphi = partial_phi(Gbar, E.phi)
     for (i, j), val in dphi.items():
         want = sc.vec_scale(E.theta.value_basis(i, j), E.v)
-        if not sc.vecs_equal(val, want):
+        if val != want:
             failures.append(f"partial(phi) != theta v at (e{i + 1}, e{j + 1})")
     failures += _d_lambda_failures(Gbar, E, E.theta, "t theta - theta_phi")
     noncentral = _noncentral(Gbar, E.v)
     if noncentral:
         failures.append(f"v not central against e{noncentral[0]}")
-    outside = [j + 1 for j, c in enumerate(E.theta.contract(E.v).coeffs) if not sc.is_zero(c)]
+    outside = [j + 1 for j, c in enumerate(E.theta.contract(E.v).coeffs) if c]
     if outside:
         failures.append(f"v not in ker(theta) against e{outside[0]}")
     return failures
@@ -121,15 +119,15 @@ def assemble_extension(Gbar: LieAlgebra, E: ExtensionData) -> LieAlgebra:
         for j in range(i + 1, n):
             base = Gbar.bracket_basis(i, j)
             th = E.theta.value_basis(i, j)
-            if not sc.vec_is_zero(base) or not sc.is_zero(th):
+            if any(base) or th:
                 brackets[(i, j)] = tuple(base) + (sc.ZERO, th)
     for i in range(n):
         img = tuple(E.phi.column(i)) + (sc.ZERO, E.lam.coeffs[i])
-        if not sc.vec_is_zero(img):
+        if any(img):
             # stored as [e_i, d] = -[d, e_i]
             brackets[(i, d_idx)] = tuple(-x for x in img)
     de = tuple(E.v) + (sc.ZERO, E.t)
-    if not sc.vec_is_zero(de):
+    if any(de):
         brackets[(d_idx, e_idx)] = de
     return LieAlgebra(n + 2, brackets)
 
@@ -211,20 +209,20 @@ def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentR
     for a in range(m):
         for b in range(a + 1, m):
             val = twist.value(hbasis[a], hbasis[b])
-            if not sc.is_zero(val):
+            if val:
                 cond_i.append((a + 1, b + 1, val))
     cond_ii = []
     for a in range(m):
         val = E.lam.apply(hbasis[a]) - obar.value(hbasis[a], phi_xi)
-        if not sc.is_zero(val):
+        if val:
             cond_ii.append((a + 1, val))
     cond_iii = []
     for a in range(m):
         val = obar.value(E.v, hbasis[a]) - abar.apply(E.phi.apply(hbasis[a]))
-        if not sc.is_zero(val):
+        if val:
             cond_iii.append((a + 1, val))
     iv_defect = E.t + abar.apply(phi_xi)
-    cond_iv = None if sc.is_zero(iv_defect) else iv_defect
+    cond_iv = iv_defect or None
 
     pair = to_symplectic(Gbar, abar, obar)
     n = Gbar.dim
@@ -251,7 +249,7 @@ def _construct(
     """The double extension of Gbar by E with the structure (alpha, omega),
     whose Reeb vector must be reeb (AssertionError moved otherwise)."""
     S = CosymplecticStructure.make(double_extend(Gbar, E), alpha, omega)
-    if not sc.vecs_equal(S.reeb, reeb):
+    if S.reeb != reeb:
         raise AssertionError(moved)
     return ConstructionResult(S)
 
@@ -286,7 +284,8 @@ def construct_A(
     Hypotheses checked: the i.s.t. component conditions, phi a derivation,
     v central, and the two closure conditions obar([x,y], phi(xi)) = 0 and
     obar([phi(xi), xi], x) = 0 over ker(abar).  The Reeb vector of the
-    result is d.
+    result is d.  AssertionError if the component conditions and the direct
+    i.s.t. test disagree.
     """
     n = Gbar.dim
     failures = []
@@ -294,6 +293,8 @@ def construct_A(
         failures.append("theta must be zero for this construction")
     S = CosymplecticStructure.make(Gbar, abar, obar)
     ist_rep = _ist_components(S, E)
+    if not ist_rep.agree:
+        raise AssertionError("i.s.t. components and the direct test disagree")
     if not ist_rep.ok:
         failures.append(f"extension data is not an i.s.t.: components {ist_rep.failed()}")
     if is_derivation(Gbar, E.phi):
@@ -307,11 +308,11 @@ def construct_A(
     phi_xi = E.phi.apply(xi)
     for a in range(m):
         for b in range(a + 1, m):
-            if not sc.is_zero(obar.value(bracket(Gbar, hbasis[a], hbasis[b]), phi_xi)):
+            if obar.value(bracket(Gbar, hbasis[a], hbasis[b]), phi_xi):
                 failures.append(f"obar([h{a + 1}, h{b + 1}], phi(xi)) != 0")
     br = bracket(Gbar, phi_xi, xi)
     for a in range(m):
-        if not sc.is_zero(obar.value(br, hbasis[a])):
+        if obar.value(br, hbasis[a]):
             failures.append(f"obar([phi(xi), xi], h{a + 1}) != 0")
             break
     if failures:
@@ -341,14 +342,14 @@ def construct_B(
     n = Gbar.dim
     failures = []
     obar_phi = form_twist(obar, E.phi)
-    if not sc.vec_is_zero(E.v):
+    if any(E.v):
         failures.append("v must be zero for this construction")
     if E.theta != obar_phi:
         failures.append("theta must equal obar_phi")
     if is_derivation(Gbar, E.phi):
         failures.append("phi is not a derivation of the base")
     comp = [abar.apply(E.phi.column(i)) for i in range(n)]
-    if any(not sc.is_zero(c) for c in comp):
+    if any(comp):
         failures.append("abar o phi != 0")
     failures += _d_lambda_failures(Gbar, E, obar_phi, "t obar_phi - obar_phiphi")
     fields = (E.phi, E.lam, E.v, E.t, obar_phi)

@@ -59,18 +59,13 @@ class OneForm:
         return sum((a * b for a, b in zip(self.coeffs, x)), start=sc.ZERO)
 
     def is_zero(self) -> bool:
-        return sc.vec_is_zero(self.coeffs)
+        return not any(self.coeffs)
 
     def subs(self, assignment) -> "OneForm":
         return OneForm(self.dim, tuple(sc.scalar_subs(c, assignment) for c in self.coeffs))
 
     def is_parametric(self) -> bool:
         return any(not sc.is_rational(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, OneForm):
-            return NotImplemented
-        return self.dim == other.dim and sc.vecs_equal(self.coeffs, other.coeffs)
 
 
 def _norm_coeffs(coeffs: Mapping, valid, what: str) -> dict:
@@ -81,7 +76,7 @@ def _norm_coeffs(coeffs: Mapping, valid, what: str) -> dict:
         if not valid(*idx):
             raise DimensionMismatch(f"bad {what} {idx}")
         c = sc.as_scalar(c)
-        if not sc.is_zero(c):
+        if c:
             out[idx] = c
     return dict(sorted(out.items()))
 
@@ -146,17 +141,6 @@ class TwoForm:
 
     def is_parametric(self) -> bool:
         return any(not sc.is_rational(c) for c in self.coeffs.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            sc.scalars_equal(self.value_basis(i, j), other.value_basis(i, j))
-            for i, j in keys
-        )
 
 
 def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
@@ -299,7 +283,7 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
             c = w.get((i, j))
             if c is not None:
                 sub = pfaffian(rest ^ (1 << j))
-                if not sc.is_zero(sub):
+                if sub:
                     total = total + c * sub if plus else total - c * sub
             plus = not plus
         memo[mask] = total
@@ -308,10 +292,10 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
     full = (1 << L.dim) - 1
     total = sc.ZERO
     for m, a in enumerate(alpha.coeffs):
-        if sc.is_zero(a):
+        if not a:
             continue
         pf = pfaffian(full ^ (1 << m))
-        if not sc.is_zero(pf):
+        if pf:
             total = total - a * pf if m % 2 else total + a * pf
     return total * Fraction(factorial(n))
 

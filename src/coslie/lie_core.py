@@ -41,7 +41,7 @@ class LieAlgebra:
             if len(v) != self.dim:
                 raise DimensionMismatch("bracket value has wrong length")
             v = sc.vec(v)
-            if not sc.vec_is_zero(v):
+            if any(v):
                 clean[(i, j)] = v
         object.__setattr__(self, "brackets", clean)
 
@@ -97,17 +97,6 @@ class LieAlgebra:
                 ij: tuple(sc.scalar_subs(x, assignment) for x in v)
                 for ij, v in self.brackets.items()
             },
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieAlgebra):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        keys = set(self.brackets) | set(other.brackets)
-        return all(
-            sc.vecs_equal(self.bracket_basis(i, j), other.bracket_basis(i, j))
-            for i, j in keys
         )
 
 
@@ -235,7 +224,7 @@ def derived_series(L: LieAlgebra) -> list:
             for p in range(len(current))
             for q in range(p + 1, len(current))
         ]
-        nxt = _span_rows([v for v in products if not sc.vec_is_zero(v)])
+        nxt = _span_rows([v for v in products if any(v)])
         chain.append(nxt)
         if len(nxt) == len(current) or not nxt:
             return chain
@@ -324,7 +313,7 @@ def check_isomorphism(
     """
     if L1.dim != L2.dim or M.source_dim != L1.dim or M.target_dim != L2.dim:
         raise DimensionMismatch("isomorphism check needs equal dimensions")
-    invertible = not sc.is_zero(sc.det_poly([list(r) for r in M.matrix]))
+    invertible = bool(sc.det_poly([list(r) for r in M.matrix]))
     bracket_defects = []
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):
@@ -332,12 +321,12 @@ def check_isomorphism(
                 M.apply(L1.bracket_basis(i, j)),
                 bracket(L2, M.column(i), M.column(j)),
             )
-            if not sc.vec_is_zero(d):
+            if any(d):
                 bracket_defects.append((i + 1, j + 1, d))
     alpha_defect = None
     if alpha1 is not None and alpha2 is not None:
         pulled = tuple(alpha2.apply(M.column(i)) for i in range(L1.dim))
-        if not sc.vecs_equal(pulled, alpha1.coeffs):
+        if pulled != alpha1.coeffs:
             alpha_defect = sc.vec_sub(pulled, alpha1.coeffs)
     omega_defects = []
     if omega1 is not None and omega2 is not None:
@@ -345,7 +334,7 @@ def check_isomorphism(
             for j in range(i + 1, L1.dim):
                 got = omega2.value(M.column(i), M.column(j))
                 want = omega1.value_basis(i, j)
-                if not sc.scalars_equal(got, want):
+                if got != want:
                     omega_defects.append((i + 1, j + 1, got - want))
     ok = invertible and not bracket_defects and alpha_defect is None and not omega_defects
     return IsoReport(invertible, bracket_defects, alpha_defect, omega_defects, ok)

@@ -120,6 +120,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it must hash as one
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------
@@ -461,16 +464,6 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"not a scalar: {value!r}")
 
 
-def is_zero(s: Scalar) -> bool:
-    if isinstance(s, (Poly, RatFn)):
-        return s.is_zero()
-    return s == 0
-
-
-def scalars_equal(a: Scalar, b: Scalar) -> bool:
-    return is_zero(a - b)
-
-
 def is_rational(s: Scalar) -> bool:
     if isinstance(s, Fraction):
         return True
@@ -549,20 +542,12 @@ def vec_scale(c: Scalar, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def vec_is_zero(x: Vector) -> bool:
-    return all(is_zero(a) for a in x)
-
-
-def vecs_equal(x: Vector, y: Vector) -> bool:
-    return len(x) == len(y) and all(scalars_equal(a, b) for a, b in zip(x, y))
-
-
 def vec_str(v, prefix: str = "e") -> str:
     """Nonzero components as ``c e1 + e2 + ...``; ``prefix`` names the
     basis (``e^`` for a one-form)."""
     parts = []
     for i, c in enumerate(v):
-        if is_zero(c):
+        if not c:
             continue
         cs = str(c)
         parts.append(f"{prefix}{i + 1}" if cs == "1" else f"{cs} {prefix}{i + 1}")

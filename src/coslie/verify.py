@@ -341,7 +341,7 @@ def _verify_normal_form(entry, nf, make, family: tuple) -> list:
     da = d1(L_sym, nf.alpha)
     dw = d2(L_sym, nf.omega)
     vol = volume_coeff(L_sym, nf.alpha, nf.omega)
-    sym_ok = da.is_zero() and dw.is_zero() and not sc.is_zero(vol)
+    sym_ok = da.is_zero() and dw.is_zero() and bool(vol)
     out.append(
         _result(
             name,
@@ -353,7 +353,7 @@ def _verify_normal_form(entry, nf, make, family: tuple) -> list:
 
     if sym_ok:  # the volume is nonzero, so Phi is invertible
         xi = solve_reeb(phi_map(L_sym, nf.alpha, nf.omega), nf.alpha)
-        reeb_ok = sc.vecs_equal(xi, nf.expected_reeb)
+        reeb_ok = xi == nf.expected_reeb
         out.append(_result(name, "reeb", reeb_ok, f"reeb = {sc.vec_str(xi)}"))
 
     uses_lam = "lam" in cat.symbols(_vector(nf.alpha) + _vector(nf.omega))
@@ -408,7 +408,7 @@ def _verify_heisenberg(entry) -> list:
         elif res.witness:
             detail += f"; witness {sorted(res.witness.items())}"
         if not should_exist:
-            ok = ok and sc.is_zero(res.det)
+            ok = ok and not res.det
         out.append(_result(entry, f"exists_H{2 * n + 1}", ok, detail))
     return out
 
@@ -468,7 +468,7 @@ def _verify_aff(entry) -> list:
         )
         if rep.ok:
             out.append(
-                _result(entry, f"reeb_lam{lam}", sc.vecs_equal(S.reeb, sc.basis_vec(7, 6)))
+                _result(entry, f"reeb_lam{lam}", S.reeb == sc.basis_vec(7, 6))
             )
             _structure_checks(entry.name, S, out, suffix=f"@lam={lam}")
 
@@ -478,7 +478,7 @@ def _verify_aff(entry) -> list:
         ok = rep.ok and not is_solvable(L)
         detail = f"corrected witness at lam={lam}: {rep}"
         if rep.ok:
-            ok = ok and sc.vecs_equal(S.reeb, sc.basis_vec(7, 6))
+            ok = ok and S.reeb == sc.basis_vec(7, 6)
             detail += f"; reeb = {sc.vec_str(S.reeb)}"
             if lam == 1:
                 _structure_checks(entry.name, S, out, suffix="@corrected-lam=1")

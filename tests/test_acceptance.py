@@ -190,7 +190,7 @@ def test_criterion_04_derivation_identity_and_two_routes(structures):
                     star.product(D.column(a), sc.basis_vec(m, b)),
                     star.product(sc.basis_vec(m, a), D.column(b)),
                 )
-                if not sc.vecs_equal(lhs, rhs):
+                if lhs != rhs:
                     problems.append(f"{name}: derivation identity fails at ({a + 1},{b + 1})")
     outcome(
         4,
@@ -232,8 +232,8 @@ def test_criterion_06_heisenberg():
         problems.append("H3 reported as not cosymplectic")
     for n in (2, 3):
         res = exists_cosymplectic(heisenberg(n))
-        if res.exists or not sc.is_zero(res.det):
-            problems.append(f"H{2 * n + 1}: exists={res.exists}, det zero={sc.is_zero(res.det)}")
+        if res.exists or res.det:
+            problems.append(f"H{2 * n + 1}: exists={res.exists}, det zero={not res.det}")
     outcome(
         6,
         not problems,

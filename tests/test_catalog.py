@@ -254,7 +254,7 @@ def seed_in_span(rows: list, vectors) -> bool:
         for row, p in zip(echelon, pivots):
             if v[p]:
                 v = sc.vec_sub(v, sc.vec_scale(v[p], row))
-        if not sc.vec_is_zero(v):
+        if any(v):
             return False
     return True
 

@@ -99,9 +99,9 @@ def test_phi_heisenberg_pairs_nothing_with_the_center():
     z1, z2 = cocycle_spaces(h5)
     # any cocycle choice pairs the central element to zero
     for a in z1:
-        assert sc.is_zero(a.coeffs[4])
+        assert not a.coeffs[4]
     for w in z2:
-        assert all(sc.is_zero(w.value_basis(i, 4)) for i in range(5))
+        assert all(not w.value_basis(i, 4) for i in range(5))
 
 
 def test_validate_examples(g21):
@@ -118,7 +118,7 @@ def test_validate_parametric_returns_polynomial(g21):
     rep = validate(g21, OneForm(3, (sc.ZERO, sc.ZERO, lam)), W({(1, 2): 1}))
     assert rep.ok
     assert isinstance(rep.volume, Poly)
-    assert sc.scalars_equal(rep.volume, lam)
+    assert rep.volume == lam
 
 
 def test_reeb_examples(g21, g34):
@@ -131,7 +131,7 @@ def test_reeb_examples(g21, g34):
 
 def test_reeb_invariants_on_catalog():
     for name, S in STRUCTURES:
-        assert sc.scalars_equal(S.alpha.apply(S.reeb), sc.ONE), name
+        assert S.alpha.apply(S.reeb) == sc.ONE, name
         contracted = S.omega.contract(S.reeb)
         assert contracted.is_zero(), name
 
@@ -143,7 +143,7 @@ def test_reeb_invariants_on_catalog():
 def test_exists_h3_yes_h5_no():
     assert exists_cosymplectic(heisenberg(1)).exists
     res5 = exists_cosymplectic(heisenberg(2))
-    assert not res5.exists and sc.is_zero(res5.det)
+    assert not res5.exists and not res5.det
 
 
 def test_exists_perfect_algebra_no(sl2):
@@ -169,7 +169,7 @@ def test_exists_scales_to_large_cocycle_spaces():
         assert validate(L, res.alpha, res.omega).ok
     for n in (4, 5, 6):
         res = exists_cosymplectic(heisenberg(n))
-        assert not res.exists and sc.is_zero(res.det)
+        assert not res.exists and not res.det
 
 
 def generic_forms(L):
@@ -207,19 +207,19 @@ R3_1 = scaled_by_identity(1)  # ad e3 = id
 def test_phi_kernel_certificate_fires_only_on_zero_determinants(sl2, g31):
     for L in (heisenberg(2), heisenberg(3), heisenberg(4), sl2):
         assert certified(L)
-        assert sc.is_zero(generic_det(L))
+        assert not generic_det(L)
         res = exists_cosymplectic(L)
-        assert not res.exists and sc.is_zero(res.det)
+        assert not res.exists and not res.det
     for L in (heisenberg(1), g31, LieAlgebra.abelian(3), LieAlgebra.abelian(5), R3_1):
         assert not certified(L)
     # R^{2k} x| R with ad = id has no common kernel, yet det Phi vanishes:
     # the volume polynomials decide "no"; k = 2 is R^4 x| R with ad e5 = id
-    assert sc.is_zero(generic_det(R3_1))
+    assert not generic_det(R3_1)
     for k in (1, 2, 3):
         L = scaled_by_identity(k)
         assert not certified(L)
         res = exists_cosymplectic(L)
-        assert not res.exists and sc.is_zero(res.det)
+        assert not res.exists and not res.det
 
 
 def unpruned_certificate(dim, z1, z2) -> bool:
@@ -313,10 +313,10 @@ def test_kernel_symplectic_examples(g31, g34):
     assert red.pair.algebra.brackets == {}
     assert red.pair.omega.coeffs == {(0, 1): F(1)}
     assert red.deriv.column(1) == (F(1), F(0))  # e3 -> e1 in kept coordinates
-    assert sc.vec_is_zero(red.deriv.column(0))
+    assert not any(red.deriv.column(0))
 
     S0 = make(LieAlgebra.abelian(3), E3(3), W({(1, 2): 1}))
-    assert all(sc.vec_is_zero(kernel_symplectic(S0).deriv.column(i)) for i in range(2))
+    assert all(not any(kernel_symplectic(S0).deriv.column(i)) for i in range(2))
 
     S34 = make(g34, E3(3), W({(1, 2): 1}))
     D = kernel_symplectic(S34).deriv
@@ -387,7 +387,7 @@ def test_to_symplectic_equivalence_both_directions_on_catalog():
     g21 = LieAlgebra.from_table(3, {(1, 2): {1: 1}})
     degenerate = to_symplectic(g21, E3(3), TwoForm.zero(3))
     c2, det, ok = degenerate.validate()
-    assert c2 and sc.is_zero(det) and not ok
+    assert c2 and not det and not ok
     # non-closed omega -> non-closed extension
     bad_omega = to_symplectic(g21, E3(3), W({(1, 3): 1}))
     assert not bad_omega.validate()[0]
@@ -404,11 +404,11 @@ def test_symplectic_lsa_examples():
     T = symplectic_lsa(hh)
     assert T.products[0][1] == (F(1), F(0))
     assert T.products[1][1] == (F(0), F(1))
-    assert sc.vec_is_zero(T.products[0][0]) and sc.vec_is_zero(T.products[1][0])
+    assert not any(T.products[0][0]) and not any(T.products[1][0])
 
     ab = SymplecticPair(LieAlgebra.abelian(2), TwoForm.from_dict(2, {(1, 2): 1}))
     Tz = symplectic_lsa(ab)
-    assert all(sc.vec_is_zero(Tz.products[i][j]) for i in range(2) for j in range(2))
+    assert all(not any(Tz.products[i][j]) for i in range(2) for j in range(2))
 
     with pytest.raises(DegenerateOmega):
         symplectic_lsa(SymplecticPair(LieAlgebra.abelian(2), TwoForm.zero(2)))
@@ -422,7 +422,7 @@ def test_symplectic_lsa_recovers_commutator():
         for i in range(m):
             for j in range(m):
                 lhs = sc.vec_sub(T.products[i][j], T.products[j][i])
-                assert sc.vecs_equal(lhs, red.pair.algebra.bracket_basis(i, j)), name
+                assert lhs == red.pair.algebra.bracket_basis(i, j), name
 
 
 def expected_table(dim, entries):
@@ -456,8 +456,8 @@ def test_cosymplectic_lsa_symbolic_lambda(g34):
     S = make(g34, OneForm(3, (sc.ZERO, sc.ZERO, lam)), W({(1, 2): 1}))
     T = cosymplectic_lsa(S)
     inv_lam2 = ratfn(Poly.const(1), lam * lam)
-    assert sc.vecs_equal(T.products[0][1], (sc.ZERO, sc.ZERO, inv_lam2))
-    assert sc.vecs_equal(T.products[2][0], (F(-1), F(0), F(0)))
+    assert T.products[0][1] == (sc.ZERO, sc.ZERO, inv_lam2)
+    assert T.products[2][0] == (F(-1), F(0), F(0))
 
 
 def test_two_routes_agree_on_catalog():
@@ -496,7 +496,7 @@ def test_derivation_identity_on_catalog():
                     star.product(D.column(a), sc.basis_vec(m, b)),
                     star.product(sc.basis_vec(m, a), D.column(b)),
                 )
-                assert sc.vecs_equal(lhs, rhs), name
+                assert lhs == rhs, name
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +587,11 @@ def seed_product(T, x, y):
     """Dense-vector bilinear product, as the table computed it originally."""
     out = sc.zero_vec(T.dim)
     for i in range(T.dim):
-        if sc.is_zero(x[i]):
+        if not x[i]:
             continue
         for j in range(T.dim):
             c = x[i] * y[j]
-            if not sc.is_zero(c):
+            if c:
                 out = sc.vec_add(out, sc.vec_scale(c, T.products[i][j]))
     return out
 
@@ -613,7 +613,7 @@ def seed_left_symmetry_defect(T, L):
                     seed_product(T, y, seed_product(T, x, z)),
                 )
                 d = sc.vec_sub(lhs, rhs)
-                if not sc.vec_is_zero(d):
+                if any(d):
                     assoc.append((i + 1, j + 1, k + 1, d))
     comm = []
     for i in range(n):
@@ -624,7 +624,7 @@ def seed_left_symmetry_defect(T, L):
                 ),
                 L.bracket_basis(i, j),
             )
-            if not sc.vec_is_zero(d):
+            if any(d):
                 comm.append((i + 1, j + 1, d))
     return {"associator": assoc, "commutator": comm, "pass": not assoc and not comm}
 
@@ -639,7 +639,7 @@ def seed_associative(T):
                     seed_product(T, seed_product(T, gb[i], gb[j]), gb[k]),
                     seed_product(T, gb[i], seed_product(T, gb[j], gb[k])),
                 )
-                if not sc.vec_is_zero(d):
+                if any(d):
                     return False
     return True
 
@@ -658,7 +658,7 @@ def seed_condition1(star, D, w):
                 )
                 rhs = sc.vec_scale(w.value(D.column(b), x), D.column(c))
                 d1v = sc.vec_sub(lhs, rhs)
-                if not sc.vec_is_zero(d1v):
+                if any(d1v):
                     defects.append((a + 1, b + 1, c + 1, d1v))
     return defects
 
@@ -721,7 +721,7 @@ def test_left_symmetry_defect_matches_the_triple_loop_on_symbolic_tables(T):
 
 def products_equal(T, U):
     return all(
-        sc.scalars_equal(x, y)
+        x == y
         for row_t, row_u in zip(T.products, U.products)
         for v, w in zip(row_t, row_u)
         for x, y in zip(v, w)
@@ -752,7 +752,7 @@ BIINV_HOSTS = [
     next(
         S
         for _, S in STRUCTURES
-        if S.dim == 5 and any(not sc.vec_is_zero(row) for row in S.reduction.deriv.matrix)
+        if S.dim == 5 and any(any(row) for row in S.reduction.deriv.matrix)
     ),
 ]
 
@@ -812,7 +812,7 @@ def seed_deriv_identity_defect(star, D):
                     seed_product(star, basis[a], D.column(b)),
                 ),
             )
-            if not sc.vec_is_zero(d):
+            if any(d):
                 out.append((a + 1, b + 1, d))
     return out
 
@@ -824,17 +824,17 @@ def seed_biinvariance_defects(star, D, w):
     defects = {1: seed_condition1(star, D, w), 2: [], 3: [], 4: []}
     for a in range(m):
         d = D.apply(D.column(a))
-        if not sc.vec_is_zero(d):
+        if any(d):
             defects[4].append((a + 1, d))
         for b in range(m):
             d = seed_product(star, basis[a], D.column(b))
-            if not sc.vec_is_zero(d):
+            if any(d):
                 defects[2].append((a + 1, b + 1, d))
             d = sc.vec_sub(
                 seed_product(star, D.column(a), basis[b]),
                 seed_product(star, D.column(b), basis[a]),
             )
-            if not sc.vec_is_zero(d):
+            if any(d):
                 defects[3].append((a + 1, b + 1, d))
     return defects
 
@@ -1029,7 +1029,7 @@ def seed_kernel_parts(S):
     from brackets and form values on the adapted basis vectors."""
     L, alpha = S.algebra, S.alpha
     n = L.dim
-    pivot = next(k for k in range(n) if not sc.is_zero(alpha.coeffs[k]))
+    pivot = next(k for k in range(n) if alpha.coeffs[k])
     ap = alpha.coeffs[pivot]
     kept = tuple(k for k in range(n) if k != pivot)
     hbasis = []
@@ -1037,7 +1037,7 @@ def seed_kernel_parts(S):
         v = list(sc.zero_vec(n))
         v[k] = sc.ONE
         coef = alpha.coeffs[k]
-        if not sc.is_zero(coef):
+        if coef:
             v[pivot] = -(coef / ap)
         hbasis.append(tuple(v))
 
@@ -1049,7 +1049,7 @@ def seed_kernel_parts(S):
     for a in range(m):
         for b in range(a + 1, m):
             v = bracket(L, hbasis[a], hbasis[b])
-            if not sc.vec_is_zero(v):
+            if any(v):
                 hb[(a, b)] = h_coords(v)
     w_h = TwoForm(
         m, {(a, b): S.omega.value(hbasis[a], hbasis[b]) for a in range(m) for b in range(a + 1, m)}

@@ -94,7 +94,7 @@ def test_partial_phi_and_form_twist_worked_values():
     a, b, c, f = F(2), F(3), F(5), F(7)
     phi = phi_mat(a, b, c, f)
     # the derivation family of the base has zero defect
-    assert all(sc.vec_is_zero(v) for v in partial_phi(GBAR, phi).values())
+    assert all(not any(v) for v in partial_phi(GBAR, phi).values())
     # obar_phi picks up exactly the diagonal coefficient on e^{12}
     twist = form_twist(OBAR, phi)
     assert twist == TwoForm.from_dict(3, {(1, 2): a})
@@ -255,6 +255,26 @@ def test_construct_A_violation_fails_and_assembled_structure_fails():
     omega = TwoForm.from_dict(5, {(1, 2): 1, (3, 5): 1})
     rep = validate(L, OneForm.dual(5, 4), omega)
     assert not rep.ok
+
+
+@pytest.mark.parametrize(
+    "E",
+    [
+        data_A(F(1), F(1), F(1), F(1)),
+        # t = 0 against -abar(phi(xi)) = -1: component (iv) fails
+        ExtensionData(phi_mat(0, 0, 0, 1), OneForm.zero(3), sc.zero_vec(3), F(0), TwoForm.zero(3)),
+    ],
+    ids=["ist", "not-ist"],
+)
+def test_construct_A_raises_when_the_two_ist_tests_disagree(monkeypatch, E):
+    # the component conditions and the direct test of the assembled map
+    # decide the same question; construct_A pays for both and must read both
+    import coslie.extensions as ext
+
+    plain = ext.ist_check
+    monkeypatch.setattr(ext, "ist_check", lambda P, D: not plain(P, D))
+    with pytest.raises(AssertionError, match="disagree"):
+        construct_A(GBAR, ABAR, OBAR, E)
 
 
 def test_construct_B_reproduces_g2():

@@ -48,11 +48,11 @@ def wedge(a: dict, b: dict) -> dict:
                         sign = -sign
             term = ca * cb
             out[merged] = out.get(merged, sc.ZERO) + (term if sign > 0 else -term)
-    return {k: v for k, v in out.items() if not sc.is_zero(v)}
+    return {k: v for k, v in out.items() if v}
 
 
 def oracle_volume(dim: int, alpha: OneForm, omega: TwoForm):
-    acc = {(i,): c for i, c in enumerate(alpha.coeffs) if not sc.is_zero(c)}
+    acc = {(i,): c for i, c in enumerate(alpha.coeffs) if c}
     w = {pair: c for pair, c in omega.coeffs.items()}
     result = dict(acc)
     for _ in range((dim - 1) // 2):
@@ -126,7 +126,7 @@ def test_volume_simple_and_generic(g21):
         - Poly.var("a2") * Poly.var("a13")
         + Poly.var("a1") * Poly.var("a23")
     )
-    assert sc.scalars_equal(got, want)
+    assert got == want
 
 
 def test_volume_even_dimension_rejected():
@@ -147,9 +147,7 @@ def test_volume_against_wedge_oracle_random_forms():
                 TwoForm(dim, {p: F(rng.randint(-3, 3)) for p in sparse}),
                 TwoForm(dim, {p: rng.choice(nonzero) for p in pairs}),
             ):
-                assert sc.scalars_equal(
-                    volume_coeff(L, alpha, omega), oracle_volume(dim, alpha, omega)
-                )
+                assert volume_coeff(L, alpha, omega) == oracle_volume(dim, alpha, omega)
     # dense forms whose entries are a random mix of symbols and rationals
     for dim in (3, 5, 7):
         L = LieAlgebra.abelian(dim)
@@ -168,7 +166,7 @@ def test_volume_against_wedge_oracle_random_forms():
             )
             vol = volume_coeff(L, alpha, omega)
             assert isinstance(vol, Poly) and not vol.is_zero()
-            assert sc.scalars_equal(vol, oracle_volume(dim, alpha, omega))
+            assert vol == oracle_volume(dim, alpha, omega)
 
 
 def test_volume_linear_in_alpha_and_homogeneous_in_omega():
@@ -203,7 +201,7 @@ def test_a52_volume_coefficient_exact_value():
     entry = get_entry("A_{5,2}")
     vol = volume_coeff(entry.algebra(), entry.alpha, entry.omega)
     a23, a4, a15, a5 = (Poly.var(x) for x in ("a23", "a4", "a15", "a5"))
-    assert sc.scalars_equal(vol, 2 * a23 * (a4 * a15 - a5 * a23))
+    assert vol == 2 * a23 * (a4 * a15 - a5 * a23)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +313,10 @@ def test_d2_symbolic_matches_triple_sum_reference():
     a, b = Poly.var("a"), Poly.var("b")
     L = LieAlgebra.from_table(5, {(1, 5): {1: a, 2: 1}, (2, 5): {2: b}, (3, 4): {1: 1}})
     omega = TwoForm.from_dict(5, {(1, 2): a, (1, 5): 1, (3, 4): b, (2, 3): 2})
-    expected = {t: c for t, c in reference_d2(L, omega).items() if not sc.is_zero(c)}
+    expected = {t: c for t, c in reference_d2(L, omega).items() if c}
     got = d2(L, omega).coeffs
     assert set(got) == set(expected)
-    assert all(sc.scalars_equal(got[t], expected[t]) for t in expected)
+    assert all(got[t] == expected[t] for t in expected)
 
 
 def test_catalog_families_are_symbolically_closed():

@@ -29,7 +29,7 @@ def seed_bracket(L, x, y):
     out = sc.zero_vec(L.dim)
     for (i, j), v in L.brackets.items():
         c = x[i] * y[j] - x[j] * y[i]
-        if not sc.is_zero(c):
+        if c:
             out = sc.vec_add(out, sc.vec_scale(c, v))
     return out
 
@@ -49,7 +49,7 @@ def seed_check_jacobi(L):
                         seed_bracket(L, L.bracket_basis(k, i), ej),
                     ),
                 )
-                if not sc.vec_is_zero(d):
+                if any(d):
                     defects.append((i + 1, j + 1, k + 1, d))
     return defects
 
@@ -81,12 +81,12 @@ def seed_triple_rows(L):
             if x is None:
                 continue
             for l, xl in enumerate(x):
-                if l == m or sc.is_zero(xl):
+                if l == m or not xl:
                     continue
                 pair = (l, m) if l < m else (m, l)
                 term = xl if (sign > 0) == (l < m) else -xl
                 row[pair] = row.get(pair, sc.ZERO) + term
-        row = {pair: c for pair, c in row.items() if not sc.is_zero(c)}
+        row = {pair: c for pair, c in row.items() if c}
         if row:
             rows.append(((i, j, k), row))
     return rows
@@ -122,7 +122,7 @@ def seed_form_twist(theta, phi):
 def same(a, b) -> bool:
     if isinstance(a, tuple):
         return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
-    return sc.scalars_equal(a, b) and str(a) == str(b)
+    return a == b and str(a) == str(b)
 
 
 def same_dict(a: dict, b: dict) -> bool:
@@ -252,7 +252,7 @@ def test_partial_phi_and_is_derivation_match_the_seed_loop(case):
     got, want = partial_phi(L, phi), seed_partial_phi(L, phi)
     assert same_dict(got, want)
     assert [(i, j) for i, j, _ in is_derivation(L, phi)] == [
-        (i + 1, j + 1) for (i, j), v in want.items() if not sc.vec_is_zero(v)
+        (i + 1, j + 1) for (i, j), v in want.items() if any(v)
     ]
     assert all(same(d, want[(i - 1, j - 1)]) for i, j, d in is_derivation(L, phi))
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
 from coslie.errors import InexactDivision, MissingVariable, SingularSystem
+from coslie.exterior import OneForm, TwoForm
+from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly, RatFn, det_poly, nullspace, poly_eval, ratfn
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -50,7 +52,156 @@ def test_minus_operator_matches_former_sub_wrapper():
         got, want = a - b, old_sub(a, b)
         assert type(got) is type(want), (a, b)
         assert str(got) == str(want), (a, b)
-        assert (a == b) == sc.is_zero(want), (a, b)
+        assert (a == b) == (not want), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# truthiness and ==
+
+
+def old_is_zero(s):
+    """The former ``scalars.is_zero``, kept as the reference for ``not s``."""
+    if isinstance(s, (Poly, RatFn)):
+        return s.is_zero()
+    return s == 0
+
+
+def old_scalars_equal(a, b):
+    """The former ``scalars.scalars_equal``, kept as the reference for ``==``."""
+    return old_is_zero(a - b)
+
+
+def old_vec_is_zero(x):
+    """The former ``scalars.vec_is_zero``, kept as the reference for ``not any(x)``."""
+    return all(old_is_zero(a) for a in x)
+
+
+def old_vecs_equal(x, y):
+    """The former ``scalars.vecs_equal``, kept as the reference for ``==`` on tuples."""
+    return len(x) == len(y) and all(old_scalars_equal(a, b) for a, b in zip(x, y))
+
+
+X, Y = Poly.var("x"), Poly.var("y")
+OPERANDS = [
+    0, F(0), F(1), F(-3, 4),
+    Poly.const(0), Poly.const(1), (X + 2) - X, X, X + 1, 2 * X * Y - 1,
+    RatFn(Poly.const(1), X + 1), RatFn(X, X * X + 1),
+    RatFn(X + 1, X + 1),  # unreduced: equals 1
+    RatFn(Poly.const(0), X + 1),
+]
+
+
+def test_truthiness_and_equality_match_the_former_predicates():
+    for a in OPERANDS:
+        assert bool(a) == (not old_is_zero(a)), a
+    for a, b in product(OPERANDS, repeat=2):
+        assert (a == b) == old_scalars_equal(a, b), (a, b)
+        assert (a != b) == (not old_scalars_equal(a, b)), (a, b)
+    small = [F(0), Poly.const(1), F(1), X, RatFn(X + 1, X + 1), RatFn(Poly.const(0), X + 1)]
+    vectors = [v for k in (1, 2) for v in product(small, repeat=k)]
+    for v in vectors:
+        assert (not any(v)) == old_vec_is_zero(v), v
+    for v, w in product(vectors, repeat=2):
+        assert (v == w) == old_vecs_equal(v, w), (v, w)
+
+
+def test_a_constant_poly_hashes_as_its_fraction():
+    two = (X + 2) - X
+    assert two == F(2) and hash(two) == hash(F(2))
+    assert len({two, F(2)}) == 1
+    assert {F(2): "two"}[two] == "two"
+    assert {Poly.const(0), F(0), 0} == {0}
+    # equal forms are equal keys, whichever type holds an equal coefficient
+    a, b = OneForm(2, (Poly.const(1), F(0))), OneForm(2, (F(1), F(0)))
+    assert a == b and len({a, b}) == 1
+    assert {b: "e^1"}[a] == "e^1"
+
+
+def old_oneform_eq(a, b):
+    """The former hand-written ``OneForm.__eq__``."""
+    return a.dim == b.dim and old_vecs_equal(a.coeffs, b.coeffs)
+
+
+def old_twoform_eq(a, b):
+    """The former hand-written ``TwoForm.__eq__``."""
+    if a.dim != b.dim:
+        return False
+    keys = set(a.coeffs) | set(b.coeffs)
+    return all(old_scalars_equal(a.value_basis(i, j), b.value_basis(i, j)) for i, j in keys)
+
+
+def old_lie_eq(a, b):
+    """The former hand-written ``LieAlgebra.__eq__``."""
+    if a.dim != b.dim:
+        return False
+    keys = set(a.brackets) | set(b.brackets)
+    return all(old_vecs_equal(a.bracket_basis(i, j), b.bracket_basis(i, j)) for i, j in keys)
+
+
+VALUES = [F(0), F(1), F(-1, 2), X, X * Y - 1, RatFn(Poly.const(1), X + 1)]
+
+
+def written(v):
+    """Ways to write the value v: as another scalar type, or as an
+    unreduced quotient."""
+    if isinstance(v, F):
+        return [v, Poly.const(v), RatFn(Poly.const(v) * (Y + 1), Y + 1)]
+    if isinstance(v, Poly):
+        return [v, RatFn(v * (X + 2), X + 2)]
+    return [v, RatFn(v.num * (Y + 2), v.den * (Y + 2))]
+
+
+@st.composite
+def written_pairs(draw, slots):
+    """(n, a, m, b): scalar lists of slots(n) and slots(m) entries.  About
+    half the pairs agree in dimension and in every value, each value
+    written twice in independently drawn ways; the others may differ in
+    the dimension or in any value.  Zero is drawn often, so that the
+    stored keys differ too."""
+    value = st.one_of(st.just(F(0)), st.sampled_from(VALUES))
+    n = draw(st.integers(1, 4))
+    same = draw(st.booleans())
+    m = n if same else draw(st.integers(1, 4))
+    a = [draw(value) for _ in range(slots(n))]
+    b = [v if same or draw(st.booleans()) else draw(value) for v in a[: slots(m)]]
+    b += [draw(value) for _ in range(slots(m) - len(b))]
+    a, b = ([draw(st.sampled_from(written(v))) for v in vs] for vs in (a, b))
+    return n, a, m, b
+
+
+def pairs_of(n):
+    return list(combinations(range(n), 2))
+
+
+def one_form(n, values):
+    return OneForm(n, tuple(values))
+
+
+def two_form(n, values):
+    return TwoForm(n, dict(zip(pairs_of(n), values)))
+
+
+def lie_algebra(n, values):
+    return LieAlgebra(n, {ij: tuple(values[k * n:(k + 1) * n]) for k, ij in enumerate(pairs_of(n))})
+
+
+@pytest.mark.parametrize(
+    "build, slots, old_eq",
+    [
+        (one_form, lambda n: n, old_oneform_eq),
+        (two_form, lambda n: len(pairs_of(n)), old_twoform_eq),
+        (lie_algebra, lambda n: n * len(pairs_of(n)), old_lie_eq),
+    ],
+    ids=["OneForm", "TwoForm", "LieAlgebra"],
+)
+@given(data=st.data())
+def test_field_equality_matches_the_former_hand_written_eq(build, slots, old_eq, data):
+    # the stored coefficients are normalized (nonzero only, on i < j keys),
+    # so comparing the fields decides the same relation
+    n, a, m, b = data.draw(written_pairs(slots))
+    A, B = build(n, a), build(m, b)
+    assert (A == B) == old_eq(A, B)
+    assert (A != B) == (not old_eq(A, B))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +329,7 @@ def test_det_identity():
 
 def test_det_symbolic_2x2():
     a, b, c, d = (Poly.var(x) for x in "abcd")
-    assert sc.scalars_equal(det_poly([[a, b], [c, d]]), a * d - b * c)
+    assert det_poly([[a, b], [c, d]]) == a * d - b * c
 
 
 def test_det_heisenberg5_generic_phi_is_zero_polynomial():
@@ -196,7 +347,7 @@ def test_det_heisenberg5_generic_phi_is_zero_polynomial():
         [Poly.var(f"t{j + 1}") for j in range(len(z2))],
     )
     assert any(isinstance(x, Poly) and x.variables for x in alpha.coeffs)
-    assert sc.is_zero(det_poly(phi_map(L, alpha, omega)))
+    assert not det_poly(phi_map(L, alpha, omega))
 
 
 @given(
@@ -207,7 +358,7 @@ def test_det_heisenberg5_generic_phi_is_zero_polynomial():
     )
 )
 def test_bareiss_agrees_with_cofactor_on_rational_matrices(m):
-    assert sc.scalars_equal(det_poly([row[:] for row in m]), cofactor_det(m))
+    assert det_poly([row[:] for row in m]) == cofactor_det(m)
 
 
 @st.composite
@@ -237,7 +388,7 @@ def mixed_det_matrices(draw):
 def test_bareiss_on_ring_rows_agrees_with_cofactor(case):
     m, symbolic = case
     det = det_poly([row[:] for row in m])
-    assert sc.scalars_equal(det, cofactor_det(m))
+    assert det == cofactor_det(m)
     if not symbolic:
         assert type(det) is F
     elif det:  # a zero determinant may come from a shortcut, as ZERO
@@ -272,7 +423,7 @@ def test_integer_row_step_matches_the_entrywise_quotients(pairs, piv, f, prev):
 
 def test_bareiss_agrees_with_cofactor_symbolic():
     m = [[Poly.var(f"x{i}{j}") for j in range(4)] for i in range(4)]
-    assert sc.scalars_equal(det_poly([row[:] for row in m]), cofactor_det(m))
+    assert det_poly([row[:] for row in m]) == cofactor_det(m)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +533,8 @@ def test_exact_division_and_failure():
 def test_ratfn_normalization_and_equality():
     lam = Poly.var("lam")
     r = ratfn(Poly.const(1), lam * lam)
-    assert sc.scalars_equal(r * lam * lam, sc.ONE)
-    assert sc.scalars_equal(ratfn(lam, lam * lam), ratfn(Poly.const(1), lam))
+    assert r * lam * lam == sc.ONE
+    assert ratfn(lam, lam * lam) == ratfn(Poly.const(1), lam)
     assert ratfn(lam * lam, lam) == lam
     assert ratfn(Poly.const(0), lam) == 0
 
@@ -393,7 +544,7 @@ def cramer_solve(a, bs):
     det(a), kept as the reference for ``solve_linear``."""
     n = len(a)
     d = det_poly(a)
-    if sc.is_zero(d):
+    if not d:
         raise SingularSystem("singular linear system")
 
     def quot(num, den):
@@ -413,8 +564,8 @@ def cramer_solve(a, bs):
 def test_solve_poly_cramer():
     a = Poly.var("a")
     [x] = sc.solve_linear([[a, sc.ZERO], [sc.ZERO, a * a]], [[Poly.const(1), a]])
-    assert sc.scalars_equal(x[0], ratfn(Poly.const(1), a))
-    assert sc.scalars_equal(x[1], ratfn(Poly.const(1), a))
+    assert x[0] == ratfn(Poly.const(1), a)
+    assert x[1] == ratfn(Poly.const(1), a)
     with pytest.raises(SingularSystem):
         sc.solve_linear([[a, a], [a, a]], [[Poly.const(1), Poly.const(0)]])
 
@@ -447,8 +598,8 @@ def test_solve_linear_matches_cramer_on_mixed_5x5():
     got, want = sc.solve_linear(a, bs), cramer_solve(a, bs)
     assert [[str(x) for x in v] for v in got] == [[str(x) for x in v] for v in want]
     for x, y, b in zip(got, want, bs):
-        assert sc.vecs_equal(x, y)
-        assert sc.vecs_equal(sc.mat_vec(a, x), sc.vec(b))
+        assert x == y
+        assert sc.mat_vec(a, x) == sc.vec(b)
     # a symbolic row with pivot 1 is eliminated first; the rational rows
     # below it stay ints and then divide by the int pivots 3 and 28
     one = Poly.const(1)
@@ -513,7 +664,7 @@ def test_common_denominator_round_trips():
     p, q = Poly.var("p"), Poly.var("q")
     mixed = [F(1, 2), p, RatFn(Poly.const(1), p + 1), RatFn(q, p * q + 1), RatFn(p, p + 1), F(0)]
     nums, den = sc.common_denominator(mixed)
-    assert all(sc.scalars_equal(x, v) for x, v in zip(sc.quotients(nums, den), mixed))
+    assert all(x == v for x, v in zip(sc.quotients(nums, den), mixed))
 
 
 def seed_common_denominator(values):
@@ -569,7 +720,7 @@ square_systems = st.integers(1, 4).flatmap(
 @given(square_systems)
 def test_solve_linear_several_rhs_equals_column_by_column(system):
     m, bs = system
-    if sc.is_zero(det_poly([row[:] for row in m])):
+    if not det_poly([row[:] for row in m]):
         with pytest.raises(SingularSystem):
             sc.solve_linear(m, bs)
         return
@@ -590,8 +741,8 @@ def test_solve_linear_several_rhs_over_polynomials():
     xs = sc.solve_linear(m, bs)
     assert len(xs) == len(bs)
     for x, rhs in zip(xs, bs):
-        assert sc.vecs_equal(x, sc.solve_linear(m, [rhs])[0])
-        assert sc.vecs_equal(sc.mat_vec(m, x), rhs)
+        assert x == sc.solve_linear(m, [rhs])[0]
+        assert sc.mat_vec(m, x) == tuple(rhs)
     with pytest.raises(SingularSystem):
         sc.solve_linear([[a, b], [a, b]], [[sc.ONE, sc.ZERO], [a, b]])
     with pytest.raises(SingularSystem):

@@ -380,3 +380,78 @@ def test_elimination_runs_on_ring_numerators():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for function in ("_echelon", "det_poly"):
         assert scalar_builds(tree, function) == [], function
+
+
+PREDICATES = {"is_zero", "scalars_equal", "vec_is_zero", "vecs_equal"}
+
+
+def predicate_helpers(tree: ast.Module) -> list:
+    """Line numbers where a module defines a top-level function named as
+    a zero or equality predicate on scalars (``is_zero``,
+    ``scalars_equal``, ``vec_is_zero``, ``vecs_equal``), imports one, or
+    calls one by name or read off a module (``sc.is_zero(x)``).  A method
+    such as ``Poly.is_zero`` or ``form.is_zero()`` is not one."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "coslie"):
+            modules |= {a.asname or a.name for a in node.names}
+    lines = [
+        top.lineno for top in tree.body if isinstance(top, ast.FunctionDef) and top.name in PREDICATES
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name in PREDICATES for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id in PREDICATES)
+            or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in PREDICATES
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in modules
+            )
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_every_predicate_helper():
+    for text in (
+        "def is_zero(s):\n    return s == 0",
+        "from .scalars import Poly, vecs_equal",
+        "from . import scalars as sc\nok = sc.is_zero(x)",
+        "from coslie import scalars\nok = scalars.scalars_equal(a, b)",
+        "import coslie.scalars as sc\nsc.vecs_equal(x, y)",
+        "ok = [v for v in vs if not vec_is_zero(v)]",
+    ):
+        assert predicate_helpers(ast.parse(text)), text
+    for text in (
+        "ok = form.is_zero()",
+        "class Poly:\n    def is_zero(self):\n        return not self.terms",
+        "from . import scalars as sc\nok = sc.Poly.var('x').is_zero()",
+        "from . import scalars as sc\nok = not any(v) and a == b",
+        "from .exterior import OneForm\nok = OneForm.zero(3).is_zero()",
+    ):
+        assert predicate_helpers(ast.parse(text)) == [], text
+
+
+def test_scalars_are_zero_tested_and_compared_by_the_python_protocol():
+    """``Fraction``, ``Poly`` and ``RatFn`` all define ``__bool__`` and
+    ``__eq__``, so a zero test is truthiness and an equality is ``==``: no
+    module keeps a predicate of its own for either."""
+    offenders = {
+        p.name: lines
+        for p in SOURCES
+        if (lines := predicate_helpers(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
+def test_forms_and_algebras_compare_by_their_normalized_fields():
+    """One-forms, two-forms and Lie algebras store only nonzero
+    coefficients on i < j keys, so the ``__eq__`` that the dataclass
+    generates is their equality; neither module writes one by hand."""
+    for name in ("exterior.py", "lie_core.py"):
+        [path] = [p for p in SOURCES if p.name == name]
+        assert definitions(ast.parse(path.read_text(encoding="utf-8")), "__eq__") == [], name
