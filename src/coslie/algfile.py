@@ -97,7 +97,7 @@ _SECTIONS = {
     "lsa": (0, ("alpha", "omega", "product", "note")),
     "corrected": (0, ("bracket",)),
 }
-_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: sc.ratfn}
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 @dataclass
@@ -322,7 +322,7 @@ class _Reader:
         self.symbols.add(name)
         if name in self.params:
             return value * self.params[name]
-        return sc.Poly((name,), {(1,): value}) if value else value
+        return sc.Poly((name,), {(1,): value})
 
     def _expr(self, text: str, k: int) -> Scalar:
         """The value of the expression text at word k: integers and symbols
@@ -420,8 +420,6 @@ def _coeff_token(c: Scalar) -> str:
         if sum(exp) == 1:
             name = c.variables[exp.index(1)]
             return name if coef == 1 else f"{coef}*{name}"
-        if sum(exp) == 0:
-            return str(coef)
     raise ValueError(f"coefficient {c} has no single-token file form")
 
 

@@ -76,7 +76,7 @@ class CatalogEntry:
     lie: Optional[LieAlgebra] = None  # possibly symbolic
     alpha: Optional[OneForm] = None
     omega: Optional[TwoForm] = None
-    nondeg: Optional[sc.Poly] = None  # printed condition, verbatim
+    nondeg: Optional[sc.Scalar] = None  # printed condition, or a normal form's volume
     sample: dict = field(default_factory=dict)          # full validated sample
     known_deviations: frozenset = frozenset()
     normal_forms: tuple = ()
@@ -160,11 +160,6 @@ def _entry(parsed) -> CatalogEntry:
     )
 
 
-def _normal_nondeg(entry: CatalogEntry, nf: NormalForm):
-    vol = volume_coeff(entry.lie, nf.alpha, nf.omega)
-    return vol if isinstance(vol, sc.Poly) else sc.Poly.const(vol)
-
-
 @cache
 def _registry() -> tuple:
     """(entries by name and alias, listing order, the corrected aff(2,R)
@@ -193,7 +188,7 @@ def _registry() -> tuple:
                 lie=entry.lie,
                 alpha=nf.alpha,
                 omega=nf.omega,
-                nondeg=_normal_nondeg(entry, nf),
+                nondeg=volume_coeff(entry.lie, nf.alpha, nf.omega),
                 sample={"lam": Fraction(1)} if "lam" in symbols(nf_values) else {},
             )
             children.append(child.name)
@@ -256,7 +251,7 @@ def instantiate(name: str, params: Optional[dict] = None):
     alpha = entry.alpha.subs(params) if entry.alpha is not None else None
     omega = entry.omega.subs(params) if entry.omega is not None else None
     if entry.nondeg is not None:
-        relevant = {v: params[v] for v in entry.nondeg.variables if v in params}
+        relevant = {v: params[v] for v in sc.scalar_variables(entry.nondeg) if v in params}
         if sc.poly_eval(entry.nondeg, params) == 0:
             raise DegenerateParams(
                 f"nondegeneracy condition of {name} vanishes at {sorted(relevant.items())}"

@@ -392,9 +392,7 @@ def from_symplectic_derivation(P: SymplecticPair, D: LinearMap) -> CosymplecticS
     for (i, j), v in P.algebra.brackets.items():
         brackets[(i, j)] = tuple(v) + (sc.ZERO,)
     for i in range(m):
-        col = D.column(i)
-        if any(col):
-            brackets[(i, m)] = tuple(-x for x in col) + (sc.ZERO,)
+        brackets[(i, m)] = tuple(-x for x in D.column(i)) + (sc.ZERO,)
     L = LieAlgebra(n, brackets)
     alpha = OneForm.dual(n, n)
     omega = TwoForm(n, dict(P.omega.coeffs))

@@ -111,24 +111,20 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
 
 
 def assemble_extension(Gbar: LieAlgebra, E: ExtensionData) -> LieAlgebra:
-    """Build the (n+2)-dimensional bracket without any condition checks."""
+    """Build the (n+2)-dimensional bracket without any condition checks;
+    ``LieAlgebra`` drops the zero bracket vectors."""
     n = Gbar.dim
     d_idx, e_idx = n, n + 1
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            base = Gbar.bracket_basis(i, j)
-            th = E.theta.value_basis(i, j)
-            if any(base) or th:
-                brackets[(i, j)] = tuple(base) + (sc.ZERO, th)
+    brackets = {
+        (i, j): tuple(Gbar.bracket_basis(i, j)) + (sc.ZERO, E.theta.value_basis(i, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     for i in range(n):
         img = tuple(E.phi.column(i)) + (sc.ZERO, E.lam.coeffs[i])
-        if any(img):
-            # stored as [e_i, d] = -[d, e_i]
-            brackets[(i, d_idx)] = tuple(-x for x in img)
-    de = tuple(E.v) + (sc.ZERO, E.t)
-    if any(de):
-        brackets[(d_idx, e_idx)] = de
+        # stored as [e_i, d] = -[d, e_i]
+        brackets[(i, d_idx)] = tuple(-x for x in img)
+    brackets[(d_idx, e_idx)] = tuple(E.v) + (sc.ZERO, E.t)
     return LieAlgebra(n + 2, brackets)
 
 

@@ -6,16 +6,18 @@ Scalars form a small tower: ``Fraction`` (arbitrary-precision rationals),
 ring forces division).  All arithmetic is exact; nothing here ever touches
 floating point.
 
-Polynomials keep a canonical form at all times: variables sorted by name,
-no zero coefficients, unused variables pruned.  Printing uses graded
-lexicographic order (descending), so equal polynomials print identically,
-which the CLI relies on for byte-reproducible reports.
+Every value has one representation: a rational is always a ``Fraction``,
+a ``Poly`` always has a variable, and a ``RatFn`` always has a ``Poly``
+denominator.  Polynomials keep a canonical form at all times: variables
+sorted by name, no zero coefficients, unused variables pruned.  Printing
+uses graded lexicographic order (descending), so equal polynomials print
+identically, which the CLI relies on for byte-reproducible reports.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,34 +48,36 @@ def _as_fraction(value) -> Fraction:
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial with Fraction coefficients and at least one
+    variable: a constant is a Fraction, never a Poly.
 
-    ``variables`` is a sorted tuple of names, ``terms`` maps exponent
-    tuples (one slot per variable) to nonzero Fractions.
+    ``variables`` is a sorted tuple of names, each used by some term;
+    ``terms`` maps exponent tuples (one slot per variable) to nonzero
+    Fractions.  ``Poly(...)`` and every result of arithmetic, ``subs`` and
+    ``exact_div`` that has no variable left is its Fraction value.
     """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
-        clean = {e: _as_fraction(c) for e, c in terms.items() if c != 0}
+    def __new__(cls, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
         variables = tuple(variables)
-        # prune variables that no term uses, keep names sorted
-        used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
-        if len(used) != len(variables) or list(variables) != sorted(variables):
-            names = sorted(variables[i] for i in used)
-            order = [variables.index(n) for n in names]
-            clean = {tuple(e[i] for i in order): c for e, c in clean.items()}
-            variables = tuple(names)
-        self.variables = variables
-        self.terms = clean
+        terms = {e: _as_fraction(c) for e, c in terms.items()}
+        if list(variables) != sorted(variables):
+            order = sorted(range(len(variables)), key=variables.__getitem__)
+            variables = tuple(variables[i] for i in order)
+            terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
+        return cls._trusted(variables, terms)
 
     @classmethod
-    def _trusted(cls, variables: tuple, terms: dict) -> "Poly":
-        """The result of arithmetic, whose names are sorted and whose
-        coefficients are Fractions already: drop zero coefficients and
-        prune the variables that no term uses, and check nothing else."""
+    def _trusted(cls, variables: tuple, terms: dict) -> Scalar:
+        """The value of terms over variables, whose names are sorted and
+        whose coefficients are Fractions already: drop zero coefficients
+        and prune the variables that no term uses, and check nothing else.
+        Without a variable left, the Fraction value of the constant term."""
         clean = {e: c for e, c in terms.items() if c}
         used = [i for i, col in enumerate(zip(*clean)) if any(col)]
+        if not used:
+            return next(iter(clean.values()), ZERO)
         if len(used) != len(variables):
             variables = tuple(variables[i] for i in used)
             clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
@@ -84,45 +88,20 @@ class Poly:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def const(value) -> "Poly":
-        value = _as_fraction(value)
-        return Poly((), {(): value} if value else {})
-
-    @staticmethod
     def var(name: str) -> "Poly":
         return Poly((name,), {(1,): ONE})
 
     # -- structure ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.variables or all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ParametricUnsupported(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.variables), ZERO)
-
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
+        return max(sum(e) for e in self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
+        # a Poly is never equal to a rational; a RatFn compares reflected
         if isinstance(other, Poly):
             return self.variables == other.variables and self.terms == other.terms
-        if isinstance(other, RatFn):
-            return other == self
         return NotImplemented
 
     def __hash__(self):
-        # a constant equals its Fraction value, so it must hash as one
-        if self.is_constant():
-            return hash(self.constant_value())
         return hash((self.variables, frozenset(self.terms.items())))
 
     # -- arithmetic ---------------------------------------------------
@@ -195,21 +174,23 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Poly.const(1)
+        result = ONE
         for _ in range(n):
             result = result * self
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                raise ZeroDivisionError
-            return Poly._trusted(self.variables, {e: c / other for e, c in self.terms.items()})
-        return ratfn(self, other)
+        if isinstance(other, RatFn):
+            return NotImplemented  # RatFn.__rtruediv__ divides
+        if isinstance(other, Poly):
+            return ratfn(self, other)
+        other = _as_fraction(other)
+        if other == 0:
+            raise ZeroDivisionError
+        return Poly._trusted(self.variables, {e: c / other for e, c in self.terms.items()})
 
     def __rtruediv__(self, other):
-        return ratfn(Poly.const(other) if not isinstance(other, Poly) else other, self)
+        return ratfn(other, self)
 
     # -- graded-lex order ---------------------------------------------
     @staticmethod
@@ -221,12 +202,8 @@ class Poly:
         exp = max(self.terms, key=Poly._key)
         return exp, self.terms[exp]
 
-    def exact_div(self, divisor: "Poly") -> "Poly":
+    def exact_div(self, divisor: "Poly") -> Scalar:
         """Exact quotient self / divisor; raises InexactDivision otherwise."""
-        if divisor.is_zero():
-            raise ZeroDivisionError
-        if divisor.is_constant():
-            return self / divisor.constant_value()
         names, rem, div = self._aligned(divisor)
         rem = dict(rem)
         dexp = max(div, key=Poly._key)
@@ -263,7 +240,7 @@ class Poly:
             total += term
         return total
 
-    def subs(self, assignment: Mapping[str, Fraction]) -> "Poly":
+    def subs(self, assignment: Mapping[str, Fraction]) -> Scalar:
         """Substitute some variables, keeping the rest symbolic."""
         keep = [n for n in self.variables if n not in assignment]
         out: dict = {}
@@ -281,8 +258,6 @@ class Poly:
 
     # -- printing -----------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         pieces = []
         for exp in sorted(self.terms, key=Poly._key, reverse=True):
             coef = self.terms[exp]
@@ -307,13 +282,12 @@ class Poly:
 
 
 class RatFn:
-    """Quotient of two polynomials, normalized with a monic denominator."""
+    """Quotient of a rational or a Poly by a Poly, normalized with a monic
+    denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
+    def __init__(self, num: Union[Fraction, Poly], den: Poly):
         _, lead = den.leading()
         if lead != 1:
             num = num / lead
@@ -321,17 +295,13 @@ class RatFn:
         self.num = num
         self.den = den
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFn):
             return (self.num * other.den) == (other.num * self.den)
         if isinstance(other, (int, Fraction, Poly)):
-            other = other if isinstance(other, Poly) else Poly.const(other)
             return self.num == other * self.den
         return NotImplemented
 
@@ -339,16 +309,9 @@ class RatFn:
     # unreduced representatives; quotients are values, not dict keys
     __hash__ = None
 
-    def _coerce(self, other) -> "RatFn":
-        if isinstance(other, RatFn):
-            return other
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
-        return RatFn(other, Poly.const(1))
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return ratfn(self.num * o.den + o.num * self.den, self.den * o.den)
+        num, den = _parts(other)
+        return ratfn(self.num * den + num * self.den, self.den * den)
 
     __radd__ = __add__
 
@@ -356,29 +319,30 @@ class RatFn:
         return RatFn(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return ratfn(self.num * o.num, self.den * o.den)
+        num, den = _parts(other)
+        return ratfn(self.num * num, self.den * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return ratfn(self.num * o.den, self.den * o.num)
+        num, den = _parts(other)
+        return ratfn(self.num * den, self.den * num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        num, den = _parts(other)
+        return ratfn(num * self.den, den * self.num)
 
     def eval(self, assignment: Mapping[str, Fraction]) -> Fraction:
         den = self.den.eval(assignment)
         if den == 0:
             raise ZeroDivisionError("denominator vanishes at assignment")
-        return self.num.eval(assignment) / den
+        return poly_eval(self.num, assignment) / den
 
     def __str__(self) -> str:
         return f"({self.num})/({self.den})"
@@ -386,17 +350,22 @@ class RatFn:
     __repr__ = __str__
 
 
-def _gcd_univariate(a: Poly, b: Poly) -> Poly:
-    """Monic gcd for polynomials in a single shared variable."""
-    names = tuple(sorted(set(a.variables) | set(b.variables)))
+def _parts(x) -> tuple:
+    """(num, den) of a scalar x: a RatFn's own, (x, ONE) otherwise."""
+    return (x.num, x.den) if isinstance(x, RatFn) else (x, ONE)
+
+
+def _gcd_univariate(a: Poly, b: Poly) -> Scalar:
+    """Monic gcd for polynomials in a single shared variable; ONE for
+    polynomials in more variables."""
+    names = set(a.variables) | set(b.variables)
     if len(names) != 1:
-        return Poly.const(1)
+        return ONE
 
     def as_coeffs(p: Poly) -> list:
-        deg = p.total_degree()
-        out = [ZERO] * (deg + 1)
-        for e, c in p._aligned(Poly.var(names[0]))[1].items():
-            out[e[0]] = c
+        out = [ZERO] * (p.total_degree() + 1)
+        for (k,), c in p.terms.items():
+            out[k] = c
         return out
 
     fa, fb = as_coeffs(a), as_coeffs(b)
@@ -406,7 +375,6 @@ def _gcd_univariate(a: Poly, b: Poly) -> Poly:
             f.pop()
         return f
 
-    fa, fb = trim(fa), trim(fb)
     while fb:
         # remainder of fa by fb
         fa = fa[:]
@@ -417,38 +385,28 @@ def _gcd_univariate(a: Poly, b: Poly) -> Poly:
                 fa[i + shift] -= q * c
             trim(fa)
         fa, fb = fb, fa
-    if not fa:
-        return Poly.const(1)
     lead = fa[-1]
-    return Poly((names[0],), {(i,): c / lead for i, c in enumerate(fa) if c})
+    return Poly(a.variables, {(i,): c / lead for i, c in enumerate(fa)})
 
 
-def ratfn(num: Poly, den: Poly) -> Scalar:
-    """Build a quotient, simplifying to Fraction or Poly where possible."""
+def ratfn(num, den) -> Scalar:
+    """num / den for rationals and Polys: a Fraction, a Poly, or a RatFn
+    with a Poly denominator (in lowest terms when both are Polys in one
+    shared variable)."""
     if not isinstance(num, Poly):
-        num = Poly.const(num)
+        num = _as_fraction(num)
     if not isinstance(den, Poly):
-        den = Poly.const(den)
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return ZERO
-    if den.is_constant():
-        out = num / den.constant_value()
-        return out.constant_value() if out.is_constant() else out
+        return num / _as_fraction(den)
+    if not isinstance(num, Poly):
+        return RatFn(num, den) if num else ZERO
     try:
-        out = num.exact_div(den)
-        return out.constant_value() if out.is_constant() else out
+        return num.exact_div(den)
     except InexactDivision:
         pass
-    if len(set(num.variables) | set(den.variables)) == 1:
-        g = _gcd_univariate(num, den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-            if den.is_constant():
-                out = num / den.constant_value()
-                return out.constant_value() if out.is_constant() else out
+    g = _gcd_univariate(num, den)
+    if isinstance(g, Poly):
+        # den / g is not constant, or den would have divided num
+        return RatFn(num.exact_div(g), den.exact_div(g))
     return RatFn(num, den)
 
 
@@ -465,19 +423,7 @@ def as_scalar(value) -> Scalar:
 
 
 def is_rational(s: Scalar) -> bool:
-    if isinstance(s, Fraction):
-        return True
-    if isinstance(s, Poly):
-        return s.is_constant()
-    return False
-
-
-def to_fraction(s: Scalar) -> Fraction:
-    if isinstance(s, Fraction):
-        return s
-    if isinstance(s, Poly):
-        return s.constant_value()
-    raise ParametricUnsupported(f"{s} is not rational")
+    return isinstance(s, Fraction)
 
 
 def poly_eval(p: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
@@ -488,13 +434,12 @@ def poly_eval(p: Scalar, assignment: Mapping[str, Fraction]) -> Fraction:
 
 
 def scalar_subs(s: Scalar, assignment: Mapping[str, Fraction]) -> Scalar:
-    """Partial substitution; collapses to Fraction when fully instantiated."""
+    """Partial substitution; a Fraction when fully instantiated."""
     if isinstance(s, Fraction):
         return s
     if isinstance(s, RatFn):
-        return ratfn(s.num.subs(assignment), s.den.subs(assignment))
-    out = s.subs(assignment)
-    return out.constant_value() if out.is_constant() else out
+        return ratfn(scalar_subs(s.num, assignment), s.den.subs(assignment))
+    return s.subs(assignment)
 
 
 def total_degree(s: Scalar) -> int:
@@ -508,7 +453,7 @@ def scalar_variables(s: Scalar) -> set:
     if isinstance(s, Fraction):
         return set()
     if isinstance(s, RatFn):
-        return set(s.num.variables) | set(s.den.variables)
+        return scalar_variables(s.num) | set(s.den.variables)
     return set(s.variables)
 
 
@@ -659,11 +604,11 @@ def det_poly(m) -> Scalar:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Each row is cleared to ring elements (``_ring_row``): ints over the lcm
-    of its denominators, or Polys.  The forward elimination runs on those
-    rows through the row step of ``_echelon``, and the determinant is the
-    last pivot, with the sign of the row swaps, over the product of the row
-    denominators: a Fraction when every row is rational, a Poly otherwise
-    (but ZERO for a zero row or column, or a column without a pivot).
+    of its denominators, or Fractions and Polys.  The forward elimination
+    runs on those rows through the row step of ``_echelon``, and the
+    determinant is the last pivot, with the sign of the row swaps, over the
+    product of the row denominators: a Fraction or a Poly (ZERO for a zero
+    row or column, or a column without a pivot).
     RatFn entries are a TypeError; nondegeneracy tests happen before
     division ever occurs.
     """
@@ -698,9 +643,7 @@ def det_poly(m) -> Scalar:
                 rows[i] = step(rows[i], top, piv, f, prev)
         prev = piv
     last = -rows[-1][-1] if sign < 0 else rows[-1][-1]
-    if step is _int_step:
-        return _quotient(last, den)
-    return (last if isinstance(last, Poly) else Poly.const(last)) / den
+    return _quotient(last, den)
 
 
 def _row_step(rows):
@@ -723,9 +666,9 @@ def _int_step(row, top, piv, f, prev) -> list:
 
 
 def _ring_step(row, top, piv, f, prev) -> list:
-    """(piv * row - f * top) / prev on rows with Poly entries, entry by
-    entry: zero products and quotients skipped, each quotient exact by
-    ``_exact_quot``."""
+    """(piv * row - f * top) / prev on rows with Fraction or Poly entries,
+    entry by entry: zero products and quotients skipped, each quotient exact
+    by ``_exact_quot``."""
     new = []
     for x, y in zip(row, top):
         v = (piv * x if x else 0) - (f * y if f and y else 0)
@@ -734,28 +677,33 @@ def _ring_step(row, top, piv, f, prev) -> list:
 
 
 def _exact_quot(num, den):
-    """Exact quotient num / den of ints or Polys, as in Bareiss elimination;
-    raises InexactDivision when den does not divide num."""
+    """Exact quotient num / den of nonzero ring elements (ints, Fractions or
+    Polys), as in Bareiss elimination; raises InexactDivision when den does
+    not divide num."""
+    if isinstance(num, Poly):
+        return num.exact_div(den) if isinstance(den, Poly) else num / den
+    if isinstance(den, Poly):
+        # a constant is never a multiple of a non-constant polynomial
+        raise InexactDivision(f"{den} does not divide {num}")
     if isinstance(num, int) and isinstance(den, int):
         q, r = divmod(num, den)
         if r:
             raise InexactDivision(f"{den} does not divide {num}")
         return q
-    num = num if isinstance(num, Poly) else Poly.const(num)
-    return num.exact_div(den if isinstance(den, Poly) else Poly.const(den))
+    return num / den
 
 
 def _ring_row(row) -> tuple:
     """(nums, den): one equation as ring elements over den, a rational row
-    as ints over the lcm of its denominators, any other row as Polys over
-    1."""
+    as ints over the lcm of its denominators, any other row as its
+    Fractions and Polys over 1."""
     ints = _over_lcm(row)
     if ints is not None:
         return ints
     row = [as_scalar(x) for x in row]
     if any(isinstance(x, RatFn) for x in row):
         raise TypeError("RatFn entry in a fraction-free elimination")
-    return [x if isinstance(x, Poly) else Poly.const(x) for x in row], 1
+    return row, 1
 
 
 def _over_lcm(values) -> Optional[tuple]:
@@ -765,25 +713,23 @@ def _over_lcm(values) -> Optional[tuple]:
     if all(type(v) is int for v in values):
         return list(values), 1
     values = [as_scalar(v) for v in values]
-    if not all(is_rational(v) for v in values):
+    if not all(isinstance(v, Fraction) for v in values):
         return None
-    values = [to_fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _echelon(rows) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of ring rows
-    (ints or Polys) of any shape: (rows, pivots, last) with the nonzero
-    echelon numerator rows, their pivot columns and the last pivot.
+    (ints, Fractions or Polys) of any shape: (rows, pivots, last) with the
+    nonzero echelon numerator rows, their pivot columns and the last pivot.
 
     A column without a pivot is skipped, and the elimination stops once
     every row has one.  Every quotient by the previous pivot is exact
     (InexactDivision otherwise).  When every entry is an int, each row is
     updated whole by ``_int_step``; otherwise entry by entry by
-    ``_ring_step``, so a row turns into Polys once a Poly enters it.  Every
-    pivot entry ends equal to last, so the reduced row echelon form is
-    rows / last.
+    ``_ring_step``.  Every pivot entry ends equal to last, so the reduced
+    row echelon form is rows / last.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
@@ -845,7 +791,7 @@ def common_denominator(values) -> tuple:
     """(nums, den) with values[i] = nums[i] / den: ints over the lcm of the
     denominators when every value is rational, Polys over the product of
     the distinct RatFn denominators otherwise; when no value is a RatFn,
-    each value is its own numerator over the unit Poly."""
+    each value is its own numerator over ONE."""
     ints = _over_lcm(values)
     if ints is not None:
         return ints
@@ -855,10 +801,8 @@ def common_denominator(values) -> tuple:
         if isinstance(v, RatFn) and v.den not in dens:
             dens.append(v.den)
     if not dens:
-        return values, Poly.const(1)
-    den = Poly.const(1)
-    for d in dens:
-        den = den * d
+        return values, ONE
+    den = prod(dens)
     return [
         v.num * den.exact_div(v.den) if isinstance(v, RatFn) else den * v for v in values
     ], den

@@ -25,7 +25,7 @@ from .cosymplectic import (
     phi_map,
     solve_reeb,
 )
-from .errors import InexactDivision, NotCosymplectic
+from .errors import NotCosymplectic
 from .exterior import TwoForm, cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
 
@@ -106,26 +106,22 @@ def _known(entry, check) -> bool:
 # Building blocks
 
 
-def _nondeg_policy(printed: sc.Poly, computed) -> tuple:
+def _nondeg_policy(printed, comp) -> tuple:
     """(status, detail); status in exact_multiple / vanishing_equivalent /
     deviates."""
-    comp = computed if isinstance(computed, sc.Poly) else sc.Poly.const(computed)
-    if comp.is_zero() or printed.is_zero():
-        if comp.is_zero() and printed.is_zero():
+    if not comp or not printed:
+        if not comp and not printed:
             return "exact_multiple", "both identically zero"
         return "deviates", "one side identically zero"
-    try:
-        q = comp.exact_div(printed)
-        if q.is_constant():
-            return "exact_multiple", f"computed volume = {q.constant_value()} * printed"
-    except InexactDivision:
-        pass
-    variables = sorted(set(printed.variables) | set(comp.variables))
+    q = sc.ratfn(comp, printed)
+    if sc.is_rational(q):
+        return "exact_multiple", f"computed volume = {q} * printed"
+    variables = sorted(sc.scalar_variables(printed) | sc.scalar_variables(comp))
     rng = random.Random(_SAMPLE_SEED)
     for trial in range(200):
         assignment = {v: rng.choice(_SAMPLE_POOL) for v in variables}
-        pz = printed.eval(assignment) == 0
-        cz = comp.eval(assignment) == 0
+        pz = sc.poly_eval(printed, assignment) == 0
+        cz = sc.poly_eval(comp, assignment) == 0
         if pz != cz:
             side = "printed nonzero, volume zero" if cz else "printed zero, volume nonzero"
             point = ", ".join(f"{k}={assignment[k]}" for k in variables)
@@ -254,7 +250,7 @@ def _verify_family(entry) -> list:
     out.append(_span_result(entry, "z2_span", family[1], z2))
 
     vol = volume_coeff(L, entry.alpha.subs(struct), entry.omega.subs(struct))
-    printed = entry.nondeg.subs(struct)
+    printed = sc.scalar_subs(entry.nondeg, struct)
     status, detail = _nondeg_policy(printed, vol)
     out.append(
         _result(

@@ -215,12 +215,30 @@ def test_parse_catalog_reads_entries_and_sections():
     assert entry.lines["bracket"][(1, 2)] == [0, -1, 0]
     [(head, normal), (lsa_head, lsa)] = entry.sections
     assert head == ["normal", "normal-1"] and lsa_head == ["lsa"]
-    assert normal["reeb"][()] == [0, 0, sc.ratfn(sc.Poly.const(1), lam)]
+    assert normal["reeb"][()] == [0, 0, sc.ratfn(F(1), lam)]
     assert normal["member"][()] == {"a3": 2, "a12": 2}
     assert normal["map"] == {(1,): [0, F(1, 2), 0]}
     assert normal["witness"][()] == -1
-    assert lsa["product"][(2, 0)] == [-sc.ratfn(sc.Poly.const(1), lam ** 2), 0, 0]
+    assert lsa["product"][(2, 0)] == [-sc.ratfn(F(1), lam ** 2), 0, 0]
     assert lsa["note"][()] == "as printed"
+
+
+def nondeg_of(expr: str):
+    """The nondeg value of CATALOG with its expression replaced by expr."""
+    [entry] = parse_catalog(CATALOG.replace("a3*(a12 - 2*a3^2)/2", expr, 1))
+    return entry.lines["nondeg"][()]
+
+
+def test_expressions_divide_quotients_again():
+    # a quotient is divided, and divides, like any other value
+    lam = sc.Poly.var("lam")
+    assert nondeg_of("1/lam/lam") == nondeg_of("1/lam^2") == sc.ratfn(F(1), lam ** 2)
+    assert nondeg_of("2/(1/lam)") == 2 * lam
+    assert nondeg_of("lam/(1/lam)") == lam ** 2
+    for bad in ("a3/0", "1/(lam - lam)"):
+        with pytest.raises(AlgFileError) as exc:
+            nondeg_of(bad)
+        assert str(exc.value) == f"line 9, col 10: bad expression '{bad}'"
 
 
 @pytest.mark.parametrize(

@@ -455,7 +455,7 @@ def test_cosymplectic_lsa_symbolic_lambda(g34):
     lam = Poly.var("lam")
     S = make(g34, OneForm(3, (sc.ZERO, sc.ZERO, lam)), W({(1, 2): 1}))
     T = cosymplectic_lsa(S)
-    inv_lam2 = ratfn(Poly.const(1), lam * lam)
+    inv_lam2 = ratfn(F(1), lam * lam)
     assert T.products[0][1] == (sc.ZERO, sc.ZERO, inv_lam2)
     assert T.products[2][0] == (F(-1), F(0), F(0))
 

@@ -258,6 +258,23 @@ def test_construct_A_violation_fails_and_assembled_structure_fails():
 
 
 @pytest.mark.parametrize(
+    "G",
+    [
+        GBAR,
+        LieAlgebra.abelian(2),
+        LieAlgebra.from_table(3, {(1, 3): {1: 1}, (2, 3): {1: sc.Poly.var("a"), 2: 1}}),
+    ],
+    ids=["g21+g1", "abelian", "symbolic"],
+)
+def test_zero_extension_data_adds_no_bracket(G):
+    # the assembly writes every bracket; LieAlgebra drops the zero ones
+    L = assemble_extension(G, ExtensionData.zero(G.dim))
+    assert L.dim == G.dim + 2
+    assert L.brackets.keys() == G.brackets.keys()
+    assert all(L.brackets[k] == v + (sc.ZERO, sc.ZERO) for k, v in G.brackets.items())
+
+
+@pytest.mark.parametrize(
     "E",
     [
         data_A(F(1), F(1), F(1), F(1)),

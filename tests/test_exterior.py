@@ -165,7 +165,7 @@ def test_volume_against_wedge_oracle_random_forms():
                 },
             )
             vol = volume_coeff(L, alpha, omega)
-            assert isinstance(vol, Poly) and not vol.is_zero()
+            assert isinstance(vol, Poly)
             assert vol == oracle_volume(dim, alpha, omega)
 
 

@@ -149,7 +149,7 @@ KINDS = {
         rationals,
         st.tuples(rationals, rationals).map(lambda t: t[0] * P + t[1]),
         st.tuples(rationals, st.sampled_from([1, 2, -3])).map(
-            lambda t: ratfn(Poly.const(1) + t[0] * P, P + t[1])
+            lambda t: ratfn(F(1) + t[0] * P, P + t[1])
         ),
     ),
 }

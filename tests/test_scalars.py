@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from coslie import scalars as sc
 from coslie.errors import InexactDivision, MissingVariable, SingularSystem
@@ -44,8 +44,8 @@ def test_minus_operator_matches_former_sub_wrapper():
     x, y = Poly.var("x"), Poly.var("y")
     operands = [
         F(0), F(1), F(-3, 4),
-        Poly.const(1), x, x + 1, 2 * x * y - 1,
-        RatFn(Poly.const(1), x + 1), RatFn(x, x * x + 1), RatFn(x * y, x + y),
+        (x + 1) - x, x, x + 1, 2 * x * y - 1,
+        RatFn(F(1), x + 1), RatFn(x, x * x + 1), RatFn(x * y, x + y),
         RatFn(x + 1, x + 1),  # unreduced: equals 1
     ]
     for a, b in product(operands, repeat=2):
@@ -60,9 +60,13 @@ def test_minus_operator_matches_former_sub_wrapper():
 
 
 def old_is_zero(s):
-    """The former ``scalars.is_zero``, kept as the reference for ``not s``."""
-    if isinstance(s, (Poly, RatFn)):
-        return s.is_zero()
+    """The former ``scalars.is_zero``, kept as the reference for ``not s``,
+    with the bodies of the deleted ``Poly.is_zero`` and ``RatFn.is_zero``
+    inlined."""
+    if isinstance(s, Poly):
+        return not s.terms
+    if isinstance(s, RatFn):
+        return old_is_zero(s.num)
     return s == 0
 
 
@@ -84,10 +88,10 @@ def old_vecs_equal(x, y):
 X, Y = Poly.var("x"), Poly.var("y")
 OPERANDS = [
     0, F(0), F(1), F(-3, 4),
-    Poly.const(0), Poly.const(1), (X + 2) - X, X, X + 1, 2 * X * Y - 1,
-    RatFn(Poly.const(1), X + 1), RatFn(X, X * X + 1),
+    X - X, (X + 1) - X, (X + 2) - X, X, X + 1, 2 * X * Y - 1,
+    RatFn(F(1), X + 1), RatFn(X, X * X + 1),
     RatFn(X + 1, X + 1),  # unreduced: equals 1
-    RatFn(Poly.const(0), X + 1),
+    RatFn(F(0), X + 1),
 ]
 
 
@@ -97,7 +101,7 @@ def test_truthiness_and_equality_match_the_former_predicates():
     for a, b in product(OPERANDS, repeat=2):
         assert (a == b) == old_scalars_equal(a, b), (a, b)
         assert (a != b) == (not old_scalars_equal(a, b)), (a, b)
-    small = [F(0), Poly.const(1), F(1), X, RatFn(X + 1, X + 1), RatFn(Poly.const(0), X + 1)]
+    small = [F(0), (X + 1) - X, F(1), X, RatFn(X + 1, X + 1), RatFn(F(0), X + 1)]
     vectors = [v for k in (1, 2) for v in product(small, repeat=k)]
     for v in vectors:
         assert (not any(v)) == old_vec_is_zero(v), v
@@ -107,12 +111,13 @@ def test_truthiness_and_equality_match_the_former_predicates():
 
 def test_a_constant_poly_hashes_as_its_fraction():
     two = (X + 2) - X
+    assert type(two) is F
     assert two == F(2) and hash(two) == hash(F(2))
     assert len({two, F(2)}) == 1
     assert {F(2): "two"}[two] == "two"
-    assert {Poly.const(0), F(0), 0} == {0}
+    assert {X - X, F(0), 0} == {0}
     # equal forms are equal keys, whichever type holds an equal coefficient
-    a, b = OneForm(2, (Poly.const(1), F(0))), OneForm(2, (F(1), F(0)))
+    a, b = OneForm(2, ((X + 1) - X, F(0))), OneForm(2, (F(1), F(0)))
     assert a == b and len({a, b}) == 1
     assert {b: "e^1"}[a] == "e^1"
 
@@ -138,14 +143,14 @@ def old_lie_eq(a, b):
     return all(old_vecs_equal(a.bracket_basis(i, j), b.bracket_basis(i, j)) for i, j in keys)
 
 
-VALUES = [F(0), F(1), F(-1, 2), X, X * Y - 1, RatFn(Poly.const(1), X + 1)]
+VALUES = [F(0), F(1), F(-1, 2), X, X * Y - 1, RatFn(F(1), X + 1)]
 
 
 def written(v):
     """Ways to write the value v: as another scalar type, or as an
     unreduced quotient."""
     if isinstance(v, F):
-        return [v, Poly.const(v), RatFn(Poly.const(v) * (Y + 1), Y + 1)]
+        return [v, (X + v) - X, RatFn(v * (Y + 1), Y + 1)]
     if isinstance(v, Poly):
         return [v, RatFn(v * (X + 2), X + 2)]
     return [v, RatFn(v.num * (Y + 2), v.den * (Y + 2))]
@@ -387,12 +392,12 @@ def mixed_det_matrices(draw):
 @given(mixed_det_matrices())
 def test_bareiss_on_ring_rows_agrees_with_cofactor(case):
     m, symbolic = case
-    det = det_poly([row[:] for row in m])
-    assert det == cofactor_det(m)
+    det, want = det_poly([row[:] for row in m]), cofactor_det(m)
+    assert det == want
     if not symbolic:
         assert type(det) is F
-    elif det:  # a zero determinant may come from a shortcut, as ZERO
-        assert type(det) is Poly
+    # a constant determinant is a Fraction, a shortcut's zero included
+    assert isinstance(det, Poly) == isinstance(want, Poly)
 
 
 @pytest.mark.parametrize("prev", [2, -2])
@@ -439,7 +444,7 @@ def test_poly_eval_examples():
     q = a23 * (a4 * a15 + a5 * a23)
     assert poly_eval(q, {"a23": F(1), "a4": F(1), "a15": F(1), "a5": F(0)}) == 1
 
-    assert poly_eval(Poly.const(0), {}) == 0
+    assert poly_eval(F(0), {}) == 0
 
 
 def test_poly_eval_missing_variable():
@@ -476,7 +481,7 @@ def test_poly_printing_is_graded_lex_and_stable():
     assert str(p) == "b^2 - 2*a + 3"
     q = 3 + b * b - 2 * a
     assert str(q) == str(p)
-    assert Poly.const(0) * a == Poly.const(0)
+    assert F(0) * a == F(0)
     assert str(Poly((), {})) == "0"
 
 
@@ -487,9 +492,12 @@ def test_unused_variables_are_pruned_for_equality():
 
 
 def assert_canonical(r):
-    """Sorted names, each used; only nonzero Fraction coefficients; and the
-    same value and hash as the validating constructor gives."""
-    assert isinstance(r, Poly)
+    """A Fraction, or a Poly with at least one variable: sorted names, each
+    used; only nonzero Fraction coefficients; and the same value and hash
+    as the validating constructor gives."""
+    if type(r) is F:
+        return
+    assert isinstance(r, Poly) and r.variables
     assert list(r.variables) == sorted(set(r.variables))
     assert all(len(e) == len(r.variables) for e in r.terms)
     assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
@@ -514,13 +522,70 @@ def test_arithmetic_results_are_canonical(p, q, c):
         p - p, (p + q) - q, (p * q) - (q * p), p * 0, -(p - p),
     ]
     if q:
-        results += [(p * q).exact_div(q), q.exact_div(q)]
+        results += [ratfn(p * q, q), ratfn(q, q)]
         assert results[-2] == p and results[-1] == 1
     for r in results:
         assert_canonical(r)
     assert (p + q) - q == p and p - p == 0 and p * q == q * p
-    # adding a rational zero changes nothing, and builds nothing either
-    assert p + 0 is p and p - F(0) is p
+    # adding a rational zero to a Poly changes nothing, and builds nothing either
+    if isinstance(p, Poly):
+        assert p + 0 is p and p - F(0) is p
+
+
+def assert_one_representation(r):
+    """A Fraction, a Poly with at least one variable, or a RatFn with such a
+    Poly as denominator and a Fraction or such a Poly as numerator."""
+    if isinstance(r, RatFn):
+        assert type(r.den) is Poly and r.den.variables, r
+        r = r.num
+    assert type(r) is F or (type(r) is Poly and r.variables), r
+
+
+# Poly(...) as written by hand: names in any order, int and zero
+# coefficients, a name no term uses, and terms that may leave a constant
+raw_polys = st.builds(
+    lambda names, terms: Poly(names, dict(terms)),
+    st.permutations(("x", "y", "z")),
+    st.lists(
+        st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2), st.just(0)), st.integers(-2, 2)),
+        max_size=4,
+    ),
+)
+poly_values = st.one_of(rationals, raw_polys, any_polys)
+mixed_values = st.one_of(
+    poly_values,
+    st.tuples(poly_values, poly_values).filter(lambda t: t[1]).map(lambda t: ratfn(*t)),
+)
+
+
+# without the explain phase, which formats a traceback for every variant of
+# a failing example and takes minutes on a test with this many results
+@settings(phases=[p for p in Phase if p is not Phase.explain])
+@given(st.lists(poly_values, min_size=4, max_size=4), mixed_values, mixed_values, rationals)
+def test_every_result_has_one_representation(ps, a, b, c):
+    # no constructor, operator or function of scalars leaves a constant as
+    # a Poly, or a rational as the denominator of a RatFn
+    p, q = ps[:2]
+    at = {"x": c}
+    results = [*ps, a, b, a + b, a - b, a * b, -a, a + c, c - a, a * c, c * a, p ** 0, p ** 2]
+    for v in (p, a, b):
+        try:
+            results.append(sc.scalar_subs(v, at))
+        except ZeroDivisionError:  # the point is a root of the denominator
+            assert isinstance(v, RatFn) and not sc.scalar_subs(v.den, at)
+    results += [v.subs(at) for v in ps if isinstance(v, Poly)]
+    if b:
+        results += [a / b, c / b]
+    if q:
+        results += [ratfn(p, q), ratfn(c, q), ratfn(p * q, q)]
+    m = [ps[:2], ps[2:]]
+    det = det_poly([row[:] for row in m])
+    results.append(det)
+    if det:
+        results += [x for xs in sc.solve_linear(m, [[c, p], [q, ps[3]]]) for x in xs]
+    results += sc.quotients(*sc.common_denominator([p, a, b, c]))
+    for r in results:
+        assert_one_representation(r)
 
 
 def test_exact_division_and_failure():
@@ -532,11 +597,11 @@ def test_exact_division_and_failure():
 
 def test_ratfn_normalization_and_equality():
     lam = Poly.var("lam")
-    r = ratfn(Poly.const(1), lam * lam)
+    r = ratfn(F(1), lam * lam)
     assert r * lam * lam == sc.ONE
-    assert ratfn(lam, lam * lam) == ratfn(Poly.const(1), lam)
+    assert ratfn(lam, lam * lam) == ratfn(F(1), lam)
     assert ratfn(lam * lam, lam) == lam
-    assert ratfn(Poly.const(0), lam) == 0
+    assert ratfn(F(0), lam) == 0
 
 
 def cramer_solve(a, bs):
@@ -550,7 +615,7 @@ def cramer_solve(a, bs):
     def quot(num, den):
         if isinstance(den, F):
             return num * (F(1) / den)
-        return ratfn(num if isinstance(num, Poly) else Poly.const(num), den)
+        return ratfn(num if isinstance(num, Poly) else F(num), den)
 
     return [
         [
@@ -563,11 +628,11 @@ def cramer_solve(a, bs):
 
 def test_solve_poly_cramer():
     a = Poly.var("a")
-    [x] = sc.solve_linear([[a, sc.ZERO], [sc.ZERO, a * a]], [[Poly.const(1), a]])
-    assert x[0] == ratfn(Poly.const(1), a)
-    assert x[1] == ratfn(Poly.const(1), a)
+    [x] = sc.solve_linear([[a, sc.ZERO], [sc.ZERO, a * a]], [[F(1), a]])
+    assert x[0] == ratfn(F(1), a)
+    assert x[1] == ratfn(F(1), a)
     with pytest.raises(SingularSystem):
-        sc.solve_linear([[a, a], [a, a]], [[Poly.const(1), Poly.const(0)]])
+        sc.solve_linear([[a, a], [a, a]], [[F(1), F(0)]])
 
 
 def test_solve_rational_and_inverse():
@@ -602,7 +667,7 @@ def test_solve_linear_matches_cramer_on_mixed_5x5():
         assert sc.mat_vec(a, x) == sc.vec(b)
     # a symbolic row with pivot 1 is eliminated first; the rational rows
     # below it stay ints and then divide by the int pivots 3 and 28
-    one = Poly.const(1)
+    one = F(1)
     a = [
         [one, p, F(1, 2), F(0), p],
         [F(0), F(1), F(2), F(-1), F(3)],
@@ -651,25 +716,25 @@ def test_solve_linear_rows_with_large_coprime_denominators():
 def test_solve_linear_refuses_ratfn_entries():
     p = Poly.var("p")
     with pytest.raises(TypeError):
-        sc.solve_linear([[RatFn(Poly.const(1), p + 1), F(0)], [F(0), F(1)]], [[F(1), F(1)]])
+        sc.solve_linear([[RatFn(F(1), p + 1), F(0)], [F(0), F(1)]], [[F(1), F(1)]])
 
 
 def test_common_denominator_round_trips():
     # ints over the lcm for rational values; Polys over the product of the
     # distinct RatFn denominators otherwise
-    rational = [F(1, 6), F(-3, 4), F(0), F(5), Poly.const(F(2, 9))]
+    rational = [F(1, 6), F(-3, 4), F(0), F(5), (X + F(2, 9)) - X]
     nums, den = sc.common_denominator(rational)
     assert den == 36 and all(type(x) is int for x in nums)
     assert sc.quotients(nums, den) == (F(1, 6), F(-3, 4), F(0), F(5), F(2, 9))
     p, q = Poly.var("p"), Poly.var("q")
-    mixed = [F(1, 2), p, RatFn(Poly.const(1), p + 1), RatFn(q, p * q + 1), RatFn(p, p + 1), F(0)]
+    mixed = [F(1, 2), p, RatFn(F(1), p + 1), RatFn(q, p * q + 1), RatFn(p, p + 1), F(0)]
     nums, den = sc.common_denominator(mixed)
     assert all(x == v for x, v in zip(sc.quotients(nums, den), mixed))
 
 
 def seed_common_denominator(values):
     """``common_denominator`` as first written: every non-rational value
-    multiplied by the denominator, even when that is the unit Poly."""
+    multiplied by the denominator, even when that is ONE."""
     ints = sc._over_lcm(values)
     if ints is not None:
         return ints
@@ -678,7 +743,7 @@ def seed_common_denominator(values):
     for v in values:
         if isinstance(v, RatFn) and v.den not in dens:
             dens.append(v.den)
-    den = Poly.const(1)
+    den = F(1)
     for d in dens:
         den = den * d
     return [
@@ -700,7 +765,7 @@ polynomial_values = st.lists(
 
 @given(polynomial_values)
 def test_common_denominator_without_quotients_keeps_the_values(values):
-    # no RatFn: the denominator is the unit Poly and the numerators are the
+    # no RatFn: the denominator is ONE and the numerators are the
     # values themselves, as the multiplication by it gave them
     nums, den = sc.common_denominator(values)
     want, want_den = seed_common_denominator(values)

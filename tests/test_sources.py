@@ -112,6 +112,76 @@ def test_cosymplectic_keeps_one_path_for_every_scalar_type():
         assert scalar_type_tests(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
 
 
+def test_catalog_and_verify_leave_scalar_types_to_scalars():
+    """The catalog reads a normal form's volume as it comes, and the
+    nondegeneracy policy of ``verify`` asks ``scalars`` whether a quotient
+    is rational: neither module tests for a scalar type."""
+    for name in ("catalog.py", "verify.py"):
+        [path] = [p for p in SOURCES if p.name == name]
+        assert scalar_type_tests(ast.parse(path.read_text(encoding="utf-8"))) == [], name
+
+
+CONSTANT_POLY_HELPERS = {"is_constant", "constant_value", "to_fraction"}
+
+
+def constant_poly_helpers(tree: ast.AST) -> list:
+    """Line numbers where a module defines or uses a helper that only a
+    constant Poly needs: ``is_constant``, ``constant_value`` and
+    ``to_fraction`` under any owner, and ``const`` defined anywhere or read
+    off ``Poly`` (also through a module)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hit = node.name in CONSTANT_POLY_HELPERS or node.name == "const"
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+            hit = node.attr in CONSTANT_POLY_HELPERS or (node.attr == "const" and owner == "Poly")
+        elif isinstance(node, ast.Name):
+            hit = node.id in CONSTANT_POLY_HELPERS
+        elif isinstance(node, ast.ImportFrom):
+            hit = any(a.name in CONSTANT_POLY_HELPERS for a in node.names)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_every_constant_poly_helper():
+    for text in (
+        "class Poly:\n    @staticmethod\n    def const(value):\n        return value",
+        "def is_constant(self):\n    return not self.variables",
+        "x = sc.Poly.const(1)",
+        "one = Poly.const",
+        "if p.is_constant():\n    v = p.constant_value()",
+        "v = sc.to_fraction(s)",
+        "from .scalars import to_fraction",
+        "values = map(to_fraction, values)",
+    ):
+        assert constant_poly_helpers(ast.parse(text)), text
+    for text in (
+        "x = sc.ONE",
+        "x = Poly.var('x')",
+        "c = self.const",
+        "ok = sc.is_rational(q)",
+        "v = Fraction(1)",
+        "def constant_term(p):\n    return p",
+    ):
+        assert constant_poly_helpers(ast.parse(text)) == [], text
+
+
+def test_no_module_keeps_a_constant_poly_helper():
+    """A rational is always a ``Fraction`` and a ``Poly`` always has a
+    variable, so no module asks whether a Poly is constant or turns one
+    into its Fraction."""
+    offenders = {
+        p.name: lines
+        for p in SOURCES
+        if (lines := constant_poly_helpers(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert offenders == {}
+
+
 def substitutions(tree: ast.AST) -> list:
     """Line numbers of calls that substitute values for symbols: a
     ``.subs(...)`` method call or ``scalar_subs``, named directly or
@@ -437,9 +507,10 @@ def test_the_scan_sees_every_predicate_helper():
 
 
 def test_scalars_are_zero_tested_and_compared_by_the_python_protocol():
-    """``Fraction``, ``Poly`` and ``RatFn`` all define ``__bool__`` and
-    ``__eq__``, so a zero test is truthiness and an equality is ``==``: no
-    module keeps a predicate of its own for either."""
+    """``Fraction`` and ``RatFn`` define ``__bool__``, a ``Poly`` is never
+    zero, and all three define ``__eq__``, so a zero test is truthiness and
+    an equality is ``==``: no module keeps a predicate of its own for
+    either."""
     offenders = {
         p.name: lines
         for p in SOURCES
