@@ -110,6 +110,13 @@ def test_center_refuses_parametric():
         center(L)
 
 
+@pytest.mark.parametrize("function", [derived_series, is_solvable], ids=lambda f: f.__name__)
+def test_derived_series_refuses_parametric(function):
+    L = LieAlgebra.from_table(3, {(1, 2): {1: sc.Poly.var("a")}})
+    with pytest.raises(ParametricUnsupported):
+        function(L)
+
+
 def test_derived_series_and_solvability(g31):
     chain = derived_series(g31)
     assert [len(b) for b in chain] == [3, 1, 0]

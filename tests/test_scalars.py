@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from coslie import scalars as sc
-from coslie.errors import InexactDivision, MissingVariable, SingularSystem
+from coslie.errors import InexactDivision, MissingVariable, ParametricUnsupported, SingularSystem
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly, RatFn, det_poly, nullspace, poly_eval, ratfn
@@ -717,6 +717,22 @@ def test_solve_linear_refuses_ratfn_entries():
     p = Poly.var("p")
     with pytest.raises(TypeError):
         sc.solve_linear([[RatFn(F(1), p + 1), F(0)], [F(0), F(1)]], [[F(1), F(1)]])
+
+
+def test_det_refuses_ratfn_entries():
+    p = Poly.var("p")
+    with pytest.raises(TypeError):
+        det_poly([[RatFn(F(1), p + 1), F(0)], [F(0), F(1)]])
+
+
+@pytest.mark.parametrize(
+    "entry", [Poly.var("p"), RatFn(F(1), Poly.var("p") + 1)], ids=["poly", "ratfn"]
+)
+@pytest.mark.parametrize("function", [sc.rref, sc.rank, nullspace], ids=lambda f: f.__name__)
+def test_rational_elimination_refuses_parametric_entries(function, entry):
+    # rref, rank and nullspace work over the rationals only
+    with pytest.raises(ParametricUnsupported):
+        function([[F(1), F(1, 2)], [F(0), entry]])
 
 
 def test_common_denominator_round_trips():
