@@ -155,13 +155,16 @@ def parse_rational(tok: str) -> Fraction:
 
 
 def parse_params(text: str) -> dict:
-    """The bindings ``name=p/q,...`` of ``--params``, each name once."""
+    """The bindings ``name=p/q,...`` of ``--params``, each name once and a
+    symbol."""
     params: dict = {}
     for piece in filter(None, (p.strip() for p in text.split(","))):
         name, eq, value = piece.partition("=")
         if not eq:
             raise AlgFileError(f"bad --params piece '{piece}'", 0, 0)
         name = name.strip()
+        if not _SYMBOL.fullmatch(name):
+            raise AlgFileError(f"bad parameter name '{name}'", 0, 0)
         if name in params:
             raise AlgFileError(f"--params gives '{name}' twice", 0, 0)
         params[name] = parse_rational(value.strip())

@@ -254,7 +254,7 @@ def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
     if not z1:
         return True
     rows = [list(a.coeffs) for a in z1]
-    if not sc.nullspace(rows):
+    if sc.rank(rows) == dim:
         return False
     for w in z2:  # the rows of w's matrix from its coefficients, as ring numerators
         block = [[0] * dim for _ in range(dim)]
@@ -263,7 +263,7 @@ def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
             block[i][j], block[j][i] = c, -c
         rows.extend(block)
     # zero and repeated rows change neither the row space nor the kernel
-    return bool(sc.nullspace(list(dict.fromkeys(tuple(row) for row in rows if any(row)))))
+    return sc.rank(list(dict.fromkeys(tuple(row) for row in rows if any(row)))) < dim
 
 
 def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:

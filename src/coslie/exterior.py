@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 from typing import Mapping
 
 from . import scalars as sc
@@ -306,18 +306,17 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
 
 def _closed(L: LieAlgebra, k: int) -> tuple:
     """(the increasing k-tuples in lexicographic order, an echelon basis of
-    the closed k-forms as coefficient vectors over them).  Each row of
-    ``differential`` is divided by the gcd of its int numerators, which
-    keeps the elimination's integers small and does not change the rref;
-    one zero row stands for d = 0, whose kernel is every k-form."""
+    the closed k-forms as coefficient vectors over them): the kernel of the
+    int numerator rows of ``differential``, which ``nullspace`` divides by
+    their gcds; one zero row stands for d = 0, whose kernel is every
+    k-form."""
     cols = list(combinations(range(L.dim), k))
     index = {S: n for n, S in enumerate(cols)}
     rows = []
     for _, row in differential(L, k):
-        g = gcd(*row.values())
         dense = [0] * len(cols)
         for S, c in row.items():
-            dense[index[S]] = c // g
+            dense[index[S]] = c
         rows.append(dense)
     return cols, sc.nullspace(rows or [[0] * len(cols)])
 

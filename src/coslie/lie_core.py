@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import scalars as sc
-from .errors import DimensionMismatch, ParametricUnsupported
+from .errors import DimensionMismatch
 from .scalars import Vector
 
 
@@ -191,16 +191,8 @@ def ad(L: LieAlgebra, x: Vector) -> LinearMap:
     return LinearMap.from_columns(cols)
 
 
-def _require_rational(L: LieAlgebra):
-    if L.is_parametric():
-        raise ParametricUnsupported(
-            "operation needs rational structure constants; substitute parameters first"
-        )
-
-
 def center(L: LieAlgebra) -> list:
     """Echelon basis of {x : [x, y] = 0 for all y}."""
-    _require_rational(L)
     rows = []
     for j in range(L.dim):
         for k in range(L.dim):
@@ -215,7 +207,6 @@ def _span_rows(vectors: list) -> list:
 
 def derived_series(L: LieAlgebra) -> list:
     """D^0 = g, D^{k+1} = [D^k, D^k] until stabilization."""
-    _require_rational(L)
     chain = [[sc.basis_vec(L.dim, i) for i in range(L.dim)]]
     while True:
         current = chain[-1]

@@ -17,9 +17,9 @@ identically, which the CLI relies on for byte-reproducible reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     InexactDivision,
@@ -500,46 +500,44 @@ def vec_str(v, prefix: str = "e") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rational linear algebra (rref through the fraction-free elimination below)
-
-Matrix = list
+# Rational linear algebra (the fraction-free elimination below on int rows)
 
 
 def rref(m) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    Each row is cleared to ints and the matrix goes through ``_echelon``,
-    whose rows over its last pivot are the reduced rows."""
-    rows = [_over_lcm(row) for row in m]
-    if None in rows:
-        raise ParametricUnsupported("matrix has symbolic entries")
-    rows, pivots, den = _echelon([nums for nums, _ in rows])
-    return [[Fraction(x, den) if x else ZERO for x in row] for row in rows], pivots
+    """Reduced row echelon form; returns (rows, pivot_columns): the rows of
+    ``_echelon`` over its last pivot."""
+    rows, _, step = _ring_rows(m, rational=True)
+    rows, pivots, last = _echelon(rows, step)
+    return [list(quotients(row, last)) for row in rows], pivots
 
 
 def rank(m) -> int:
-    return len(rref(m)[1])
+    rows, _, step = _ring_rows(m, rational=True)
+    return len(_echelon(rows, step)[1])
 
 
 def nullspace(m) -> list:
     """Echelon-normalized basis of the kernel, deterministic ordering.
 
     Basis vectors are indexed by free columns (ascending); each has a 1 in
-    its free slot.  A matrix without rows has no known width, so it is a
-    ValueError, not an empty kernel.
+    its free slot and, in each pivot slot, minus the reduced row's entry in
+    the free column: the numerator over the last pivot of ``_echelon``.  A
+    matrix without rows has no known width, so it is a ValueError, not an
+    empty kernel.
     """
     if not m:
         raise ValueError("nullspace of a matrix without rows: its width is unknown")
-    rows, pivots = rref(m)
+    rows, _, step = _ring_rows(m, rational=True)
+    rows, pivots, last = _echelon(rows, step)
     ncols = len(m[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            if x := rows[r][f]:
-                v[p] = -x
+        for row, p in zip(rows, pivots):
+            if x := row[f]:
+                v[p] = Fraction(-x, last)
         basis.append(tuple(v))
     return basis
 
@@ -603,14 +601,12 @@ def mat_vec(a, x) -> Vector:
 def det_poly(m) -> Scalar:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Each row is cleared to ring elements (``_ring_row``): ints over the lcm
-    of its denominators, or Fractions and Polys.  The forward elimination
-    runs on those rows through the row step of ``_echelon``, and the
-    determinant is the last pivot, with the sign of the row swaps, over the
-    product of the row denominators: a Fraction or a Poly (ZERO for a zero
-    row or column, or a column without a pivot).
-    RatFn entries are a TypeError; nondegeneracy tests happen before
-    division ever occurs.
+    The rows are cleared to ring elements by ``_ring_rows`` (a RatFn
+    entry is a TypeError there).  The forward elimination runs on them
+    through its row step, and the determinant is the last pivot, with the
+    sign of the row swaps, over the product of the row denominators: a
+    Fraction or a Poly (ZERO for a zero row or column, or a column without
+    a pivot).
     """
     # forward-only, unlike _echelon: ZERO at the first column without a pivot
     n = len(m)
@@ -618,15 +614,10 @@ def det_poly(m) -> Scalar:
         return ONE
     if any(len(row) != n for row in m):
         raise ValueError("det of a non-square matrix")
-    rows, den = [], 1
-    for row in m:
-        nums, d = _ring_row(row)
-        rows.append(nums)
-        den *= d
+    rows, dens, step = _ring_rows(m)
     # cheap exits: an all-zero row or column
     if not all(map(any, rows)) or not all(map(any, zip(*rows))):
         return ZERO
-    step = _row_step(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
         p = next((i for i in range(k, n) if rows[i][k]), None)
@@ -643,13 +634,36 @@ def det_poly(m) -> Scalar:
                 rows[i] = step(rows[i], top, piv, f, prev)
         prev = piv
     last = -rows[-1][-1] if sign < 0 else rows[-1][-1]
-    return _quotient(last, den)
+    return _quotient(last, prod(dens))
 
 
-def _row_step(rows):
-    """The row step for these rows: ``_int_step`` when every entry is an
-    int, ``_ring_step`` otherwise."""
-    return _int_step if all(type(x) is int for row in rows for x in row) else _ring_step
+def _ring_rows(m, rational: bool = False) -> tuple:
+    """(rows, dens, step): each row of m as ring numerators over its
+    denominator by ``common_denominator``, and the row step for them.
+
+    A row's denominator is an int exactly when its numerators are ints, so
+    the step is ``_int_step`` when every denominator is an int and
+    ``_ring_step`` otherwise.  A RatFn entry, whose row denominator is a
+    Poly, is a TypeError: nondegeneracy tests happen before division ever
+    occurs.  With rational, a row that is not rational is
+    ParametricUnsupported, and each row is divided by the gcd of its
+    numerators, which keeps the integers small and the row space as it is.
+    """
+    rows, dens = [], []
+    for row in m:
+        nums, den = common_denominator(row)
+        if type(den) is not int:
+            if rational:
+                raise ParametricUnsupported(
+                    "matrix has symbolic entries; substitute parameters first"
+                )
+            if isinstance(den, Poly):
+                raise TypeError("RatFn entry in a fraction-free elimination")
+        elif rational and (g := gcd(*nums)) > 1:
+            nums = [x // g for x in nums]
+        rows.append(nums)
+        dens.append(den)
+    return rows, dens, _int_step if all(type(d) is int for d in dens) else _ring_step
 
 
 def _int_step(row, top, piv, f, prev) -> list:
@@ -693,47 +707,18 @@ def _exact_quot(num, den):
     return num / den
 
 
-def _ring_row(row) -> tuple:
-    """(nums, den): one equation as ring elements over den, a rational row
-    as ints over the lcm of its denominators, any other row as its
-    Fractions and Polys over 1."""
-    ints = _over_lcm(row)
-    if ints is not None:
-        return ints
-    row = [as_scalar(x) for x in row]
-    if any(isinstance(x, RatFn) for x in row):
-        raise TypeError("RatFn entry in a fraction-free elimination")
-    return row, 1
-
-
-def _over_lcm(values) -> Optional[tuple]:
-    """(nums, den): int numerators of rational values over the lcm of their
-    denominators (ints stay as they are, over 1); None when a value is not
-    rational."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    values = [as_scalar(v) for v in values]
-    if not all(isinstance(v, Fraction) for v in values):
-        return None
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _echelon(rows) -> tuple:
+def _echelon(rows, step) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of ring rows
-    (ints, Fractions or Polys) of any shape: (rows, pivots, last) with the
-    nonzero echelon numerator rows, their pivot columns and the last pivot.
+    (ints, Fractions or Polys) of any shape, with the row step that
+    ``_ring_rows`` gave them: (rows, pivots, last) with the nonzero echelon
+    numerator rows, their pivot columns and the last pivot.
 
     A column without a pivot is skipped, and the elimination stops once
     every row has one.  Every quotient by the previous pivot is exact
-    (InexactDivision otherwise).  When every entry is an int, each row is
-    updated whole by ``_int_step``; otherwise entry by entry by
-    ``_ring_step``.  Every pivot entry ends equal to last, so the reduced
-    row echelon form is rows / last.
+    (InexactDivision otherwise).  Every pivot entry ends equal to last, so
+    the reduced row echelon form is rows / last.
     """
-    rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    step = _row_step(rows)
     pivots: list = []
     prev = 1
     for c in range(ncols):
@@ -760,7 +745,7 @@ def solve_fraction_free(a, bs) -> tuple:
     """``_echelon`` of [a | b_1 ... b_k]: (nums, den) with the solution of
     a x = b_k equal to nums[k][i] / den.
 
-    Each row is first scaled to ring elements (``_ring_row``).  den is the
+    Each row is first scaled to ring elements (``_ring_rows``).  den is the
     last pivot, det(a) up to a nonzero rational factor.  Raises
     SingularSystem when a is singular, TypeError on RatFn entries and
     InexactDivision on an inexact quotient.
@@ -768,9 +753,8 @@ def solve_fraction_free(a, bs) -> tuple:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("solve of a non-square system")
-    rows, pivots, den = _echelon(
-        _ring_row(list(a[i]) + [b[i] for b in bs])[0] for i in range(n)
-    )
+    rows, _, step = _ring_rows(list(a[i]) + [b[i] for b in bs] for i in range(n))
+    rows, pivots, den = _echelon(rows, step)
     if pivots[:n] != list(range(n)):
         raise SingularSystem("singular linear system")
     return [[row[n + k] for row in rows] for k in range(len(bs))], den
@@ -788,14 +772,16 @@ def quotients(nums, den) -> Vector:
 
 
 def common_denominator(values) -> tuple:
-    """(nums, den) with values[i] = nums[i] / den: ints over the lcm of the
-    denominators when every value is rational, Polys over the product of
-    the distinct RatFn denominators otherwise; when no value is a RatFn,
-    each value is its own numerator over ONE."""
-    ints = _over_lcm(values)
-    if ints is not None:
-        return ints
+    """(nums, den) with values[i] = nums[i] / den: int values as they are
+    over 1, rational values as ints over the lcm of their denominators,
+    Polys over the product of the distinct RatFn denominators otherwise;
+    when no value is a RatFn, each value is its own numerator over ONE."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     values = [as_scalar(v) for v in values]
+    if all(isinstance(v, Fraction) for v in values):
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
     dens: list = []
     for v in values:
         if isinstance(v, RatFn) and v.den not in dens:

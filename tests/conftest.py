@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from coslie.lie_core import LieAlgebra
 
@@ -13,6 +13,9 @@ settings.register_profile(
     derandomize=True,
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
+    # without the explain phase, which formats a traceback for every variant
+    # of a failing example and can take minutes before a failure is reported
+    phases=[p for p in Phase if p is not Phase.explain],
 )
 settings.load_profile("ci")
 

@@ -436,6 +436,17 @@ def test_params_name_symbols_of_the_input_once(files, capsys):
     assert capsys.readouterr().err.endswith("binds no symbol of the input: w\n")
 
 
+def test_params_names_are_symbols(files, capsys):
+    # a name that is no symbol is rejected as a param line's would be, not
+    # reported as an unbound (empty) name
+    path = files("p.alg", P_ONLY)
+    for params, name in (("=1", ""), (" =1,p=2", ""), ("p q=1", "p q"), ("1p=2", "1p")):
+        assert main(["validate", path, "--params", params]) == 2
+        assert capsys.readouterr().err == f"parse error: line 0, col 0: bad parameter name '{name}'\n"
+    assert main(["catalog", "export", "g_{3.1}", "--params", "=1"]) == 2
+    assert capsys.readouterr().err == "parse error: line 0, col 0: bad parameter name ''\n"
+
+
 def test_parse_error_exit_code(files, capsys):
     bad = files("bad.alg", "dim 3\nbracket 1 1 : 1 1\n")
     assert main(["validate", bad]) == 2

@@ -526,3 +526,77 @@ def test_forms_and_algebras_compare_by_their_normalized_fields():
     for name in ("exterior.py", "lie_core.py"):
         [path] = [p for p in SOURCES if p.name == name]
         assert definitions(ast.parse(path.read_text(encoding="utf-8")), "__eq__") == [], name
+
+
+def math_gcd_calls(tree: ast.Module) -> list:
+    """(top, name, line) for each call of ``math.gcd`` or ``math.lcm``,
+    imported by name (``from math import gcd as g``) or read off the module
+    (``math.lcm``), with the name of the top-level function or class that
+    makes it (None at module level)."""
+    found, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found |= {a.asname or a.name: a.name for a in node.names if a.name in ("gcd", "lcm")}
+    calls = []
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in found:
+                calls.append((where, found[f.id], node.lineno))
+            elif (
+                isinstance(f, ast.Attribute)
+                and f.attr in ("gcd", "lcm")
+                and isinstance(f.value, ast.Name)
+                and f.value.id in modules
+            ):
+                calls.append((where, f.attr, node.lineno))
+    return calls
+
+
+def test_the_scan_sees_every_gcd_and_lcm_call():
+    for text, calls in (
+        ("from math import gcd\ndef f(r):\n    return gcd(*r)", [("f", "gcd", 3)]),
+        ("import math\nden = math.lcm(2, 3)", [(None, "lcm", 2)]),
+        (
+            "from math import lcm as l\nclass C:\n    def f(self):\n        return l(1, 2)",
+            [("C", "lcm", 4)],
+        ),
+        (
+            "import math as m\ndef f():\n    def g():\n        return m.gcd(4, 6)\n    return g",
+            [("f", "gcd", 4)],
+        ),
+    ):
+        assert math_gcd_calls(ast.parse(text)) == calls, text
+    for text in (
+        "def f(a, b):\n    return _gcd_univariate(a, b)",
+        "def gcd(a, b):\n    return a\ng = gcd(4, 6)",
+        "from math import prod\nx = prod([1, 2])",
+        "from . import scalars as sc\nx = sc.gcd(4, 6)",
+    ):
+        assert math_gcd_calls(ast.parse(text)) == [], text
+
+
+def test_no_module_but_scalars_takes_a_gcd_or_an_lcm():
+    """Clearing a row of Scalars to ints for exact elimination, and
+    dividing it by the gcd of its numerators, is the job of ``scalars``
+    alone."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    offenders = {
+        name: calls
+        for name, tree in trees.items()
+        if name != "scalars.py" and (calls := math_gcd_calls(tree))
+    }
+    assert offenders == {}
+
+
+def test_common_denominator_is_the_one_lcm_of_denominators():
+    """Every row enters exact elimination through ``common_denominator``,
+    the one function of ``scalars`` that takes an lcm."""
+    [path] = [p for p in SOURCES if p.name == "scalars.py"]
+    calls = math_gcd_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert {top for top, name, _ in calls if name == "lcm"} == {"common_denominator"}
