@@ -4,10 +4,16 @@ Every check recomputes the verified fact from scratch; nothing is assumed
 from the stored tables beyond the data itself.  Checks that fail because
 the stored (printed) data is wrong are marked as flagged when the entry
 documents the deviation; an undocumented failure is a real failure.
+
+The entries share nothing, so ``verify_all`` checks them in one process
+per usable CPU and puts the results back in catalog order: the report is
+the same, byte for byte, whichever process checked an entry.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +31,7 @@ from .cosymplectic import (
     phi_map,
     solve_reeb,
 )
-from .errors import NotCosymplectic
+from .errors import InexactDivision, NotCosymplectic
 from .exterior import TwoForm, cocycle_spaces, d1, d2, volume_coeff
 from .lie_core import check_isomorphism, check_jacobi, is_solvable
 
@@ -34,6 +40,7 @@ F = Fraction
 _SAMPLE_POOL = [F(0), F(1), F(-1), F(2), F(-2), F(3), F(-3), F(1, 2), F(-1, 2), F(5)]
 _SAMPLE_SEED = 20250608
 _LAM_SAMPLES = (F(1), F(2))
+_INDEX_BYTES = 4  # one entry index in the work queue
 
 
 @dataclass
@@ -106,9 +113,28 @@ def _known(entry, check) -> bool:
 # Building blocks
 
 
+def _same_radical(p, q) -> bool:
+    """True if the polynomials p and q each divide a power of the other, so
+    that they vanish at the same points; by the Nullstellensatz this is
+    their having the same radical.  If p divides some power of q, it divides
+    q^deg(p): no irreducible factor occurs in p more than deg(p) times."""
+    # a nonzero constant vanishes nowhere, and so may a polynomial, at
+    # rational points: the sampler decides
+    if not (sc.total_degree(p) and sc.total_degree(q)):
+        return False
+    try:
+        for a, b in ((p, q), (q, p)):
+            (b ** a.total_degree()).exact_div(a)
+    except InexactDivision:
+        return False
+    return True
+
+
 def _nondeg_policy(printed, comp) -> tuple:
     """(status, detail); status in exact_multiple / vanishing_equivalent /
-    deviates."""
+    deviates.  Vanishing equivalence is exact when the two have the same
+    radical; only a pair whose radicals differ is compared at seeded sample
+    points, which may find a witness that the vanishing loci differ."""
     if not comp or not printed:
         if not comp and not printed:
             return "exact_multiple", "both identically zero"
@@ -116,6 +142,12 @@ def _nondeg_policy(printed, comp) -> tuple:
     q = sc.ratfn(comp, printed)
     if sc.is_rational(q):
         return "exact_multiple", f"computed volume = {q} * printed"
+    if _same_radical(printed, comp):
+        return (
+            "vanishing_equivalent",
+            "not a constant multiple, but each divides a power of the other, so both "
+            f"vanish on the same set; computed volume = {comp}",
+        )
     variables = sorted(sc.scalar_variables(printed) | sc.scalar_variables(comp))
     rng = random.Random(_SAMPLE_SEED)
     for trial in range(200):
@@ -152,10 +184,24 @@ def _vector(form) -> tuple:
 
 def _family_vectors(form, struct: dict) -> list:
     """Per-parameter coefficient vectors of a (linear, homogeneous) family,
-    with the structure parameters set to struct."""
+    with the structure parameters set to struct.  At p = 1 and every other
+    parameter 0 a coefficient is the sum of its constant term and its terms
+    in p alone, so one pass over the terms gives every vector."""
     params = cat.symbols(_vector(form))
-    form = form.subs(struct)
-    return [_vector(form.subs({q: F(1) if q == p else F(0) for q in params})) for p in params]
+    columns = []
+    for c in _vector(form.subs(struct)):
+        if sc.is_rational(c):
+            columns.append(dict.fromkeys(params, c))
+            continue
+        constant, alone = F(0), dict.fromkeys(params, F(0))
+        for exp, coef in c.terms.items():
+            used = [name for name, power in zip(c.variables, exp) if power]
+            if not used:
+                constant += coef
+            elif len(used) == 1:
+                alone[used[0]] += coef
+        columns.append({p: constant + value for p, value in alone.items()})
+    return [tuple(at[p] for at in columns) for p in params]
 
 
 def _span_result(entry, check, family_vectors, space):
@@ -482,15 +528,99 @@ def _verify_aff(entry) -> list:
     return out
 
 
+_CHECKS = {"family": _verify_family, "heisenberg": _verify_heisenberg, "aff": _verify_aff}
+
+
+def _check(entry) -> list:
+    """The checks of one entry as (entry, check, ok, flagged, detail)
+    tuples, which ``marshal`` can send between processes."""
+    return [(r.entry, r.check, r.ok, r.flagged, r.detail) for r in _CHECKS[entry.kind](entry)]
+
+
+def _workers() -> int:
+    """One process per usable CPU; one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _take(queue: int):
+    """The entry indices read from the queue pipe, one at a time, until it
+    is empty."""
+    while index := os.read(queue, _INDEX_BYTES):
+        yield int.from_bytes(index, "little")
+
+
+def _child(entries: list, queue: int, out: int, inherited: list):
+    """Check the entries taken from the queue and send their results
+    through out; never returns.  An entry that raises ends the work and is
+    left unreported, so that the parent checks it again and raises."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        done = {}
+        try:
+            for i in _take(queue):
+                done[i] = _check(entries[i])
+        finally:
+            with open(out, "wb") as fh:
+                fh.write(marshal.dumps(done))
+    finally:
+        os._exit(0)
+
+
+def _check_shared(entries: list, todo: list) -> dict:
+    """{index: result tuples} for the entries of todo that some process
+    checked.  This process and workers - 1 forked children take indices
+    from one queue pipe, in the order of todo, until it is empty.  On every
+    way out the queue is emptied, so no child starts another entry, the
+    result pipes are closed and every child is reaped."""
+    queue, w = os.pipe()
+    try:
+        os.write(w, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in todo))
+    finally:
+        os.close(w)
+    children: dict = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(min(_workers(), len(todo)) - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(entries, queue, w, [*children.values(), r])
+                children[pid] = r
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+        done = {i: _check(entries[i]) for i in _take(queue)}
+        for r in children.values():
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            if data:  # empty if the child was killed before it reported
+                done.update(marshal.loads(data))
+        return done
+    finally:
+        for _ in _take(queue):
+            pass
+        os.close(queue)
+        for r in children.values():
+            os.close(r)
+        for pid in children:
+            os.waitpid(pid, 0)
+
+
 def verify_all() -> CatalogReport:
-    results: list = []
-    for name in cat.list_entries():
-        entry = cat.get_entry(name)
-        if entry.kind == "family":
-            results.extend(_verify_family(entry))
-        elif entry.kind == "heisenberg":
-            results.extend(_verify_heisenberg(entry))
-        elif entry.kind == "aff":
-            results.extend(_verify_aff(entry))
-        # normal-form child entries are covered through their parents
-    return CatalogReport(results)
+    entries = [cat.get_entry(name) for name in cat.list_entries()]
+    # normal-form child entries are covered through their parents; the
+    # largest dimensions go first, because cost follows dimension
+    todo = sorted(
+        (i for i, e in enumerate(entries) if e.kind in _CHECKS), key=lambda i: -entries[i].dim
+    )
+    done = _check_shared(entries, todo)
+    for i in sorted(set(todo) - done.keys()):  # taken by a child, not reported
+        done[i] = _check(entries[i])
+    return CatalogReport([CheckResult(*r) for i in sorted(done) for r in done[i]])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
+from coslie.scalars import Poly
 from coslie.algfile import format_algebra, parse_algebra
 from coslie.catalog import (
     export_entry,
@@ -138,6 +142,53 @@ def test_verify_all_nondeg_details(catalog_report):
     assert r51.ok and "exact_multiple" in r51.detail
 
 
+RADICAL_CERTIFIED = ("A_{5,15}^{-1}", "A_{5,18}^0", "A_{5,30}^1", "A_{5,36}", "A_{5,37}")
+
+
+def test_verify_all_certifies_equal_vanishing_sets_exactly(catalog_report):
+    for name in RADICAL_CERTIFIED:
+        r = catalog_report.find(name, "nondeg")
+        assert r.ok and r.flagged, name
+        assert r.detail.startswith(
+            "vanishing_equivalent: not a constant multiple, but each divides a power of the other"
+        ), name
+    for name in ("A_{5,2}", "A_{5,5}", "A_{5,6}"):  # their seeded witnesses stay
+        assert "vanishing loci differ" in catalog_report.find(name, "nondeg").detail, name
+
+
+x, y, p, q = (Poly.var(n) for n in "xypq")
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        (x, x**2, True),
+        ((x - 1) ** 2 * y, (x - 1) * y**3, True),
+        (x, x * y, False),
+        (p**2 + q**2, p**2 + 2 * q**2, False),
+    ],
+)
+def test_radical_check(a, b, same):
+    from coslie.verify import _nondeg_policy, _same_radical
+
+    assert _same_radical(a, b) == _same_radical(b, a) == same
+    status, detail = _nondeg_policy(a, b)
+    if same:
+        assert status == "vanishing_equivalent" and "divides a power" in detail
+    else:
+        assert "divides a power" not in detail
+
+
+def test_different_radicals_with_equal_rational_zeros_reach_the_sampler():
+    # p^2 + q^2 and p^2 + 2 q^2 vanish at the same rational point, the
+    # origin, but have different radicals: only the sampler can accept them
+    from coslie.verify import _nondeg_policy
+
+    status, detail = _nondeg_policy(p**2 + q**2, p**2 + 2 * q**2)
+    assert status == "vanishing_equivalent"
+    assert "vanishing agrees at 200 sample points" in detail
+
+
 def test_verify_all_aff_checks(catalog_report):
     ok_checks = {
         "jacobi",
@@ -238,10 +289,75 @@ def test_verify_makes_each_triple_once(monkeypatch):
         return plain_make(L, alpha, omega)
 
     monkeypatch.setattr(cs.CosymplecticStructure, "make", staticmethod(make))
+    # a forked worker's calls are not counted here: check in this process
+    monkeypatch.setattr(verify, "_workers", lambda: 1)
     verify.verify_all()
     assert len(made) == len(set(made)) == 37
     verify.verify_all()
     assert made[37:] == made[:37]
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all.json"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_verify_all_report_does_not_depend_on_the_worker_count(monkeypatch, workers):
+    from coslie import verify
+
+    monkeypatch.setattr(verify, "_workers", lambda: workers)
+    report = verify.verify_all()
+    assert_no_child_left()
+    text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert text.encode("utf-8") == GOLDEN.read_bytes()
+
+
+class Broken(Exception):
+    pass
+
+
+def test_verify_all_raises_what_an_entry_raises(monkeypatch):
+    # the forked worker inherits the patch; whichever process takes a
+    # family entry, the exception reaches the caller
+    from coslie import verify
+
+    def broken(entry):
+        raise Broken(entry.name)
+
+    monkeypatch.setattr(verify, "_workers", lambda: 2)
+    monkeypatch.setitem(verify._CHECKS, "family", broken)
+    with pytest.raises(Broken):
+        verify.verify_all()
+    assert_no_child_left()
+
+
+def test_verify_all_checks_again_what_a_worker_did_not_report(monkeypatch):
+    # every entry raises in the forked workers alone, so the calling
+    # process checks each entry a worker took, and the report stays whole
+    from coslie import verify
+
+    caller = os.getpid()
+    checks = dict(verify._CHECKS)
+
+    def only_here(kind):
+        def check(entry):
+            if os.getpid() != caller:
+                raise Broken(entry.name)
+            return checks[kind](entry)
+
+        return check
+
+    monkeypatch.setattr(verify, "_workers", lambda: 3)
+    for kind in checks:
+        monkeypatch.setitem(verify._CHECKS, kind, only_here(kind))
+    report = verify.verify_all()
+    assert_no_child_left()
+    text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert text.encode("utf-8") == GOLDEN.read_bytes()
 
 
 def seed_in_span(rows: list, vectors) -> bool:

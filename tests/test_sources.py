@@ -45,10 +45,11 @@ def test_the_scan_sees_every_import_form():
 def test_no_module_but_verify_samples_at_random():
     """Every verdict of the engine is exact, so no module imports ``random``.
 
-    ``verify.py`` is the one exception, until an exact test replaces the
-    nondegeneracy policy of ``catalog verify-all``, which still accepts a
-    printed condition as vanishing-equivalent to the computed volume after
-    comparing them at seeded sample points.
+    ``verify.py`` is the one exception.  The nondegeneracy policy of
+    ``catalog verify-all`` accepts a printed condition as
+    vanishing-equivalent to the computed volume exactly when each divides a
+    power of the other; a pair whose radicals differ is still compared at
+    seeded sample points.
     """
     assert len(SOURCES) > 1
     offenders = [
