@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
-from coslie.scalars import Poly
 from coslie.algfile import format_algebra, parse_algebra
 from coslie.catalog import (
     export_entry,
@@ -22,6 +21,7 @@ from coslie.cosymplectic import exists_cosymplectic, validate
 from coslie.errors import DegenerateParams, MissingParam, UnknownEntry
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
+from coslie.scalars import Poly
 
 
 def test_listing_counts_and_headliners():
@@ -305,6 +305,12 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_golden(report):
+    """The report's --json output is the committed one, byte for byte."""
+    text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    assert text.encode("utf-8") == GOLDEN.read_bytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_verify_all_report_does_not_depend_on_the_worker_count(monkeypatch, workers):
     from coslie import verify
@@ -312,8 +318,7 @@ def test_verify_all_report_does_not_depend_on_the_worker_count(monkeypatch, work
     monkeypatch.setattr(verify, "_workers", lambda: workers)
     report = verify.verify_all()
     assert_no_child_left()
-    text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
-    assert text.encode("utf-8") == GOLDEN.read_bytes()
+    assert_golden(report)
 
 
 class Broken(Exception):
@@ -356,8 +361,7 @@ def test_verify_all_checks_again_what_a_worker_did_not_report(monkeypatch):
         monkeypatch.setitem(verify._CHECKS, kind, only_here(kind))
     report = verify.verify_all()
     assert_no_child_left()
-    text = json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
-    assert text.encode("utf-8") == GOLDEN.read_bytes()
+    assert_golden(report)
 
 
 def seed_in_span(rows: list, vectors) -> bool:
