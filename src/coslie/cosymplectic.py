@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
 )
 from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
-from .lie_core import LieAlgebra, LinearMap, is_derivation
+from .lie_core import LieAlgebra, LinearMap, is_derivation, zero_based
 from .scalars import Scalar, Vector
 
 
@@ -466,8 +466,9 @@ class LsaTable:
         """1-based {(i, j): {k: coeff}} builder; missing products are zero."""
         rows = [[list(sc.zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
         for (i, j), comps in entries.items():
+            row = rows[zero_based(dim, i, "product index")][zero_based(dim, j, "product index")]
             for k, c in comps.items():
-                rows[i - 1][j - 1][k - 1] = sc.as_scalar(c)
+                row[zero_based(dim, k, "product index")] = sc.as_scalar(c)
         return LsaTable(dim, rows)
 
     @cached_property

@@ -6,12 +6,13 @@ d(theta)(x_0, ..., x_k) = sum_{a<b} (-1)^(a+b) theta([x_a, x_b], x_0, ...,
 ^x_a, ..., ^x_b, ..., x_k), with ^ marking an omitted argument.  So
 d(alpha)(x, y) = -alpha([x, y]) and
 d(omega)(x, y, z) = -(omega([x,y],z) + omega([y,z],x) + omega([z,x],y)).
-Kernels are convention-independent.
+Kernels are convention-independent.  The matrix of d is
+``lie_core.differential`` (re-exported here), built once per algebra and
+degree; d1, d2 and the cocycle spaces read its rows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -20,7 +21,7 @@ from typing import Mapping
 
 from . import scalars as sc
 from .errors import DimensionMismatch, EvenDimension, ParametricUnsupported
-from .lie_core import LieAlgebra, LinearMap
+from .lie_core import LieAlgebra, LinearMap, differential, zero_based
 from .scalars import Scalar, Vector
 
 
@@ -42,15 +43,14 @@ class OneForm:
     @staticmethod
     def dual(dim: int, k: int, coeff=1) -> "OneForm":
         """coeff * e^k (1-based k)."""
-        return OneForm(
-            dim, tuple(sc.as_scalar(coeff) if i == k - 1 else sc.ZERO for i in range(dim))
-        )
+        k = zero_based(dim, k, "one-form index")
+        return OneForm(dim, tuple(sc.as_scalar(coeff) if i == k else sc.ZERO for i in range(dim)))
 
     @staticmethod
     def from_dict(dim: int, comps: Mapping[int, Scalar]) -> "OneForm":
         v = [sc.ZERO] * dim
         for k, c in comps.items():
-            v[k - 1] += sc.as_scalar(c)
+            v[zero_based(dim, k, "one-form index")] += sc.as_scalar(c)
         return OneForm(dim, tuple(v))
 
     def apply(self, x: Vector) -> Scalar:
@@ -177,40 +177,6 @@ class ThreeForm:
 
 # ---------------------------------------------------------------------------
 # Differentials
-
-
-def differential(L: LieAlgebra, k: int) -> list:
-    """The matrix of d: Lambda^k -> Lambda^(k+1), k >= 0, as sparse rows of
-    ring numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
-    increasing (k+1)-tuple T whose row is nonzero, in lexicographic order,
-    with d(theta)(e_T) = sum c * theta_S / r over increasing k-tuples S.
-    d is zero on Lambda^0 (trivial coefficients), so k = 0 gives no rows;
-    k < 0 is a ValueError.
-
-    Only the nonzero brackets enter.  A component x on e_l of [e_i, e_j],
-    i < j, enters the row of each T = {i, j} u rest, with rest any k - 1
-    other indices, in the one monomial S = {l} u rest: its sign is the
-    (-1)^(a+b) of the convention, a and b the places of i and j in T, times
-    (-1)^(place of l in S) of moving e_l there."""
-    if k < 0:
-        raise ValueError(f"no differential on forms of degree {k}")
-    if k == 0:
-        return []
-    ad = L.ad_numerators[0]
-    rows: dict = {}
-    for i, j in L.brackets:
-        components = [(l, row[j]) for l, row in enumerate(ad[i]) if row[j]]
-        for rest in combinations([m for m in range(L.dim) if m != i and m != j], k - 1):
-            T = tuple(sorted((i, j) + rest))
-            sign = (T.index(i) + T.index(j)) % 2
-            row = rows.setdefault(T, {})
-            for l, x in components:
-                if l not in rest:
-                    pos = bisect_left(rest, l)
-                    S = rest[:pos] + (l,) + rest[pos:]
-                    row[S] = row.get(S, 0) + (-x if (sign + pos) % 2 else x)
-    rows = ((T, {S: c for S, c in row.items() if c}) for T, row in sorted(rows.items()))
-    return [(T, row) for T, row in rows if row]
 
 
 def _apply(L: LieAlgebra, k: int, coeffs: Mapping) -> dict:

@@ -11,19 +11,32 @@ denominator (``scalars.common_denominator``: ints for rational data).
 Identities are matrix equations on it (``scalars.mat_mul``,
 ``scalars.mat_comb``); a value becomes a Scalar only when it is returned,
 and a defect matrix is reported by its nonzero columns
-(``scalars.nonzero_columns``).
+(``scalars.nonzero_columns``); no function makes one bracket per basis
+pair.  The Chevalley-Eilenberg differential d is built here, once per
+algebra and degree (``differential``): Jacobi is d o d = 0 on 1-forms,
+and ``exterior`` applies the same rows to forms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 from . import scalars as sc
 from .errors import DimensionMismatch
 from .scalars import Vector
+
+
+def zero_based(dim: int, k: int, what: str) -> int:
+    """The 0-based place of the 1-based index k of a human-facing
+    constructor: a DimensionMismatch naming k as what unless 1 <= k <= dim."""
+    if not 1 <= k <= dim:
+        raise DimensionMismatch(f"{what} {k} is not in 1..{dim}")
+    return k - 1
 
 
 @dataclass(frozen=True)
@@ -53,8 +66,9 @@ class LieAlgebra:
         for (i, j), comps in table.items():
             v = [sc.ZERO] * dim
             for k, coeff in comps.items():
-                v[k - 1] += sc.as_scalar(coeff)
-            brackets[(i - 1, j - 1)] = tuple(v)
+                v[zero_based(dim, k, "bracket component")] += sc.as_scalar(coeff)
+            pair = (zero_based(dim, i, "bracket index"), zero_based(dim, j, "bracket index"))
+            brackets[pair] = tuple(v)
         return LieAlgebra(dim, brackets)
 
     @staticmethod
@@ -87,6 +101,10 @@ class LieAlgebra:
                     ad[j][k][i] = -x
         return tuple(tuple(map(tuple, M)) for M in ad), r
 
+    @cached_property
+    def _differentials(self) -> dict:
+        return {}  # degree k -> the rows of ``differential(self, k)``
+
     def is_parametric(self) -> bool:
         return any(not sc.is_rational(x) for v in self.brackets.values() for x in v)
 
@@ -115,10 +133,10 @@ class LinearMap:
     @staticmethod
     def from_columns(columns: Sequence[Vector]) -> "LinearMap":
         target = len(columns[0])
-        rows = tuple(
-            tuple(sc.as_scalar(col[r]) for col in columns) for r in range(target)
-        )
-        return LinearMap(len(columns), target, rows)
+        for c, col in enumerate(columns):
+            if len(col) != target:
+                raise DimensionMismatch(f"column {c + 1} has {len(col)} entries, not {target}")
+        return LinearMap(len(columns), target, tuple(zip(*columns)))
 
     @staticmethod
     def zero(n: int) -> "LinearMap":
@@ -126,9 +144,7 @@ class LinearMap:
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
-        return LinearMap(
-            n, n, tuple(tuple(sc.ONE if i == j else sc.ZERO for j in range(n)) for i in range(n))
-        )
+        return LinearMap.from_columns([sc.basis_vec(n, i) for i in range(n)])
 
     def column(self, i: int) -> Vector:
         return tuple(row[i] for row in self.matrix)
@@ -147,78 +163,103 @@ class LinearMap:
 
 
 def bracket(L: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """[x, y] = sum_ij x_i y_j [e_i, e_j], over the nonzero components of x
-    and y only."""
+    """[x, y] = ad_x y, with ad_x = sum_i x_i ad_i, on numerators."""
     if len(x) != L.dim or len(y) != L.dim:
         raise DimensionMismatch("vector length != algebra dim")
     n = L.dim
     ad, r = L.ad_numerators
     nums, den = sc.common_denominator(tuple(x) + tuple(y))
-    ys = [(j, b) for j, b in enumerate(nums[n:]) if b]
-    acc = [0] * n
-    for a, A in zip(nums[:n], ad):
-        if a:
-            for k, row in enumerate(A):
-                for j, b in ys:
-                    if row[j]:
-                        acc[k] += a * b * row[j]
-    return sc.quotients(acc, den * den * r)
+    Y = [[b] for b in nums[n:]]
+    return sc.quotients(sc.column(sc.mat_mul(sc.mat_comb(nums[:n], ad), Y), 0), den * den * r)
+
+
+def differential(L: LieAlgebra, k: int) -> list:
+    """The matrix of d: Lambda^k -> Lambda^(k+1), k >= 0, as sparse rows of
+    ring numerators over r of ``L.ad_numerators``: ``(T, {S: c})`` for each
+    increasing (k+1)-tuple T whose row is nonzero, in lexicographic order,
+    with d(theta)(e_T) = sum c * theta_S / r over increasing k-tuples S;
+    built once per algebra and degree and shared, so callers only read it."""
+    if k < 0:
+        raise ValueError(f"no differential on forms of degree {k}")
+    built = L._differentials
+    if k not in built:
+        built[k] = _differential_rows(L, k)
+    return built[k]
+
+
+def _differential_rows(L: LieAlgebra, k: int) -> list:
+    """The rows of ``differential`` in the sign convention of ``exterior``; d
+    is zero on Lambda^0.  A component x on e_l of [e_i, e_j], i < j, enters
+    the row of each T = {i, j} u rest, rest any k - 1 other indices, in the
+    one monomial S = {l} u rest, with the sign (-1)^(a+b) of the places a, b
+    of i, j in T times (-1)^(place of l in S) of moving e_l there."""
+    if k == 0:
+        return []
+    ad = L.ad_numerators[0]
+    rows: dict = {}
+    for i, j in L.brackets:
+        components = [(l, row[j]) for l, row in enumerate(ad[i]) if row[j]]
+        for rest in combinations([m for m in range(L.dim) if m != i and m != j], k - 1):
+            T = tuple(sorted((i, j) + rest))
+            sign = (T.index(i) + T.index(j)) % 2
+            row = rows.setdefault(T, {})
+            for l, x in components:
+                if l not in rest:
+                    pos = bisect_left(rest, l)
+                    S = rest[:pos] + (l,) + rest[pos:]
+                    row[S] = row.get(S, 0) + (-x if (sign + pos) % 2 else x)
+    rows = ((T, {S: c for S, c in row.items() if c}) for T, row in sorted(rows.items()))
+    return [(T, row) for T, row in rows if row]
 
 
 def check_jacobi(L: LieAlgebra) -> list:
     """All (i, j, k) 1-based triples, i < j < k, with a nonzero cyclic
-    defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]: column k of
-    ad_{[e_i,e_j]} - [ad_i, ad_j], on numerators over r^2."""
-    ad, r = L.ad_numerators
+    defect [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].  Jacobi is
+    d o d = 0 on 1-forms: d(d e^m)(e_i, e_j, e_k) is the e_m component of
+    that defect, so it is row (i, j, k) of the product of the degree-2 and
+    the degree-1 rows of ``differential``, on numerators over r^2."""
+    lower = dict(differential(L, 1))
+    r = L.ad_numerators[1]
     defects = []
-    for i, Ai in enumerate(ad):
-        for j in range(i + 1, L.dim):
-            Aj = ad[j]
-            M = sc.mat_comb(
-                (1, -1, 1),
-                (sc.mat_comb(sc.column(Ai, j), ad), sc.mat_mul(Ai, Aj), sc.mat_mul(Aj, Ai)),
-            )
-            cols = sc.nonzero_columns(M, r * r, range(j + 1, L.dim))
-            defects += [(i + 1, j + 1, k + 1, v) for k, v in cols]
+    for T, row in differential(L, 2):
+        acc = [0] * L.dim
+        for S, c in row.items():
+            for (m,), x in lower.get(S, {}).items():
+                acc[m] += c * x
+        if any(acc):
+            defects.append((*(t + 1 for t in T), sc.quotients(acc, r * r)))
     return defects
 
 
 def ad(L: LieAlgebra, x: Vector) -> LinearMap:
-    """Matrix of y -> [x, y]."""
+    """Matrix of y -> [x, y]: sum_i x_i ad_i on numerators."""
     if len(x) != L.dim:
         raise DimensionMismatch("vector length != algebra dim")
-    cols = [bracket(L, x, sc.basis_vec(L.dim, j)) for j in range(L.dim)]
-    return LinearMap.from_columns(cols)
+    ad, r = L.ad_numerators
+    nums, den = sc.common_denominator(x)
+    A = sc.mat_comb(nums, ad)
+    return LinearMap(L.dim, L.dim, tuple(sc.quotients(row, den * r) for row in A))
 
 
 def center(L: LieAlgebra) -> list:
-    """Echelon basis of {x : [x, y] = 0 for all y}."""
-    rows = []
-    for j in range(L.dim):
-        for k in range(L.dim):
-            rows.append([L.bracket_basis(i, j)[k] for i in range(L.dim)])
-    return sc.nullspace(rows)
-
-
-def _span_rows(vectors: list) -> list:
-    """Echelon basis (nonzero rref rows) of the span of the given vectors."""
-    return [tuple(r) for r in sc.rref(vectors)[0]]
+    """Echelon basis of {x : [x, y] = 0 for all y}: the kernel of every ad_{e_j}."""
+    ad, r = L.ad_numerators
+    return sc.nullspace([sc.quotients(row, r) for A in ad for row in A])
 
 
 def derived_series(L: LieAlgebra) -> list:
-    """D^0 = g, D^{k+1} = [D^k, D^k] until stabilization."""
+    """D^0 = g, D^{k+1} = [D^k, D^k] until stabilization: with X the columns
+    x_p spanning D^k, [x_p, x_q] is column q of ad_{x_p} X."""
+    ad, r = L.ad_numerators
     chain = [[sc.basis_vec(L.dim, i) for i in range(L.dim)]]
-    while True:
-        current = chain[-1]
-        products = [
-            bracket(L, current[p], current[q])
-            for p in range(len(current))
-            for q in range(p + 1, len(current))
-        ]
-        nxt = _span_rows([v for v in products if any(v)])
-        chain.append(nxt)
-        if len(nxt) == len(current) or not nxt:
-            return chain
+    while len(chain) == 1 or 0 < len(chain[-1]) < len(chain[-2]):
+        rows, den = sc.mat_numerators(chain[-1])
+        X, m, products = list(zip(*rows)), len(rows), []
+        for p, x in enumerate(rows):
+            P = sc.mat_mul(sc.mat_comb(x, ad), X)
+            products += [v for _, v in sc.nonzero_columns(P, den * den * r, range(p + 1, m))]
+        chain.append([tuple(v) for v in sc.rref(products)[0]])  # echelon basis of the span
+    return chain
 
 
 def is_solvable(L: LieAlgebra) -> bool:
@@ -305,27 +346,32 @@ def check_isomorphism(
     if L1.dim != L2.dim or M.source_dim != L1.dim or M.target_dim != L2.dim:
         raise DimensionMismatch("isomorphism check needs equal dimensions")
     invertible = bool(sc.det_poly([list(r) for r in M.matrix]))
+    n = L1.dim
+    (ad1, r1), (ad2, r2) = L1.ad_numerators, L2.ad_numerators
+    N, m = sc.mat_numerators(M.matrix)
     bracket_defects = []
-    for i in range(L1.dim):
-        for j in range(i + 1, L1.dim):
-            d = sc.vec_sub(
-                M.apply(L1.bracket_basis(i, j)),
-                bracket(L2, M.column(i), M.column(j)),
-            )
-            if any(d):
-                bracket_defects.append((i + 1, j + 1, d))
+    for i in range(n):
+        # column j of M ad1_i - ad2_{M e_i} M is M[e_i, e_j]_1 - [M e_i, M e_j]_2
+        D = sc.mat_comb(
+            (m * r2, -r1),
+            (sc.mat_mul(N, ad1[i]), sc.mat_mul(sc.mat_comb(sc.column(N, i), ad2), N)),
+        )
+        cols = sc.nonzero_columns(D, m * m * r1 * r2, range(i + 1, n))
+        bracket_defects += [(i + 1, j + 1, d) for j, d in cols]
     alpha_defect = None
     if alpha1 is not None and alpha2 is not None:
-        pulled = tuple(alpha2.apply(M.column(i)) for i in range(L1.dim))
+        pulled = tuple(alpha2.apply(M.column(i)) for i in range(n))
         if pulled != alpha1.coeffs:
             alpha_defect = sc.vec_sub(pulled, alpha1.coeffs)
     omega_defects = []
     if omega1 is not None and omega2 is not None:
-        for i in range(L1.dim):
-            for j in range(i + 1, L1.dim):
-                got = omega2.value(M.column(i), M.column(j))
-                want = omega1.value_basis(i, j)
-                if got != want:
-                    omega_defects.append((i + 1, j + 1, got - want))
+        # M^T W2 M - W1 on numerators over m^2 w1 w2
+        W1, w1 = sc.mat_numerators(omega1.matrix())
+        W2, w2 = sc.mat_numerators(omega2.matrix())
+        D = sc.mat_comb((w1, -m * m * w2), (sc.mat_mul(list(zip(*N)), sc.mat_mul(W2, N)), W1))
+        for i, row in enumerate(D):
+            omega_defects += [
+                (i + 1, j + 1, sc.ratfn(row[j], m * m * w1 * w2)) for j in range(i + 1, n) if row[j]
+            ]
     ok = invertible and not bracket_defects and alpha_defect is None and not omega_defects
     return IsoReport(invertible, bracket_defects, alpha_defect, omega_defects, ok)

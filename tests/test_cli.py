@@ -326,6 +326,49 @@ def test_extend_command_reproduces_first_construction(files, capsys):
     assert "reeb: e4" in out
 
 
+def record_row_builds(monkeypatch) -> list:
+    """(algebra, degree) of each build of differential rows from now on;
+    the list keeps each algebra alive, so no two of them share an id."""
+    from coslie import lie_core
+
+    built, build = [], lie_core._differential_rows
+
+    def rows(L, k):
+        built.append((L, k))
+        return build(L, k)
+
+    monkeypatch.setattr(lie_core, "_differential_rows", rows)
+    return built
+
+
+def built_once(built: list) -> bool:
+    keys = [(id(L), k) for L, k in built]
+    return len(keys) == len(set(keys))
+
+
+def test_each_algebra_builds_its_differential_rows_once(files, capsys, monkeypatch):
+    # every d1, d2, cocycle space and Jacobi check of one algebra instance
+    # reads the rows it built first: in one verify_all, and in one extend,
+    # where the Jacobi check of the double extension shares its rows with
+    # the structure made on it
+    from coslie import verify
+
+    built = record_row_builds(monkeypatch)
+    # a forked worker's builds are not seen here: check in this process
+    monkeypatch.setattr(verify, "_workers", lambda: 1)
+    verify.verify_all()
+    # an algebra of the catalog registry keeps its rows from earlier runs
+    assert built and built_once(built)
+    base = files("base3.alg", BASE3)
+    for construction, ext, more in (("A", EXT_A, []), ("B", EXT_B, ["--alpha-d", "2"])):
+        built.clear()
+        data = files(f"ext_{construction}.ext", ext)
+        assert main(["extend", "--construction", construction, "--data", data, *more, base]) == 0
+        assert built_once(built), construction
+        assert {(L.dim, k) for L, k in built} >= {(5, 1), (5, 2)}, construction
+    capsys.readouterr()
+
+
 def test_extend_condition_failure_exit(files, capsys):
     base = files("base3.alg", BASE3)
     bad = files("bad.ext", EXT_A_FAIL)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
+from coslie.cosymplectic import LsaTable
 from coslie.errors import DimensionMismatch, ParametricUnsupported
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import (
@@ -198,3 +199,28 @@ def test_a_failing_isomorphism_names_each_failure(g31, g21):
         "bracket defects at [(1, 3), (2, 3)]; alpha pullback mismatch; "
         "omega pullback mismatch at [(1, 3), (2, 3)]"
     )
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: LieAlgebra.from_table(3, {(1, 2): {0: 1}}), "bracket component 0 "),
+        (lambda: LieAlgebra.from_table(3, {(1, 2): {4: 1}}), "bracket component 4 "),
+        (lambda: LieAlgebra.from_table(3, {(0, 2): {1: 1}}), "bracket index 0 "),
+        (lambda: LieAlgebra.from_table(3, {(1, 4): {1: 1}}), "bracket index 4 "),
+        (lambda: OneForm.from_dict(3, {0: 1}), "one-form index 0 "),
+        (lambda: OneForm.from_dict(3, {4: 1}), "one-form index 4 "),
+        (lambda: OneForm.dual(3, 0), "one-form index 0 "),
+        (lambda: OneForm.dual(3, 4), "one-form index 4 "),
+        (lambda: LsaTable.from_dict(2, {(1, 2): {0: 1}}), "product index 0 "),
+        (lambda: LsaTable.from_dict(2, {(0, 1): {1: 1}}), "product index 0 "),
+        (lambda: LsaTable.from_dict(2, {(1, 3): {}}), "product index 3 "),
+        (lambda: LinearMap.from_columns([(1, 2), (1, 2, 3)]), "column 2 has 3 entries"),
+        (lambda: LinearMap.from_columns([(1, 2, 3), (1, 2)]), "column 2 has 2 entries"),
+    ],
+)
+def test_one_based_constructors_name_an_index_out_of_range(build, named):
+    # an index of 0 once wrapped to the last slot, one above dim was a bare
+    # IndexError, and a longer column lost its extra entries
+    with pytest.raises(DimensionMismatch, match=named):
+        build()

@@ -2,11 +2,14 @@
 
 Each ``seed_*`` function is such a loop, kept as the reference: brackets
 accumulated densely over the stored pairs, the Jacobi identity as a
-triple loop of brackets, forms evaluated pair by pair.  The tests compare
-values and printed strings on random structure constants of dimension
-1-7 (most of them violate the Jacobi identity), and on symbolic ones of
-dimension 1-4: polynomials in two symbols, and quotients in one symbol,
-where a quotient has a unique reduced printed form.
+triple loop of brackets, ad, the centre, the derived series and the
+isomorphism check from one bracket per basis pair, forms evaluated pair
+by pair.  The tests compare values and printed strings on random
+structure constants of dimension 1-7 (most of them violate the Jacobi
+identity), and on symbolic ones of dimension 1-4: polynomials in two
+symbols, and quotients in one symbol, where a quotient has a unique
+reduced printed form.  Where a seed raises, the function it checks
+raises the same error.
 """
 
 from __future__ import annotations
@@ -17,8 +20,21 @@ from itertools import combinations
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
+from coslie.errors import CoslieError
 from coslie.exterior import OneForm, ThreeForm, TwoForm, d1, d2, form_twist
-from coslie.lie_core import LieAlgebra, LinearMap, bracket, check_jacobi, is_derivation, partial_phi
+from coslie.lie_core import (
+    IsoReport,
+    LieAlgebra,
+    LinearMap,
+    ad,
+    bracket,
+    center,
+    check_isomorphism,
+    check_jacobi,
+    derived_series,
+    is_derivation,
+    partial_phi,
+)
 from coslie.scalars import Poly, ratfn
 
 # ---------------------------------------------------------------------------
@@ -52,6 +68,62 @@ def seed_check_jacobi(L):
                 if any(d):
                     defects.append((i + 1, j + 1, k + 1, d))
     return defects
+
+
+def seed_ad(L, x):
+    cols = [seed_bracket(L, x, sc.basis_vec(L.dim, j)) for j in range(L.dim)]
+    return LinearMap.from_columns(cols)
+
+
+def seed_center(L):
+    rows = []
+    for j in range(L.dim):
+        for k in range(L.dim):
+            rows.append([L.bracket_basis(i, j)[k] for i in range(L.dim)])
+    return sc.nullspace(rows)
+
+
+def seed_derived_series(L):
+    chain = [[sc.basis_vec(L.dim, i) for i in range(L.dim)]]
+    while True:
+        current = chain[-1]
+        products = [
+            seed_bracket(L, current[p], current[q])
+            for p in range(len(current))
+            for q in range(p + 1, len(current))
+        ]
+        nxt = [tuple(r) for r in sc.rref([v for v in products if any(v)])[0]]
+        chain.append(nxt)
+        if len(nxt) == len(current) or not nxt:
+            return chain
+
+
+def seed_check_isomorphism(L1, L2, M, alpha1=None, alpha2=None, omega1=None, omega2=None):
+    invertible = bool(sc.det_poly([list(r) for r in M.matrix]))
+    bracket_defects = []
+    for i in range(L1.dim):
+        for j in range(i + 1, L1.dim):
+            d = sc.vec_sub(
+                M.apply(L1.bracket_basis(i, j)),
+                seed_bracket(L2, M.column(i), M.column(j)),
+            )
+            if any(d):
+                bracket_defects.append((i + 1, j + 1, d))
+    alpha_defect = None
+    if alpha1 is not None and alpha2 is not None:
+        pulled = tuple(alpha2.apply(M.column(i)) for i in range(L1.dim))
+        if pulled != alpha1.coeffs:
+            alpha_defect = sc.vec_sub(pulled, alpha1.coeffs)
+    omega_defects = []
+    if omega1 is not None and omega2 is not None:
+        for i in range(L1.dim):
+            for j in range(i + 1, L1.dim):
+                got = omega2.value(M.column(i), M.column(j))
+                want = omega1.value_basis(i, j)
+                if got != want:
+                    omega_defects.append((i + 1, j + 1, got - want))
+    ok = invertible and not bracket_defects and alpha_defect is None and not omega_defects
+    return IsoReport(invertible, bracket_defects, alpha_defect, omega_defects, ok)
 
 
 def seed_partial_phi(L, phi):
@@ -129,6 +201,14 @@ def same_dict(a: dict, b: dict) -> bool:
     return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
 
 
+def run(f, *args):
+    """(f(*args), None), or (None, (type, message)) of the error it raises."""
+    try:
+        return f(*args), None
+    except (CoslieError, TypeError) as exc:
+        return None, (type(exc), str(exc))
+
+
 # ---------------------------------------------------------------------------
 # Random data
 
@@ -160,8 +240,8 @@ MAX_DIM = {"rational": 7, "poly": 4, "ratfn": 3}
 
 
 @st.composite
-def algebras(draw, kind):
-    n = draw(st.integers(1, MAX_DIM[kind]))
+def algebras(draw, kind, n=None):
+    n = draw(st.integers(1, MAX_DIM[kind])) if n is None else n
     entries = KINDS[kind]
     brackets = {
         (i, j): tuple(draw(entries) for _ in range(n))
@@ -264,6 +344,116 @@ def test_partial_phi_vanishes_on_inner_derivations():
     for x in ((F(1), F(0), F(2), F(-1), F(1, 3)), (P, F(0), F(1), Q, F(0))):
         cols = [bracket(L, x, sc.basis_vec(5, j)) for j in range(5)]
         assert is_derivation(L, LinearMap.from_columns(cols)) == []
+
+
+@given(ALL_KINDS.flatmap(lambda kind: cases(kind, "vec")))
+def test_ad_matches_the_seed_loop(case):
+    L, x = case
+    got, want = ad(L, x), seed_ad(L, x)
+    assert (got.source_dim, got.target_dim) == (want.source_dim, want.target_dim)
+    assert same(got.matrix, want.matrix)
+
+
+def same_chain(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(same(tuple(x), tuple(y)) for x, y in zip(a, b))
+
+
+def catalog_algebras() -> list:
+    from coslie.catalog import get_entry, heisenberg, list_entries
+
+    out = [heisenberg(2)]
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind != "heisenberg":
+            out.append(entry.algebra(entry.struct_params))
+    return out
+
+
+@given(ALL_KINDS.flatmap(lambda kind: cases(kind)))
+def test_center_and_derived_series_match_the_seed_loops(case):
+    # both refuse symbolic structure constants, with the same error
+    (L,) = case
+    for f, seed in ((center, seed_center), (derived_series, seed_derived_series)):
+        (got, err), (want, want_err) = run(f, L), run(seed, L)
+        assert err == want_err, f.__name__
+        assert want_err or same_chain(got, want), f.__name__
+
+
+def test_center_and_derived_series_match_the_seed_loops_on_the_catalog():
+    # the catalog's algebras have centres and proper derived series
+    chains = set()
+    for L in catalog_algebras():
+        for f, seed in ((center, seed_center), (derived_series, seed_derived_series)):
+            (got, err), (want, want_err) = run(f, L), run(seed, L)
+            assert err == want_err
+            assert want_err or same_chain(got, want)
+        if not L.is_parametric():
+            chains.add(tuple(len(D) for D in derived_series(L)))
+    assert len(chains) > 5
+
+
+@st.composite
+def iso_cases(draw, kind):
+    """(L1, L2, M, forms): L2 is L1 or another algebra of its dimension, M
+    the identity or any map, and forms either empty or two one-forms and
+    two two-forms, each pair equal or drawn apart."""
+    L1 = draw(algebras(kind))
+    n = L1.dim
+    L2 = draw(st.one_of(st.just(L1), algebras(kind, n)))
+    M = draw(st.one_of(st.just(LinearMap.identity(n)), maps(n, kind)))
+    if not draw(st.booleans()):
+        return L1, L2, M, ()
+    one = vectors(n, kind).map(lambda v: OneForm(n, v))
+    alpha1, omega1 = draw(one), draw(two_forms(n, kind))
+    alpha2 = draw(st.one_of(st.just(alpha1), one))
+    omega2 = draw(st.one_of(st.just(omega1), two_forms(n, kind)))
+    return L1, L2, M, (alpha1, alpha2, omega1, omega2)
+
+
+def same_defects(a: list, b: list) -> bool:
+    return [d[:2] for d in a] == [d[:2] for d in b] and all(same(x[2], y[2]) for x, y in zip(a, b))
+
+
+def same_report(got: IsoReport, want: IsoReport) -> bool:
+    """Every field equal, defects in the same order and printed alike."""
+    return (
+        (got.invertible, got.ok, str(got)) == (want.invertible, want.ok, str(want))
+        and same_defects(got.bracket_defects, want.bracket_defects)
+        and same_defects(got.omega_defects, want.omega_defects)
+        and (got.alpha_defect is None) == (want.alpha_defect is None)
+        and (got.alpha_defect is None or same(got.alpha_defect, want.alpha_defect))
+    )
+
+
+@given(ALL_KINDS.flatmap(iso_cases))
+def test_check_isomorphism_matches_the_seed_loop(case):
+    L1, L2, M, forms = case
+    (got, err) = run(check_isomorphism, L1, L2, M, *forms)
+    (want, want_err) = run(seed_check_isomorphism, L1, L2, M, *forms)
+    assert err == want_err
+    assert want_err or same_report(got, want)
+
+
+def test_check_isomorphism_matches_the_seed_loop_on_the_catalog_witnesses():
+    # each normal form's witness as ``verify`` checks it, and with the
+    # forms of the two sides swapped, which fails on the forms
+    from coslie.catalog import get_entry, list_entries
+
+    reports = []
+    for name in list_entries():
+        entry = get_entry(name)
+        for nf in entry.normal_forms:
+            if nf.witness_map is None:
+                continue
+            subs = {} if nf.witness_lam is None else {"lam": nf.witness_lam}
+            alpha1, omega1 = nf.alpha.subs(subs), nf.omega.subs(subs)
+            alpha2, omega2 = nf.witness_member
+            L = entry.algebra()
+            for forms in ((alpha1, alpha2, omega1, omega2), (alpha2, alpha1, omega2, omega1)):
+                got = check_isomorphism(L, L, nf.witness_map, *forms)
+                assert same_report(got, seed_check_isomorphism(L, L, nf.witness_map, *forms))
+                reports.append(got.ok)
+    assert True in reports and False in reports
 
 
 # ---------------------------------------------------------------------------

@@ -404,21 +404,114 @@ def test_the_scan_sees_every_read_of_bracket_components():
         assert bracket_reads(ast.parse(text)) == [], text
 
 
-def test_one_function_of_exterior_reads_the_brackets():
-    """Every differential, cocycle predicate and cocycle space takes its
-    rows from ``exterior.differential``, the one place where the sign
-    convention of d meets the structure constants."""
-    [path] = [p for p in SOURCES if p.name == "exterior.py"]
-    assert bracket_reads(ast.parse(path.read_text(encoding="utf-8"))) == ["differential"]
+def combination_users(tree: ast.Module) -> list:
+    """Names of the top-level functions and classes that call
+    ``combinations`` (named directly or through a module): those that
+    enumerate the increasing index tuples of forms."""
+    return [
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "combinations"
+            for node in ast.walk(top)
+        )
+    ]
 
 
-SCALAR_BUILDERS = {"Fraction", "as_scalar", "to_fraction"}
+def test_the_scan_sees_every_enumeration_of_index_tuples():
+    for text in (
+        "def rows(L, k):\n    return list(combinations(range(L.dim), k))",
+        "def rows(n):\n    return [T for T in itertools.combinations(range(n), 2)]",
+        "class A:\n    def f(self, n):\n        return combinations(range(n), 3)",
+    ):
+        assert combination_users(ast.parse(text)), text
+    for text in (
+        "def f(n):\n    return permutations(range(n))",
+        "from itertools import combinations",
+        "pairs = list(combinations(range(3), 2))",
+    ):
+        assert combination_users(ast.parse(text)) == [], text
+
+
+def test_one_function_builds_the_differential_from_the_brackets():
+    """Every differential, cocycle predicate and cocycle space, and the
+    Jacobi identity, take their rows from ``lie_core.differential``, which
+    ``exterior`` re-exports.  Of the functions of ``lie_core`` and
+    ``exterior`` that read bracket components, one alone enumerates the
+    index tuples of forms: ``lie_core._differential_rows``, the one place
+    where the sign convention of d meets the structure constants.
+    ``exterior`` reads no bracket component, and ``check_jacobi`` reads
+    none but through the rows."""
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"))
+        for p in SOURCES
+        if p.name in ("exterior.py", "lie_core.py")
+    }
+    assert bracket_reads(trees["exterior.py"]) == []
+    assert "check_jacobi" not in bracket_reads(trees["lie_core.py"])
+    builders = [
+        (name, top)
+        for name, tree in sorted(trees.items())
+        for top in set(bracket_reads(tree)) & set(combination_users(tree))
+    ]
+    assert builders == [("lie_core.py", "_differential_rows")]
+
+
+PAIRWISE = {"bracket", "bracket_basis", "value"}
+
+
+def pairwise_uses(tree: ast.Module, function: str) -> list:
+    """Line numbers where the top-level function ``function`` uses
+    ``bracket`` (named directly or read off a module) or a ``bracket_basis``
+    or ``value`` method (``L.bracket_basis(i, j)``, ``omega.value(x, y)``):
+    one bracket or one form value per basis pair."""
+    [top] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return sorted(
+        node.lineno
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Name) and node.id == "bracket")
+        or (isinstance(node, ast.Attribute) and node.attr in PAIRWISE)
+    )
+
+
+def test_the_scan_sees_every_pairwise_bracket_and_form_value():
+    for text in (
+        "def f(L, x, y):\n    return bracket(L, x, y)",
+        "def f(L, x):\n    return lie_core.bracket(L, x, x)",
+        "def f(L):\n    return [L.bracket_basis(i, 0) for i in range(3)]",
+        "def f(w, x, y):\n    return w.value(x, y)",
+        "def f(L):\n    def g(i, j):\n        return L.bracket_basis(i, j)\n    return g",
+        "def f(L, xs):\n    return list(map(partial(bracket, L), xs))",
+    ):
+        assert pairwise_uses(ast.parse(text), "f"), text
+    for text in (
+        "def f(L):\n    ad, r = L.ad_numerators\n    return ad",
+        "def f(w):\n    return w.value_basis(0, 1)",
+        "def f(a):\n    return a.apply((1, 0))",
+        "def f(L):\n    return L.brackets",
+        "def f(L):\n    return bracket_rows(L)\ndef g(L, x):\n    return bracket(L, x, x)",
+    ):
+        assert pairwise_uses(ast.parse(text), "f") == [], text
+
+
+def test_lie_identities_read_the_ad_numerators_whole():
+    """Jacobi, ad, the centre, the derived series and the isomorphism check
+    are matrix equations on ``LieAlgebra.ad_numerators`` (or on the rows of
+    the differential): none makes a bracket or a form value per basis pair."""
+    [path] = [p for p in SOURCES if p.name == "lie_core.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for function in ("check_jacobi", "ad", "center", "derived_series", "check_isomorphism"):
+        assert pairwise_uses(tree, function) == [], function
+
+
+SCALAR_BUILDERS = {"Fraction", "as_scalar"}
 
 
 def scalar_builds(tree: ast.Module, function: str) -> list:
-    """The scalar builders (``Fraction``, ``as_scalar``, ``to_fraction``,
-    named directly or through a module) that the top-level function
-    ``function`` calls."""
+    """The scalar builders (``Fraction`` and ``as_scalar``, named directly
+    or through a module) that the top-level function ``function`` calls."""
     [top] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     return sorted(
         name
@@ -432,7 +525,7 @@ def test_the_scan_sees_every_scalar_builder_call():
     for text in (
         "def f(m):\n    return [as_scalar(x) for x in m]",
         "def f(x, d):\n    return Fraction(x, d)",
-        "def f(v):\n    def g():\n        return sc.to_fraction(v)\n    return g",
+        "def f(v):\n    def g():\n        return sc.as_scalar(v)\n    return g",
     ):
         assert scalar_builds(ast.parse(text), "f"), text
     for text in (
