@@ -144,7 +144,9 @@ class LinearMap:
 
     @staticmethod
     def identity(n: int) -> "LinearMap":
-        return LinearMap.from_columns([sc.basis_vec(n, i) for i in range(n)])
+        return LinearMap(
+            n, n, tuple(tuple(sc.ONE if i == j else sc.ZERO for j in range(n)) for i in range(n))
+        )
 
     def column(self, i: int) -> Vector:
         return tuple(row[i] for row in self.matrix)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import catalog as cat
-from coslie import cli
+from coslie import cli, lie_core, verify
 from coslie.algfile import format_algebra, parse_algebra, parse_extension, parse_map
 from coslie.cli import main
 from coslie.cosymplectic import exists_cosymplectic
@@ -329,8 +329,6 @@ def test_extend_command_reproduces_first_construction(files, capsys):
 def record_row_builds(monkeypatch) -> list:
     """(algebra, degree) of each build of differential rows from now on;
     the list keeps each algebra alive, so no two of them share an id."""
-    from coslie import lie_core
-
     built, build = [], lie_core._differential_rows
 
     def rows(L, k):
@@ -351,8 +349,6 @@ def test_each_algebra_builds_its_differential_rows_once(files, capsys, monkeypat
     # reads the rows it built first: in one verify_all, and in one extend,
     # where the Jacobi check of the double extension shares its rows with
     # the structure made on it
-    from coslie import verify
-
     built = record_row_builds(monkeypatch)
     # a forked worker's builds are not seen here: check in this process
     monkeypatch.setattr(verify, "_workers", lambda: 1)

@@ -220,7 +220,7 @@ def test_a_failing_isomorphism_names_each_failure(g31, g21):
     ],
 )
 def test_one_based_constructors_name_an_index_out_of_range(build, named):
-    # an index of 0 once wrapped to the last slot, one above dim was a bare
-    # IndexError, and a longer column lost its extra entries
+    # an index of 0 must not wrap to the last slot, nor one above dim raise
+    # a bare IndexError, nor a column of another length lose or miss entries
     with pytest.raises(DimensionMismatch, match=named):
         build()

@@ -20,6 +20,7 @@ from itertools import combinations
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
+from coslie.catalog import get_entry, heisenberg, list_entries
 from coslie.errors import CoslieError
 from coslie.exterior import OneForm, ThreeForm, TwoForm, d1, d2, form_twist
 from coslie.lie_core import (
@@ -359,8 +360,6 @@ def same_chain(a: list, b: list) -> bool:
 
 
 def catalog_algebras() -> list:
-    from coslie.catalog import get_entry, heisenberg, list_entries
-
     out = [heisenberg(2)]
     for name in list_entries():
         entry = get_entry(name)
@@ -428,8 +427,8 @@ def same_report(got: IsoReport, want: IsoReport) -> bool:
 @given(ALL_KINDS.flatmap(iso_cases))
 def test_check_isomorphism_matches_the_seed_loop(case):
     L1, L2, M, forms = case
-    (got, err) = run(check_isomorphism, L1, L2, M, *forms)
-    (want, want_err) = run(seed_check_isomorphism, L1, L2, M, *forms)
+    got, err = run(check_isomorphism, L1, L2, M, *forms)
+    want, want_err = run(seed_check_isomorphism, L1, L2, M, *forms)
     assert err == want_err
     assert want_err or same_report(got, want)
 
@@ -437,8 +436,6 @@ def test_check_isomorphism_matches_the_seed_loop(case):
 def test_check_isomorphism_matches_the_seed_loop_on_the_catalog_witnesses():
     # each normal form's witness as ``verify`` checks it, and with the
     # forms of the two sides swapped, which fails on the forms
-    from coslie.catalog import get_entry, list_entries
-
     reports = []
     for name in list_entries():
         entry = get_entry(name)
