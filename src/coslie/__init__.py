@@ -14,6 +14,7 @@ from .errors import (
     MissingVariable,
     NotCosymplectic,
     NotDerivation,
+    NotLieAlgebra,
     NotIst,
     ParametricUnsupported,
     SingularPhi,

@@ -254,7 +254,7 @@ def instantiate(name: str, params: Optional[dict] = None):
         relevant = {v: params[v] for v in sc.scalar_variables(entry.nondeg) if v in params}
         if sc.poly_eval(entry.nondeg, params) == 0:
             raise DegenerateParams(
-                f"nondegeneracy condition of {name} vanishes at {sorted(relevant.items())}"
+                f"nondegeneracy condition of {name} vanishes at {sc.bindings_str(relevant)}"
             )
     return L, alpha, omega
 

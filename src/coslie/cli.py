@@ -18,7 +18,14 @@ import sys
 
 from . import catalog as cat
 from . import scalars as sc
-from .algfile import parse_algebra, parse_extension, parse_map, parse_params, parse_rational
+from .algfile import (
+    ParsedAlgebra,
+    parse_algebra,
+    parse_extension,
+    parse_map,
+    parse_params,
+    parse_rational,
+)
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
@@ -35,10 +42,11 @@ from .errors import (
     CoslieError,
     MissingParam,
     NotCosymplectic,
+    NotLieAlgebra,
     UnknownEntry,
 )
 from .extensions import construct_A, construct_B, construct_C
-from .lie_core import check_isomorphism
+from .lie_core import check_isomorphism, check_jacobi
 from .verify import verify_all
 
 PASS, MATH_FAIL, USAGE_FAIL = 0, 1, 2
@@ -74,12 +82,18 @@ def _read(path: str) -> str:
 
 def _inputs(args, *files) -> list:
     """Each (parser, path) of files parsed with ``--params`` bound; every
-    name of ``--params`` must be a symbol of some file."""
+    name of ``--params`` must be a symbol of some file, and every algebra
+    must satisfy the Jacobi identity (its differential rows, built here,
+    serve the command after)."""
     params = parse_params(args.params)
     parsed = [parse(_read(path), params) for parse, path in files]
     unused = sorted(set(params).difference(*(p.symbols for p in parsed)))
     if unused:
         raise AlgFileError(f"--params binds no symbol of the input: {', '.join(unused)}", 0, 0)
+    for p, (_, path) in zip(parsed, files):
+        if isinstance(p, ParsedAlgebra) and (defects := check_jacobi(p.algebra)):
+            i, j, k = defects[0][:3]
+            raise NotLieAlgebra(f"{path}: Jacobi identity fails on (e{i}, e{j}, e{k})")
     return parsed
 
 

@@ -51,6 +51,10 @@ class NotDerivation(CoslieError):
     pass
 
 
+class NotLieAlgebra(CoslieError):
+    """A bracket fails the Jacobi identity."""
+
+
 class NotIst(CoslieError):
     """Linear map is not an infinitesimal symplectic transformation."""
 

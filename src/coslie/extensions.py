@@ -8,6 +8,11 @@ verifies: d sits at index n, e at index n+1 (0-based).  The bracket is
     [x, y] = [x, y]_base + theta(x, y) e      x, y in the base
     [d, x] = phi(x) + lambda(x) e
     [d, e] = v + t e
+
+Every condition is a matrix equation.  Over the adapted basis h_1 .. h_m
+of ker(abar) that the base structure's kernel reduction holds, with H the
+matrix of rows h_a, a two-form F restricted there is H F H^T and a
+one-form c is H c; nothing is evaluated one basis pair at a time.
 """
 
 from __future__ import annotations
@@ -20,15 +25,7 @@ from . import scalars as sc
 from .cosymplectic import CosymplecticStructure, SymplecticPair, to_symplectic
 from .errors import ConditionsFail, DimensionMismatch, NotCosymplectic
 from .exterior import OneForm, TwoForm, d1, form_twist
-from .lie_core import (
-    LieAlgebra,
-    LinearMap,
-    ad,
-    bracket,
-    check_jacobi,
-    is_derivation,
-    partial_phi,
-)
+from .lie_core import LieAlgebra, LinearMap, ad, check_jacobi, is_derivation, partial_phi
 from .scalars import Scalar, Vector
 
 
@@ -64,14 +61,29 @@ class ExtensionData:
 
 
 def _d_lambda_failures(Gbar: LieAlgebra, E: ExtensionData, theta: TwoForm, lhs: str) -> list:
-    """The failure "{lhs} != d(lambda)" at each pair where t theta - theta_phi
-    differs from d(lambda), for the t, phi and lambda of E."""
-    twist, dlam = form_twist(theta, E.phi), d1(Gbar, E.lam)
+    """The failure "{lhs} != d(lambda)" at each pair i < j where the matrix
+    t Theta - T - d(lambda) is nonzero, Theta and T the matrices of theta and
+    theta_phi, for the t, phi and lambda of E."""
+    forms = (theta, form_twist(theta, E.phi), d1(Gbar, E.lam))
+    M = sc.mat_comb((E.t, -1, -1), [f.matrix() for f in forms])
     return [
         f"{lhs} != d(lambda) at (e{i + 1}, e{j + 1})"
         for i, j in combinations(range(Gbar.dim), 2)
-        if E.t * theta.value_basis(i, j) - twist.value_basis(i, j) != dlam.value_basis(i, j)
+        if M[i][j]
     ]
+
+
+def _abar_phi(abar: OneForm, phi: LinearMap) -> Vector:
+    """The coefficients of abar o phi: P^T abar, P the matrix of phi."""
+    return sc.mat_vec(list(zip(*phi.matrix)), abar.coeffs)
+
+
+def _on_kernel(S: CosymplecticStructure, form: TwoForm) -> list:
+    """(a, b, value), 1-based a < b, for each nonzero entry above the
+    diagonal of H F H^T: form restricted to the adapted basis of ker(alpha)."""
+    H = S.reduction.basis[:-1]
+    M = sc.mat_mul(H, sc.mat_mul(form.matrix(), list(zip(*H))))
+    return [(a + 1, b + 1, M[a][b]) for a, b in combinations(range(len(H)), 2) if M[a][b]]
 
 
 def _noncentral(Gbar: LieAlgebra, v: Vector) -> list:
@@ -95,10 +107,9 @@ def prop_conditions(Gbar: LieAlgebra, E: ExtensionData) -> list:
     """
     _same_dim(Gbar, E)
     failures = []
-    dphi = partial_phi(Gbar, E.phi)
-    for (i, j), val in dphi.items():
-        want = sc.vec_scale(E.theta.value_basis(i, j), E.v)
-        if val != want:
+    theta = E.theta.matrix()
+    for (i, j), val in partial_phi(Gbar, E.phi).items():
+        if val != sc.vec_scale(theta[i][j], E.v):
             failures.append(f"partial(phi) != theta v at (e{i + 1}, e{j + 1})")
     failures += _d_lambda_failures(Gbar, E, E.theta, "t theta - theta_phi")
     noncentral = _noncentral(Gbar, E.v)
@@ -115,10 +126,10 @@ def assemble_extension(Gbar: LieAlgebra, E: ExtensionData) -> LieAlgebra:
     ``LieAlgebra`` drops the zero bracket vectors."""
     n = Gbar.dim
     d_idx, e_idx = n, n + 1
+    zero = sc.zero_vec(n)
     brackets = {
-        (i, j): tuple(Gbar.bracket_basis(i, j)) + (sc.ZERO, E.theta.value_basis(i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
+        ij: Gbar.brackets.get(ij, zero) + (sc.ZERO, E.theta.coeffs.get(ij, sc.ZERO))
+        for ij in sorted(Gbar.brackets.keys() | E.theta.coeffs.keys())
     }
     for i in range(n):
         img = tuple(E.phi.column(i)) + (sc.ZERO, E.lam.coeffs[i])
@@ -148,8 +159,6 @@ def double_extend(Gbar: LieAlgebra, E: ExtensionData) -> LieAlgebra:
 
 def ist_check(P: SymplecticPair, D: LinearMap) -> bool:
     """omega(Dx, y) = -omega(x, Dy) on all basis pairs."""
-    if D.source_dim != P.algebra.dim:
-        raise DimensionMismatch("map/pair dimension mismatch")
     return form_twist(P.omega, D).is_zero()
 
 
@@ -164,16 +173,8 @@ class IstComponentReport:
     agree: bool
 
     def failed(self) -> list:
-        out = []
-        if self.cond_i:
-            out.append("i")
-        if self.cond_ii:
-            out.append("ii")
-        if self.cond_iii:
-            out.append("iii")
-        if self.cond_iv is not None:
-            out.append("iv")
-        return out
+        conds = (self.cond_i, self.cond_ii, self.cond_iii, self.cond_iv)
+        return [name for name, c in zip(("i", "ii", "iii", "iv"), conds) if c]
 
 
 def ist_component_check(
@@ -192,33 +193,19 @@ def ist_component_check(
 
 
 def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentReport:
-    """``ist_component_check`` on the structure of the base triple."""
+    """``ist_component_check`` on the structure of the base triple.  With H
+    the rows h_a of the adapted basis of ker(abar) and P the matrix of phi,
+    the components are (i) H T H^T, T the matrix of obar_phi; (ii)
+    H (lambda + i_{P xi} obar); (iii) H (i_v obar - P^T abar); (iv) t +
+    abar^T P xi.  Data of another dimension fails in form_twist."""
     Gbar, abar, obar = S.algebra, S.alpha, S.omega
-    red = S.reduction
-    m = red.pair.algebra.dim
-    hbasis = red.basis[:m]
-    xi = S.reeb
-    phi_xi = E.phi.apply(xi)
-
-    twist = form_twist(obar, E.phi)
-    cond_i = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            val = twist.value(hbasis[a], hbasis[b])
-            if val:
-                cond_i.append((a + 1, b + 1, val))
-    cond_ii = []
-    for a in range(m):
-        val = E.lam.apply(hbasis[a]) - obar.value(hbasis[a], phi_xi)
-        if val:
-            cond_ii.append((a + 1, val))
-    cond_iii = []
-    for a in range(m):
-        val = obar.value(E.v, hbasis[a]) - abar.apply(E.phi.apply(hbasis[a]))
-        if val:
-            cond_iii.append((a + 1, val))
-    iv_defect = E.t + abar.apply(phi_xi)
-    cond_iv = iv_defect or None
+    cond_i = _on_kernel(S, form_twist(obar, E.phi))
+    H, phi_xi = S.reduction.basis[:-1], sc.mat_vec(E.phi.matrix, S.reeb)
+    ii = sc.vec_add(E.lam.coeffs, obar.contract(phi_xi).coeffs)
+    cond_ii = [(a + 1, val) for a, val in enumerate(sc.mat_vec(H, ii)) if val]
+    iii = sc.vec_sub(obar.contract(E.v).coeffs, _abar_phi(abar, E.phi))
+    cond_iii = [(a + 1, val) for a, val in enumerate(sc.mat_vec(H, iii)) if val]
+    cond_iv = E.t + sc.mat_vec([abar.coeffs], phi_xi)[0] or None
 
     pair = to_symplectic(Gbar, abar, obar)
     n = Gbar.dim
@@ -226,7 +213,7 @@ def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentR
     cols.append(tuple(E.v) + (E.t,))
     D = LinearMap.from_columns(cols)
     direct = ist_check(pair, D)
-    ok = not cond_i and not cond_ii and not cond_iii and cond_iv is None
+    ok = not (cond_i or cond_ii or cond_iii) and cond_iv is None
     return IstComponentReport(cond_i, cond_ii, cond_iii, cond_iv, direct, ok, ok == direct)
 
 
@@ -272,6 +259,22 @@ def _construct_on_base_reeb(
     return _construct(Gbar, E, alpha, omega, reeb, "Reeb vector of the extension moved")
 
 
+def _closure_failures(S: CosymplecticStructure, E: ExtensionData) -> list:
+    """construct_A's closure conditions over the adapted basis h_a of
+    ker(abar): obar([h_a, h_b], phi xi) = d(i_{phi xi} obar)(h_a, h_b), the
+    entries of H dB H^T; and obar(z, h_a) = (H i_z obar)_a for z = [phi xi,
+    xi], column xi of ad_{phi xi}, of which the first nonzero one is named."""
+    Gbar, obar, xi = S.algebra, S.omega, S.reeb
+    phi_xi = sc.mat_vec(E.phi.matrix, xi)
+    failures = [
+        f"obar([h{a}, h{b}], phi(xi)) != 0"
+        for a, b, _ in _on_kernel(S, d1(Gbar, obar.contract(phi_xi)))
+    ]
+    z = sc.mat_vec(ad(Gbar, phi_xi).matrix, xi)
+    pairings = sc.mat_vec(S.reduction.basis[:-1], obar.contract(z).coeffs)
+    return failures + [f"obar([phi(xi), xi], h{a + 1}) != 0" for a, c in enumerate(pairings) if c][:1]
+
+
 def construct_A(
     Gbar: LieAlgebra, abar: OneForm, obar: TwoForm, E: ExtensionData
 ) -> ConstructionResult:
@@ -297,20 +300,7 @@ def construct_A(
         failures.append("phi is not a derivation of the base")
     if _noncentral(Gbar, E.v):
         failures.append("v is not central in the base")
-    red = S.reduction
-    m = red.pair.algebra.dim
-    hbasis = red.basis[:m]
-    xi = S.reeb
-    phi_xi = E.phi.apply(xi)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if obar.value(bracket(Gbar, hbasis[a], hbasis[b]), phi_xi):
-                failures.append(f"obar([h{a + 1}, h{b + 1}], phi(xi)) != 0")
-    br = bracket(Gbar, phi_xi, xi)
-    for a in range(m):
-        if obar.value(br, hbasis[a]):
-            failures.append(f"obar([phi(xi), xi], h{a + 1}) != 0")
-            break
+    failures += _closure_failures(S, E)
     if failures:
         raise ConditionsFail(failures)
     alpha = OneForm.dual(n + 2, n + 1)  # d^*
@@ -335,7 +325,6 @@ def construct_B(
     vector stays the one of the base.
     """
     _same_dim(Gbar, E)
-    n = Gbar.dim
     failures = []
     obar_phi = form_twist(obar, E.phi)
     if any(E.v):
@@ -344,8 +333,7 @@ def construct_B(
         failures.append("theta must equal obar_phi")
     if is_derivation(Gbar, E.phi):
         failures.append("phi is not a derivation of the base")
-    comp = [abar.apply(E.phi.column(i)) for i in range(n)]
-    if any(comp):
+    if any(_abar_phi(abar, E.phi)):
         failures.append("abar o phi != 0")
     failures += _d_lambda_failures(Gbar, E, obar_phi, "t obar_phi - obar_phiphi")
     fields = (E.phi, E.lam, E.v, E.t, obar_phi)
@@ -370,8 +358,8 @@ def construct_C(
     """
     n = Gbar.dim
     failures = []
-    lam = OneForm(n, tuple(abar.apply(phi.column(i)) for i in range(n)))
-    t = abar.apply(v)
+    lam = OneForm(n, _abar_phi(abar, phi))
+    t = sc.mat_vec([abar.coeffs], v)[0]
     obar_phi = form_twist(obar, phi)
     if not obar_phi.is_zero():
         failures.append("obar_phi != 0")

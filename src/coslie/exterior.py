@@ -118,13 +118,9 @@ class TwoForm:
         return total
 
     def contract(self, x: Vector) -> OneForm:
-        """Inner product i_x omega as a one-form."""
-        return OneForm(
-            self.dim,
-            tuple(
-                self.value(x, sc.basis_vec(self.dim, l)) for l in range(self.dim)
-            ),
-        )
+        """Inner product i_x omega as a one-form: the row x^T W of omega's
+        skew matrix W."""
+        return OneForm(self.dim, sc.mat_vec(list(zip(*self.matrix())), x))
 
     def matrix(self) -> list:
         return [
@@ -147,8 +143,11 @@ def form_twist(theta: TwoForm, phi: LinearMap) -> TwoForm:
     """theta_phi(x, y) = theta(phi x, y) + theta(x, phi y); phi is an
     infinitesimal symplectic transformation of theta iff it is zero.  Its
     matrix is phi^T W + W phi = X - X^T with X = W phi, W theta's skew
-    matrix, on numerators."""
+    matrix, on numerators; DimensionMismatch unless phi is an endomorphism
+    of theta's space."""
     n = theta.dim
+    if phi.source_dim != n or phi.target_dim != n:
+        raise DimensionMismatch("map is not an endomorphism of the form's space")
     W, w = sc.mat_numerators(theta.matrix())
     P, p = sc.mat_numerators(phi.matrix)
     X = sc.mat_mul(W, P)

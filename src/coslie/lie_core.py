@@ -362,7 +362,7 @@ def check_isomorphism(
         bracket_defects += [(i + 1, j + 1, d) for j, d in cols]
     alpha_defect = None
     if alpha1 is not None and alpha2 is not None:
-        pulled = tuple(alpha2.apply(M.column(i)) for i in range(n))
+        pulled = sc.mat_vec(list(zip(*M.matrix)), alpha2.coeffs)  # alpha2^T M
         if pulled != alpha1.coeffs:
             alpha_defect = sc.vec_sub(pulled, alpha1.coeffs)
     omega_defects = []

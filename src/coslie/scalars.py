@@ -22,6 +22,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
+    DimensionMismatch,
     InexactDivision,
     MissingVariable,
     ParametricUnsupported,
@@ -499,6 +500,11 @@ def vec_str(v, prefix: str = "e") -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def bindings_str(assignment: Mapping) -> str:
+    """``name=value`` pairs in name order, as ``--params`` spells them."""
+    return ", ".join(f"{name}={value}" for name, value in sorted(assignment.items()))
+
+
 # ---------------------------------------------------------------------------
 # Rational linear algebra (the fraction-free elimination below on int rows)
 
@@ -591,6 +597,9 @@ def mat_numerators(m) -> tuple:
 
 
 def mat_vec(a, x) -> Vector:
+    """a x as Scalars; DimensionMismatch unless x has one entry per column."""
+    if any(len(row) != len(x) for row in a):
+        raise DimensionMismatch("vector length != matrix width")
     return tuple(sum((a[i][k] * x[k] for k in range(len(x))), start=ZERO) for i in range(len(a)))
 
 

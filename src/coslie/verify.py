@@ -28,8 +28,6 @@ from .cosymplectic import (
     deriv_identity_defect,
     exists_cosymplectic,
     left_symmetry_defect,
-    phi_map,
-    solve_reeb,
 )
 from .errors import InexactDivision, NotCosymplectic
 from .exterior import TwoForm, cocycle_spaces, d1, d2, volume_coeff
@@ -156,10 +154,10 @@ def _nondeg_policy(printed, comp) -> tuple:
         cz = sc.poly_eval(comp, assignment) == 0
         if pz != cz:
             side = "printed nonzero, volume zero" if cz else "printed zero, volume nonzero"
-            point = ", ".join(f"{k}={assignment[k]}" for k in variables)
             return (
                 "deviates",
-                f"vanishing loci differ ({side} at {point}); computed volume = {comp}",
+                f"vanishing loci differ ({side} at {sc.bindings_str(assignment)}); "
+                f"computed volume = {comp}",
             )
     return (
         "vanishing_equivalent",
@@ -379,24 +377,11 @@ def _verify_normal_form(entry, nf, make, family: tuple) -> list:
     of the entry's alpha and omega families."""
     out = []
     name = f"{entry.name}-{nf.label}"
-    L_sym = entry.algebra()
-    da = d1(L_sym, nf.alpha)
-    dw = d2(L_sym, nf.omega)
-    vol = volume_coeff(L_sym, nf.alpha, nf.omega)
-    sym_ok = da.is_zero() and dw.is_zero() and bool(vol)
-    out.append(
-        _result(
-            name,
-            "validate_symbolic",
-            sym_ok,
-            f"volume = {vol}",
-        )
-    )
-
-    if sym_ok:  # the volume is nonzero, so Phi is invertible
-        xi = solve_reeb(phi_map(L_sym, nf.alpha, nf.omega), nf.alpha)
-        reeb_ok = xi == nf.expected_reeb
-        out.append(_result(name, "reeb", reeb_ok, f"reeb = {sc.vec_str(xi)}"))
+    S_sym, rep = _make(make, entry.algebra(), nf.alpha, nf.omega)
+    out.append(_result(name, "validate_symbolic", rep.ok, f"volume = {rep.volume}"))
+    if S_sym is not None:
+        reeb_ok = S_sym.reeb == nf.expected_reeb
+        out.append(_result(name, "reeb", reeb_ok, f"reeb = {sc.vec_str(S_sym.reeb)}"))
 
     uses_lam = "lam" in cat.symbols(_vector(nf.alpha) + _vector(nf.omega))
     lam_values = _LAM_SAMPLES if uses_lam else (None,)
@@ -448,7 +433,7 @@ def _verify_heisenberg(entry) -> list:
         if not res.exists:
             detail += "; det Phi is identically zero over Z1 x Z2"
         elif res.witness:
-            detail += f"; witness {sorted(res.witness.items())}"
+            detail += f"; witness {sc.bindings_str(res.witness)}"
         if not should_exist:
             ok = ok and not res.det
         out.append(_result(entry, f"exists_H{2 * n + 1}", ok, detail))

@@ -79,6 +79,24 @@ def test_instantiate_missing_and_degenerate():
         )
 
 
+def test_no_report_or_degenerate_message_prints_a_python_repr():
+    # bindings print as --params spells them: "a12=0, a3=0", never a list
+    # of (name, Fraction(...)) pairs
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        assert "Fraction(" not in path.read_text(encoding="utf-8"), path.name
+    messages = []
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind == "heisenberg" or entry.nondeg is None:
+            continue
+        try:
+            instantiate(name, dict.fromkeys(entry.param_names(), 0))
+        except DegenerateParams as exc:
+            messages.append(str(exc))
+    assert len(messages) > 20 and not any("Fraction(" in m for m in messages)
+    assert "nondegeneracy condition of g_{3.4}^{-1} vanishes at a12=0, a3=0" in messages
+
+
 def test_every_entry_exports_and_round_trips():
     for name in list_entries():
         entry = get_entry(name)
@@ -276,8 +294,9 @@ def test_verify_validates_only_inside_make(monkeypatch):
 
 def test_verify_makes_each_triple_once(monkeypatch):
     # the checks of one entry share the structures they make: verify_all
-    # makes each of its 37 distinct triples once, and no structure outlives
-    # the call
+    # makes each of its 41 distinct triples once, and no structure outlives
+    # the call; 4 of them are the normal forms whose forms hold lam, made
+    # with lam free for their validate_symbolic and reeb lines
     import coslie.cosymplectic as cs
     from coslie import verify
 
@@ -292,9 +311,9 @@ def test_verify_makes_each_triple_once(monkeypatch):
     # a forked worker's calls are not counted here: check in this process
     monkeypatch.setattr(verify, "_workers", lambda: 1)
     verify.verify_all()
-    assert len(made) == len(set(made)) == 37
+    assert len(made) == len(set(made)) == 41
     verify.verify_all()
-    assert made[37:] == made[:37]
+    assert made[41:] == made[:41]
 
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all.json"

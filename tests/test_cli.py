@@ -365,6 +365,27 @@ def test_each_algebra_builds_its_differential_rows_once(files, capsys, monkeypat
     capsys.readouterr()
 
 
+# [e1, e2] = e1 and [e1, e3] = e2: the Jacobiator of (e1, e2, e3) is -e2
+NOT_LIE = "dim 3\nbracket 1 2 : 1 1\nbracket 1 3 : 1 2\nalpha : 1 3\nomega 1 2 : 1\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "reeb", "lsa", "biinv", "exists", "symplectize", "extend", "isocheck"]
+)
+def test_every_file_command_refuses_a_bracket_that_is_not_lie(files, capsys, command):
+    # each exits 1 with the first failing triple, as for any mathematical
+    # failure, and no command answers on the input
+    bad, good = files("not_lie.alg", NOT_LIE), files("base3.alg", BASE3)
+    argv = {
+        "extend": ["extend", "--construction", "A", "--data", files("a.ext", EXT_A), bad],
+        "isocheck": ["isocheck", good, bad, files("w.map", ISO_MAP)],
+    }.get(command, [command, bad])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: NotLieAlgebra: {bad}: Jacobi identity fails on (e1, e2, e3)\n"
+
+
 def test_extend_condition_failure_exit(files, capsys):
     base = files("base3.alg", BASE3)
     bad = files("bad.ext", EXT_A_FAIL)

@@ -109,6 +109,26 @@ def test_ist_check_examples():
     assert not ist_check(flat, LinearMap.identity(2))
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        LinearMap.identity(3),
+        LinearMap.identity(1),
+        LinearMap(2, 3, ((1, 0), (0, 1), (0, 0))),
+        LinearMap(3, 2, ((1, 0, 0), (0, 1, 0))),
+    ],
+    ids=["larger", "smaller", "taller", "wider"],
+)
+def test_form_twist_needs_an_endomorphism_of_the_form_space(phi):
+    # a larger map once gave the twist of its top-left block, a smaller one
+    # an IndexError
+    flat = SymplecticPair(LieAlgebra.abelian(2), TwoForm.from_dict(2, {(1, 2): 1}))
+    with pytest.raises(DimensionMismatch):
+        form_twist(flat.omega, phi)
+    with pytest.raises(DimensionMismatch):
+        ist_check(flat, phi)
+
+
 def test_ist_component_check_worked_data():
     rep = ist_component_check(GBAR, ABAR, OBAR, data_A(F(2), F(1), F(1), F(3)))
     assert rep.ok and rep.direct and rep.agree

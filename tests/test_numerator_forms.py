@@ -1,27 +1,43 @@
-"""The Lie and form layers against the Scalar loops they were first written as.
+"""The Lie, form and extension layers against the Scalar loops they were
+first written as.
 
 Each ``seed_*`` function is such a loop, kept as the reference: brackets
 accumulated densely over the stored pairs, the Jacobi identity as a
 triple loop of brackets, ad, the centre, the derived series and the
 isomorphism check from one bracket per basis pair, forms evaluated pair
-by pair.  The tests compare values and printed strings on random
-structure constants of dimension 1-7 (most of them violate the Jacobi
-identity), and on symbolic ones of dimension 1-4: polynomials in two
-symbols, and quotients in one symbol, where a quotient has a unique
-reduced printed form.  Where a seed raises, the function it checks
-raises the same error.
+by pair, and the double-extension conditions evaluated on one vector or
+one pair of the adapted basis at a time.  The tests compare values and
+printed strings on random structure constants of dimension 1-7 (most of
+them violate the Jacobi identity), and on symbolic ones of dimension 1-4:
+polynomials in two symbols, and quotients in one symbol, where a quotient
+has a unique reduced printed form.  Where a seed raises, the function it
+checks raises the same error.
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import fields
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
+import pytest
 from hypothesis import given, strategies as st
 
+import coslie.extensions as ext
 from coslie import scalars as sc
 from coslie.catalog import get_entry, heisenberg, list_entries
-from coslie.errors import CoslieError
+from coslie.cosymplectic import CosymplecticStructure, to_symplectic
+from coslie.errors import ConditionsFail, CoslieError
+from coslie.extensions import (
+    ExtensionData,
+    IstComponentReport,
+    construct_A,
+    construct_B,
+    construct_C,
+    ist_check,
+)
 from coslie.exterior import OneForm, ThreeForm, TwoForm, d1, d2, form_twist
 from coslie.lie_core import (
     IsoReport,
@@ -37,6 +53,7 @@ from coslie.lie_core import (
     partial_phi,
 )
 from coslie.scalars import Poly, ratfn
+from test_extensions import ABAR, G34, GBAR, OBAR, random_extension, structured_ist_data
 
 # ---------------------------------------------------------------------------
 # The reference loops
@@ -186,6 +203,82 @@ def seed_form_twist(theta, phi):
                 + theta.value(sc.basis_vec(n, i), phi.column(j))
             )
     return TwoForm(n, coeffs)
+
+
+def seed_contract(omega, x):
+    n = omega.dim
+    return OneForm(n, tuple(omega.value(x, sc.basis_vec(n, l)) for l in range(n)))
+
+
+def seed_d_lambda_failures(Gbar, E, theta, lhs):
+    twist, dlam = form_twist(theta, E.phi), d1(Gbar, E.lam)
+    return [
+        f"{lhs} != d(lambda) at (e{i + 1}, e{j + 1})"
+        for i, j in combinations(range(Gbar.dim), 2)
+        if E.t * theta.value_basis(i, j) - twist.value_basis(i, j) != dlam.value_basis(i, j)
+    ]
+
+
+def seed_abar_phi(abar, phi):
+    return tuple(abar.apply(phi.column(i)) for i in range(phi.source_dim))
+
+
+def seed_ist_components(S, E):
+    Gbar, abar, obar = S.algebra, S.alpha, S.omega
+    red = S.reduction
+    m = red.pair.algebra.dim
+    hbasis = red.basis[:m]
+    xi = S.reeb
+    phi_xi = E.phi.apply(xi)
+
+    twist = form_twist(obar, E.phi)
+    cond_i = []
+    for a in range(m):
+        for b in range(a + 1, m):
+            val = twist.value(hbasis[a], hbasis[b])
+            if val:
+                cond_i.append((a + 1, b + 1, val))
+    cond_ii = []
+    for a in range(m):
+        val = E.lam.apply(hbasis[a]) - obar.value(hbasis[a], phi_xi)
+        if val:
+            cond_ii.append((a + 1, val))
+    cond_iii = []
+    for a in range(m):
+        val = obar.value(E.v, hbasis[a]) - abar.apply(E.phi.apply(hbasis[a]))
+        if val:
+            cond_iii.append((a + 1, val))
+    iv_defect = E.t + abar.apply(phi_xi)
+    cond_iv = iv_defect or None
+
+    pair = to_symplectic(Gbar, abar, obar)
+    n = Gbar.dim
+    cols = [tuple(E.phi.column(i)) + (E.lam.coeffs[i],) for i in range(n)]
+    cols.append(tuple(E.v) + (E.t,))
+    D = LinearMap.from_columns(cols)
+    direct = ist_check(pair, D)
+    ok = not cond_i and not cond_ii and not cond_iii and cond_iv is None
+    return IstComponentReport(cond_i, cond_ii, cond_iii, cond_iv, direct, ok, ok == direct)
+
+
+def seed_closure_failures(S, E):
+    Gbar, obar = S.algebra, S.omega
+    failures = []
+    red = S.reduction
+    m = red.pair.algebra.dim
+    hbasis = red.basis[:m]
+    xi = S.reeb
+    phi_xi = E.phi.apply(xi)
+    for a in range(m):
+        for b in range(a + 1, m):
+            if obar.value(bracket(Gbar, hbasis[a], hbasis[b]), phi_xi):
+                failures.append(f"obar([h{a + 1}, h{b + 1}], phi(xi)) != 0")
+    br = bracket(Gbar, phi_xi, xi)
+    for a in range(m):
+        if obar.value(br, hbasis[a]):
+            failures.append(f"obar([phi(xi), xi], h{a + 1}) != 0")
+            break
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -471,3 +564,128 @@ def test_form_twist_matches_the_pairwise_loop(case):
     L, theta, phi = case
     got, want = form_twist(theta, phi), seed_form_twist(theta, phi)
     assert same_dict(got.coeffs, want.coeffs)
+
+
+@given(ALL_KINDS.flatmap(lambda kind: cases(kind, "two", "vec")))
+def test_contract_matches_the_pairwise_loop(case):
+    L, omega, x = case
+    assert same(omega.contract(x).coeffs, seed_contract(omega, x).coeffs)
+
+
+@given(ALL_KINDS.flatmap(lambda kind: cases(kind, "map", "one", "vec", "two", "two")))
+def test_d_lambda_failures_match_the_pairwise_loop(case):
+    # theta drawn apart from the data's own, and t from its first coefficient
+    L, phi, lam, v, theta, other = case
+    E = ExtensionData(phi, lam, v, v[0] if v else 0, other)
+    got = ext._d_lambda_failures(L, E, theta, "lhs")
+    assert got == seed_d_lambda_failures(L, E, theta, "lhs")
+    assert ext._d_lambda_failures(L, E, E.theta, "t") == seed_d_lambda_failures(L, E, E.theta, "t")
+
+
+# ---------------------------------------------------------------------------
+# Extension layer: the conditions over the adapted basis
+
+
+def symbolic_extension(rng, n) -> ExtensionData:
+    """Extension data whose coefficients are 0, small integers or
+    polynomials in p and q."""
+    pool = [F(0), F(0), F(1), F(-2), P, P + 1, P * Q - 1, 2 * Q]
+    rnd = lambda: rng.choice(pool)
+    phi = LinearMap(n, n, tuple(tuple(rnd() for _ in range(n)) for _ in range(n)))
+    theta = TwoForm(n, {(i, j): rnd() for i in range(n) for j in range(i + 1, n)})
+    return ExtensionData(phi, OneForm(n, tuple(rnd() for _ in range(n))), tuple(rnd() for _ in range(n)), rnd(), theta)
+
+
+def base_structures() -> list:
+    """Cosymplectic bases of dimension 3: rational ones and the symbolic
+    family of g_{3.4}^{-1}, whose Reeb vector has quotients in four symbols."""
+    g34 = get_entry("g_{3.4}^{-1}")
+    bases = [
+        (GBAR, ABAR, OBAR),
+        (LieAlgebra.abelian(3), ABAR, OBAR),
+        (LieAlgebra.from_table(3, {(2, 3): {1: 1}}), OneForm.dual(3, 2), TwoForm.from_dict(3, {(1, 3): 1})),
+        (G34, ABAR, OBAR),
+        (GBAR, OneForm(3, (0, 1, 1)), OBAR),
+        (LieAlgebra.abelian(3), OneForm(3, (1, 2, 1)), TwoForm.from_dict(3, {(1, 2): 1, (2, 3): F(1, 2)})),
+        (g34.algebra(), g34.alpha, g34.omega),
+    ]
+    return [CosymplecticStructure.make(*base) for base in bases]
+
+
+def extension_cases() -> list:
+    """(structure, data): the generators of the extension tests on every
+    base, zero data, and symbolic data."""
+    rng = random.Random(2929)
+    out = []
+    for S in base_structures():
+        data = [ExtensionData.zero(3)]
+        data += [random_extension(rng, 3) for _ in range(12)]
+        data += [structured_ist_data(rng) for _ in range(6)]
+        data += [symbolic_extension(rng, 3) for _ in range(6)]
+        out += [(S, E) for E in data]
+    return out
+
+
+EXTENSION_CASES = extension_cases()
+
+
+def deep(x):
+    """Lists as tuples, so that ``same`` compares them entry by entry."""
+    return tuple(map(deep, x)) if isinstance(x, (list, tuple)) else x
+
+
+def test_ist_components_match_the_pairwise_loop():
+    seen = set()
+    for S, E in EXTENSION_CASES:
+        got, want = ext._ist_components(S, E), seed_ist_components(S, E)
+        for f in fields(IstComponentReport):
+            assert same(deep(getattr(got, f.name)), deep(getattr(want, f.name))), (f.name, E)
+        seen.add(tuple(got.failed()))
+    assert () in seen and len(seen) > 4
+
+
+def test_closure_conditions_match_the_pairwise_loop():
+    seen = set()
+    for S, E in EXTENSION_CASES:
+        got = ext._closure_failures(S, E)
+        assert got == seed_closure_failures(S, E)
+        seen.update(failure[:9] for failure in got)
+    assert seen == {"obar([h1,", "obar([phi"}
+
+
+def construction_outcome(construct, S, E):
+    """The failure list of a construction, its structure, or the error it
+    raises, with abar and obar of S and data E."""
+    args = (E.phi, E.v) if construct is construct_C else (E,)
+    try:
+        res = construct(S.algebra, S.alpha, S.omega, *args)
+    except ConditionsFail as exc:
+        return "fail", exc.failures
+    except (CoslieError, AssertionError) as exc:
+        return type(exc), str(exc)
+    T = res.structure
+    return "ok", (T.algebra, T.alpha, T.omega, T.reeb)
+
+
+SEEDS = {
+    "_ist_components": seed_ist_components,
+    "_closure_failures": seed_closure_failures,
+    "_d_lambda_failures": seed_d_lambda_failures,
+    "_abar_phi": seed_abar_phi,
+}
+
+
+@pytest.mark.parametrize("construct", [construct_A, construct_B, construct_C], ids="ABC")
+def test_construction_failure_lists_match_the_pairwise_loops(construct):
+    # the same construction with every restated condition replaced by its
+    # seed: same failures in the same order, or the same structure
+    kinds = set()
+    for S, E in EXTENSION_CASES:
+        if construct is construct_B:  # theta = obar_phi, so B gets past its theta test
+            E = ExtensionData(E.phi, E.lam, sc.zero_vec(3), E.t, form_twist(S.omega, E.phi))
+        got = construction_outcome(construct, S, E)
+        with mock.patch.multiple(ext, **SEEDS), mock.patch.object(TwoForm, "contract", seed_contract):
+            want = construction_outcome(construct, S, E)
+        assert got == want, (S.algebra, E)
+        kinds.add(got[0])
+    assert {"fail", "ok"} <= kinds

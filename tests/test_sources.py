@@ -462,17 +462,17 @@ def test_one_function_builds_the_differential_from_the_brackets():
 PAIRWISE = {"bracket", "bracket_basis", "value"}
 
 
-def pairwise_uses(tree: ast.Module, function: str) -> list:
+def pairwise_uses(tree: ast.Module, function: str, more: frozenset = frozenset()) -> list:
     """Line numbers where the top-level function ``function`` uses
     ``bracket`` (named directly or read off a module) or a ``bracket_basis``
-    or ``value`` method (``L.bracket_basis(i, j)``, ``omega.value(x, y)``):
-    one bracket or one form value per basis pair."""
+    or ``value`` method (``L.bracket_basis(i, j)``, ``omega.value(x, y)``),
+    or a method named in more: one bracket or one form value per basis pair."""
     [top] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     return sorted(
         node.lineno
         for node in ast.walk(top)
         if (isinstance(node, ast.Name) and node.id == "bracket")
-        or (isinstance(node, ast.Attribute) and node.attr in PAIRWISE)
+        or (isinstance(node, ast.Attribute) and node.attr in PAIRWISE | more)
     )
 
 
@@ -494,6 +494,34 @@ def test_the_scan_sees_every_pairwise_bracket_and_form_value():
         "def f(L):\n    return bracket_rows(L)\ndef g(L, x):\n    return bracket(L, x, x)",
     ):
         assert pairwise_uses(ast.parse(text), "f") == [], text
+    # the extension scan also counts one vector or one pair at a time
+    for text in (
+        "def f(a, x):\n    return a.apply(x)",
+        "def f(E, xs):\n    return [E.phi.apply(x) for x in xs]",
+        "def f(w):\n    return w.value_basis(0, 1)",
+    ):
+        assert pairwise_uses(ast.parse(text), "f", EXTENSION_PAIRWISE), text
+    for text in (
+        "def f(E, x):\n    return mat_vec(E.phi.matrix, x)",
+        "def f(w, x):\n    return w.contract(x)",
+        "def f(a):\n    return a.coeffs\ndef g(a, x):\n    return a.apply(x)",
+    ):
+        assert pairwise_uses(ast.parse(text), "f", EXTENSION_PAIRWISE) == [], text
+
+
+EXTENSION_PAIRWISE = frozenset({"apply", "value_basis"})
+
+
+def test_extension_conditions_are_matrix_equations():
+    """Every function of ``extensions`` states its conditions as matrix
+    products over the adapted basis: none makes a bracket, a form value or
+    a map or form applied to one vector at a time."""
+    [path] = [p for p in SOURCES if p.name == "extensions.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert {"_ist_components", "_closure_failures", "construct_A"} <= set(functions)
+    for function in functions:
+        assert pairwise_uses(tree, function, EXTENSION_PAIRWISE) == [], function
 
 
 def test_lie_identities_read_the_ad_numerators_whole():
