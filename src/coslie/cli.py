@@ -18,14 +18,7 @@ import sys
 
 from . import catalog as cat
 from . import scalars as sc
-from .algfile import (
-    ParsedAlgebra,
-    parse_algebra,
-    parse_extension,
-    parse_map,
-    parse_params,
-    parse_rational,
-)
+from .algfile import parse_algebra, parse_extension, parse_map, parse_params, parse_rational
 from .cosymplectic import (
     CosymplecticStructure,
     biinvariance,
@@ -90,8 +83,8 @@ def _inputs(args, *files) -> list:
     unused = sorted(set(params).difference(*(p.symbols for p in parsed)))
     if unused:
         raise AlgFileError(f"--params binds no symbol of the input: {', '.join(unused)}", 0, 0)
-    for p, (_, path) in zip(parsed, files):
-        if isinstance(p, ParsedAlgebra) and (defects := check_jacobi(p.algebra)):
+    for p, (parse, path) in zip(parsed, files):
+        if parse is parse_algebra and (defects := check_jacobi(p.algebra)):
             i, j, k = defects[0][:3]
             raise NotLieAlgebra(f"{path}: Jacobi identity fails on (e{i}, e{j}, e{k})")
     return parsed
