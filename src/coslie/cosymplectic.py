@@ -38,17 +38,12 @@ from .scalars import Scalar, Vector
 
 
 def phi_map(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> list:
-    """Matrix P with P[l][k] = Phi(e_k)(e_l), so Phi(x) = P x as a covector."""
+    """Matrix P with P[l][k] = Phi(e_k)(e_l), so Phi(x) = P x as a covector:
+    P = W^T + alpha alpha^T, W omega's skew matrix."""
     if alpha.dim != L.dim or omega.dim != L.dim:
         raise DimensionMismatch("form/algebra dimension mismatch")
-    n = L.dim
-    return [
-        [
-            omega.value_basis(k, l) + alpha.coeffs[k] * alpha.coeffs[l]
-            for k in range(n)
-        ]
-        for l in range(n)
-    ]
+    W, a = omega.matrix(), alpha.coeffs
+    return [[W[k][l] + a[k] * a[l] for k in range(L.dim)] for l in range(L.dim)]
 
 
 @dataclass
@@ -256,12 +251,8 @@ def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
     rows = [list(a.coeffs) for a in z1]
     if sc.rank(rows) == dim:
         return False
-    for w in z2:  # the rows of w's matrix from its coefficients, as ring numerators
-        block = [[0] * dim for _ in range(dim)]
-        nums, _ = sc.common_denominator(list(w.coeffs.values()))
-        for (i, j), c in zip(w.coeffs, nums):
-            block[i][j], block[j][i] = c, -c
-        rows.extend(block)
+    for w in z2:  # the rows of w's matrix, as ring numerators
+        rows.extend(sc.mat_numerators(w.matrix())[0])
     # zero and repeated rows change neither the row space nor the kernel
     return sc.rank(list(dict.fromkeys(tuple(row) for row in rows if any(row)))) < dim
 
@@ -480,15 +471,6 @@ class LsaTable:
         )
         return tuple(
             tuple(flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)) for i in range(n)
-        )
-
-    def product(self, x: Vector, y: Vector) -> Vector:
-        """x . y = L_x y for vectors of Scalars."""
-        n = self.dim
-        nums, den = sc.common_denominator(tuple(x) + tuple(y))
-        Lx = sc.mat_comb(nums[:n], self.left)
-        return sc.quotients(
-            [sum(a * b for a, b in zip(row, nums[n:])) for row in Lx], den * den * self.den
         )
 
     def associator(self, i: int, j: int) -> list:

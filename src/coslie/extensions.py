@@ -201,7 +201,7 @@ def _ist_components(S: CosymplecticStructure, E: ExtensionData) -> IstComponentR
     Gbar, abar, obar = S.algebra, S.alpha, S.omega
     cond_i = _on_kernel(S, form_twist(obar, E.phi))
     H, phi_xi = S.reduction.basis[:-1], sc.mat_vec(E.phi.matrix, S.reeb)
-    ii = sc.vec_add(E.lam.coeffs, obar.contract(phi_xi).coeffs)
+    ii = [l + c for l, c in zip(E.lam.coeffs, obar.contract(phi_xi).coeffs)]
     cond_ii = [(a + 1, val) for a, val in enumerate(sc.mat_vec(H, ii)) if val]
     iii = sc.vec_sub(obar.contract(E.v).coeffs, _abar_phi(abar, E.phi))
     cond_iii = [(a + 1, val) for a, val in enumerate(sc.mat_vec(H, iii)) if val]

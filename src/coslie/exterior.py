@@ -53,11 +53,6 @@ class OneForm:
             v[zero_based(dim, k, "one-form index")] += sc.as_scalar(c)
         return OneForm(dim, tuple(v))
 
-    def apply(self, x: Vector) -> Scalar:
-        if len(x) != self.dim:
-            raise DimensionMismatch("vector length != form dim")
-        return sum((a * b for a, b in zip(self.coeffs, x)), start=sc.ZERO)
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -100,32 +95,17 @@ class TwoForm:
         """1-based constructor: {(i, j): coeff}, i < j."""
         return TwoForm(dim, {(i - 1, j - 1): c for (i, j), c in comps.items()})
 
-    def value_basis(self, i: int, j: int) -> Scalar:
-        """omega(e_i, e_j), 0-based, any index order."""
-        if i == j:
-            return sc.ZERO
-        if i < j:
-            return self.coeffs.get((i, j), sc.ZERO)
-        return -self.coeffs.get((j, i), sc.ZERO)
-
-    def value(self, x: Vector, y: Vector) -> Scalar:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatch("vector length != form dim")
-        total = sc.ZERO
-        for (i, j), c in self.coeffs.items():
-            term = x[i] * y[j] - x[j] * y[i]
-            total += c * term
-        return total
-
     def contract(self, x: Vector) -> OneForm:
         """Inner product i_x omega as a one-form: the row x^T W of omega's
         skew matrix W."""
         return OneForm(self.dim, sc.mat_vec(list(zip(*self.matrix())), x))
 
     def matrix(self) -> list:
-        return [
-            [self.value_basis(i, j) for j in range(self.dim)] for i in range(self.dim)
-        ]
+        """The skew matrix W: W[i][j] = c and W[j][i] = -c for each coefficient c at (i, j)."""
+        W = [[sc.ZERO] * self.dim for _ in range(self.dim)]
+        for (i, j), c in self.coeffs.items():
+            W[i][j], W[j][i] = c, -c
+        return W
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -76,15 +76,6 @@ class LieAlgebra:
         return LieAlgebra(dim, {})
 
     # -- basic structure ----------------------------------------------
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for 0-based i, j in any order."""
-        if i == j:
-            return sc.zero_vec(self.dim)
-        if i < j:
-            return self.brackets.get((i, j), sc.zero_vec(self.dim))
-        v = self.brackets.get((j, i))
-        return sc.zero_vec(self.dim) if v is None else tuple(-x for x in v)
-
     @cached_property
     def ad_numerators(self) -> tuple:
         """(ad, r): ad[i][k][j] / r is the e_k component of [e_i, e_j], so
@@ -150,14 +141,6 @@ class LinearMap:
 
     def column(self, i: int) -> Vector:
         return tuple(row[i] for row in self.matrix)
-
-    def apply(self, x: Vector) -> Vector:
-        if len(x) != self.source_dim:
-            raise DimensionMismatch("vector length != source dim")
-        return tuple(
-            sum((row[i] * x[i] for i in range(self.source_dim)), start=sc.ZERO)
-            for row in self.matrix
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +249,6 @@ def derived_series(L: LieAlgebra) -> list:
 
 def is_solvable(L: LieAlgebra) -> bool:
     return not derived_series(L)[-1]
-
-
-def derived_dim(L: LieAlgebra) -> int:
-    return len(derived_series(L)[1])
 
 
 def _partial_phi_numerators(L: LieAlgebra, phi: LinearMap) -> tuple:

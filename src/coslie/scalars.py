@@ -476,10 +476,6 @@ def basis_vec(dim: int, k: int) -> Vector:
     return tuple(ONE if i == k else ZERO for i in range(dim))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 

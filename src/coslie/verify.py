@@ -72,12 +72,6 @@ class CatalogReport:
     def flagged(self) -> list:
         return [r for r in self.results if r.flagged]
 
-    def find(self, entry: str, check: str) -> CheckResult:
-        for r in self.results:
-            if r.entry == entry and r.check == check:
-                return r
-        raise KeyError((entry, check))
-
     def to_dict(self) -> dict:
         entries: dict = {}
         for r in self.results:
@@ -176,7 +170,7 @@ def _vector(form) -> tuple:
     the pairs i < j in lexicographic order, the columns of
     ``cocycle_spaces``."""
     if isinstance(form, TwoForm):
-        return tuple(form.value_basis(i, j) for i, j in combinations(range(form.dim), 2))
+        return tuple(form.coeffs.get(pair, sc.ZERO) for pair in combinations(range(form.dim), 2))
     return form.coeffs
 
 

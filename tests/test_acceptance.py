@@ -67,9 +67,10 @@ from coslie.lie_core import (
     LinearMap,
     check_isomorphism,
     check_jacobi,
-    derived_dim,
     is_solvable,
 )
+
+import pairwise as pw
 
 DIM3_FAMILIES = ("g_{2.1}⊕g_1", "g_{3.1}", "g_{3.4}^{-1}", "g_{3.5}^0")
 
@@ -108,14 +109,14 @@ def test_criterion_01_dim3_families_and_normal_forms(catalog_report):
     problems = []
     for fam in DIM3_FAMILIES:
         for check in ("jacobi", "alpha_cocycle", "omega_cocycle"):
-            r = catalog_report.find(fam, check)
+            r = pw.find(catalog_report, fam, check)
             if not r.ok:
                 problems.append(f"{fam} {check}: {r.detail}")
     normals = [n for n in list_entries() if get_entry(n).kind == "normal"]
     assert len(normals) == 5
     for name in normals:
         for check in ("validate_symbolic", "reeb", "validate_samples"):
-            r = catalog_report.find(name, check)
+            r = pw.find(catalog_report, name, check)
             if not r.ok:
                 problems.append(f"{name} {check}: {r.detail}")
     outcome(
@@ -185,10 +186,10 @@ def test_criterion_04_derivation_identity_and_two_routes(structures):
         m = red.pair.algebra.dim
         for a in range(m):
             for b in range(m):
-                lhs = D.apply(star.products[a][b])
-                rhs = sc.vec_add(
-                    star.product(D.column(a), sc.basis_vec(m, b)),
-                    star.product(sc.basis_vec(m, a), D.column(b)),
+                lhs = pw.image(D, star.products[a][b])
+                rhs = pw.vec_add(
+                    pw.product(star, D.column(a), sc.basis_vec(m, b)),
+                    pw.product(star, sc.basis_vec(m, a), D.column(b)),
                 )
                 if lhs != rhs:
                     problems.append(f"{name}: derivation identity fails at ({a + 1},{b + 1})")
@@ -207,13 +208,13 @@ def test_criterion_05_dim5_catalog(catalog_report):
     assert len(dim5) == 23
     for name in dim5:
         for check in ("jacobi", "alpha_cocycle", "omega_cocycle"):
-            r = catalog_report.find(name, check)
+            r = pw.find(catalog_report, name, check)
             if not r.ok:
                 problems.append(f"{name} {check}: {r.detail}")
-        nd = catalog_report.find(name, "nondeg")
+        nd = pw.find(catalog_report, name, "nondeg")
         if not nd.ok:
             problems.append(f"{name} nondeg: {nd.detail}")
-        inst = catalog_report.find(name, "instantiate")
+        inst = pw.find(catalog_report, name, "instantiate")
         if not inst.ok:
             problems.append(f"{name} instantiate: {inst.detail}")
     outcome(
@@ -336,7 +337,7 @@ def test_criterion_08_constructions_reproduce_worked_examples():
     if res3.structure.reeb != sc.basis_vec(5, 2):
         problems.append("third construction Reeb vector moved")
 
-    d1_, d2_, d3_ = (derived_dim(r.algebra) for r in (res1, res2, res3))
+    d1_, d2_, d3_ = (pw.derived_dim(r.algebra) for r in (res1, res2, res3))
     if not (d1_ == 3 and d2_ <= 2 and d3_ <= 2 and d1_ > d2_ and d1_ > d3_):
         problems.append(f"derived-dimension discriminator: {d1_}, {d2_}, {d3_}")
     outcome(

@@ -23,6 +23,8 @@ from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly
 
+import pairwise as pw
+
 
 def test_listing_counts_and_headliners():
     names = list_entries()
@@ -154,9 +156,9 @@ def test_verify_all_flags_exactly_the_documented_deviations(catalog_report):
 
 
 def test_verify_all_nondeg_details(catalog_report):
-    r = catalog_report.find("A_{5,2}", "nondeg")
+    r = pw.find(catalog_report, "A_{5,2}", "nondeg")
     assert "deviates" in r.detail and "2*a15*a23*a4 - 2*a23^2*a5" in r.detail
-    r51 = catalog_report.find("A_{5,1}", "nondeg")
+    r51 = pw.find(catalog_report, "A_{5,1}", "nondeg")
     assert r51.ok and "exact_multiple" in r51.detail
 
 
@@ -165,13 +167,13 @@ RADICAL_CERTIFIED = ("A_{5,15}^{-1}", "A_{5,18}^0", "A_{5,30}^1", "A_{5,36}", "A
 
 def test_verify_all_certifies_equal_vanishing_sets_exactly(catalog_report):
     for name in RADICAL_CERTIFIED:
-        r = catalog_report.find(name, "nondeg")
+        r = pw.find(catalog_report, name, "nondeg")
         assert r.ok and r.flagged, name
         assert r.detail.startswith(
             "vanishing_equivalent: not a constant multiple, but each divides a power of the other"
         ), name
     for name in ("A_{5,2}", "A_{5,5}", "A_{5,6}"):  # their seeded witnesses stay
-        assert "vanishing loci differ" in catalog_report.find(name, "nondeg").detail, name
+        assert "vanishing loci differ" in pw.find(catalog_report, name, "nondeg").detail, name
 
 
 x, y, p, q = (Poly.var(n) for n in "xypq")
@@ -218,16 +220,16 @@ def test_verify_all_aff_checks(catalog_report):
         "corrected_lam1",
     }
     for check in ok_checks:
-        assert catalog_report.find("aff(2,R)⋉<e7>", check).ok, check
-    bad = catalog_report.find("aff(2,R)⋉<e7>", "validate_lam1")
+        assert pw.find(catalog_report, "aff(2,R)⋉<e7>", check).ok, check
+    bad = pw.find(catalog_report, "aff(2,R)⋉<e7>", "validate_lam1")
     assert not bad.ok and bad.flagged
     assert "(4, 5, 7)" in bad.detail
 
 
 def test_verify_all_heisenberg(catalog_report):
-    assert catalog_report.find("Heisenberg", "exists_H3").ok
-    assert catalog_report.find("Heisenberg", "exists_H5").ok
-    assert catalog_report.find("Heisenberg", "exists_H7").ok
+    assert pw.find(catalog_report, "Heisenberg", "exists_H3").ok
+    assert pw.find(catalog_report, "Heisenberg", "exists_H5").ok
+    assert pw.find(catalog_report, "Heisenberg", "exists_H7").ok
 
 
 def test_verify_all_normal_forms_and_witnesses(catalog_report):
@@ -236,12 +238,12 @@ def test_verify_all_normal_forms_and_witnesses(catalog_report):
         if entry.kind != "normal":
             continue
         for check in ("validate_symbolic", "reeb", "validate_samples", "normal_in_family", "witness_iso"):
-            assert catalog_report.find(name, check).ok, (name, check)
+            assert pw.find(catalog_report, name, check).ok, (name, check)
 
 
 def test_verify_all_lsa_tables(catalog_report):
     for fam in ("g_{2.1}⊕g_1", "g_{3.1}", "g_{3.4}^{-1}", "g_{3.5}^0"):
-        assert catalog_report.find(fam, "lsa_table").ok, fam
+        assert pw.find(catalog_report, fam, "lsa_table").ok, fam
 
 
 def test_public_api_surface():
@@ -414,7 +416,7 @@ def test_span_test_agrees_with_the_echelon_loop(data):
     def combination(coeffs):
         out = sc.zero_vec(width)
         for c, g in zip(coeffs, gens):
-            out = sc.vec_add(out, sc.vec_scale(c, g))
+            out = pw.vec_add(out, sc.vec_scale(c, g))
         return out
 
     member = st.lists(small, min_size=len(gens), max_size=len(gens)).map(combination)

@@ -19,6 +19,8 @@ from coslie.errors import AlgFileError
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra, LinearMap
 
+import pairwise as pw
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "catalog.json"
 SNAPSHOT = ROOT / "perfbench" / "data" / "catalog.alg"
@@ -136,7 +138,10 @@ def symbolic_corrected_aff() -> LieAlgebra:
     L = LieAlgebra(
         7,
         {
-            ij: tuple(a + (b - a) * lam for a, b in zip(at0.bracket_basis(*ij), at1.bracket_basis(*ij)))
+            ij: tuple(
+                a + (b - a) * lam
+                for a, b in zip(pw.bracket_basis(at0, *ij), pw.bracket_basis(at1, *ij))
+            )
             for ij in set(at0.brackets) | set(at1.brackets)
         },
     )

@@ -39,8 +39,10 @@ from coslie.errors import (
     SingularPhi,
 )
 from coslie.exterior import OneForm, TwoForm, cocycle_spaces, is_2cocycle
-from coslie.lie_core import LieAlgebra, LinearMap, bracket, check_isomorphism
+from coslie.lie_core import LieAlgebra, LinearMap, check_isomorphism
 from coslie.scalars import Poly, ratfn
+
+import pairwise as pw
 
 E3 = lambda k: OneForm.dual(3, k)
 W = lambda d: TwoForm.from_dict(3, d)
@@ -101,7 +103,7 @@ def test_phi_heisenberg_pairs_nothing_with_the_center():
     for a in z1:
         assert not a.coeffs[4]
     for w in z2:
-        assert all(not w.value_basis(i, 4) for i in range(5))
+        assert all(not pw.value_basis(w, i, 4) for i in range(5))
 
 
 def test_validate_examples(g21):
@@ -131,7 +133,7 @@ def test_reeb_examples(g21, g34):
 
 def test_reeb_invariants_on_catalog():
     for name, S in STRUCTURES:
-        assert S.alpha.apply(S.reeb) == sc.ONE, name
+        assert pw.evaluate(S.alpha, S.reeb) == sc.ONE, name
         contracted = S.omega.contract(S.reeb)
         assert contracted.is_zero(), name
 
@@ -231,7 +233,7 @@ def unpruned_certificate(dim, z1, z2) -> bool:
     if not sc.nullspace(rows):
         return False
     for w in z2:
-        rows += [[w.value_basis(i, j) for j in range(dim)] for i in range(dim)]
+        rows += [[pw.value_basis(w, i, j) for j in range(dim)] for i in range(dim)]
     return bool(sc.nullspace(rows))
 
 
@@ -422,7 +424,7 @@ def test_symplectic_lsa_recovers_commutator():
         for i in range(m):
             for j in range(m):
                 lhs = sc.vec_sub(T.products[i][j], T.products[j][i])
-                assert lhs == red.pair.algebra.bracket_basis(i, j), name
+                assert lhs == pw.bracket_basis(red.pair.algebra, i, j), name
 
 
 def expected_table(dim, entries):
@@ -491,10 +493,10 @@ def test_derivation_identity_on_catalog():
         m = red.pair.algebra.dim
         for a in range(m):
             for b in range(m):
-                lhs = D.apply(star.products[a][b])
-                rhs = sc.vec_add(
-                    star.product(D.column(a), sc.basis_vec(m, b)),
-                    star.product(sc.basis_vec(m, a), D.column(b)),
+                lhs = pw.image(D, star.products[a][b])
+                rhs = pw.vec_add(
+                    pw.product(star, D.column(a), sc.basis_vec(m, b)),
+                    pw.product(star, sc.basis_vec(m, a), D.column(b)),
                 )
                 assert lhs == rhs, name
 
@@ -592,7 +594,7 @@ def seed_product(T, x, y):
         for j in range(T.dim):
             c = x[i] * y[j]
             if c:
-                out = sc.vec_add(out, sc.vec_scale(c, T.products[i][j]))
+                out = pw.vec_add(out, sc.vec_scale(c, T.products[i][j]))
     return out
 
 
@@ -622,7 +624,7 @@ def seed_left_symmetry_defect(T, L):
                 sc.vec_sub(
                     seed_product(T, basis[i], basis[j]), seed_product(T, basis[j], basis[i])
                 ),
-                L.bracket_basis(i, j),
+                pw.bracket_basis(L, i, j),
             )
             if any(d):
                 comm.append((i + 1, j + 1, d))
@@ -656,7 +658,7 @@ def seed_condition1(star, D, w):
                     seed_product(star, seed_product(star, x, y), z),
                     seed_product(star, x, seed_product(star, y, z)),
                 )
-                rhs = sc.vec_scale(w.value(D.column(b), x), D.column(c))
+                rhs = sc.vec_scale(pw.value(w, D.column(b), x), D.column(c))
                 d1v = sc.vec_sub(lhs, rhs)
                 if any(d1v):
                     defects.append((a + 1, b + 1, c + 1, d1v))
@@ -806,8 +808,8 @@ def seed_deriv_identity_defect(star, D):
     for a in range(m):
         for b in range(m):
             d = sc.vec_sub(
-                D.apply(seed_product(star, basis[a], basis[b])),
-                sc.vec_add(
+                pw.image(D, seed_product(star, basis[a], basis[b])),
+                pw.vec_add(
                     seed_product(star, D.column(a), basis[b]),
                     seed_product(star, basis[a], D.column(b)),
                 ),
@@ -823,7 +825,7 @@ def seed_biinvariance_defects(star, D, w):
     basis = [sc.basis_vec(m, a) for a in range(m)]
     defects = {1: seed_condition1(star, D, w), 2: [], 3: [], 4: []}
     for a in range(m):
-        d = D.apply(D.column(a))
+        d = pw.image(D, D.column(a))
         if any(d):
             defects[4].append((a + 1, d))
         for b in range(m):
@@ -918,13 +920,13 @@ def change_basis(S, M):
     Minv = inverse(M)
     cols = [tuple(M[k][i] for k in range(n)) for i in range(n)]
     brackets = {
-        (i, j): sc.mat_vec(Minv, bracket(S.algebra, cols[i], cols[j]))
+        (i, j): sc.mat_vec(Minv, pw.bracket(S.algebra, cols[i], cols[j]))
         for i in range(n)
         for j in range(i + 1, n)
     }
-    alpha = OneForm(n, tuple(S.alpha.apply(c) for c in cols))
+    alpha = OneForm(n, tuple(pw.evaluate(S.alpha, c) for c in cols))
     omega = TwoForm(
-        n, {(i, j): S.omega.value(cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)}
+        n, {(i, j): pw.value(S.omega, cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)}
     )
     return make(LieAlgebra(n, brackets), alpha, omega)
 
@@ -951,7 +953,10 @@ def fraction_table(S):
             sc.mat_vec(
                 Pinv,
                 [
-                    -sum((P[k][j] * S.algebra.bracket_basis(i, l)[k] for k in range(n)), start=F(0))
+                    -sum(
+                        (P[k][j] * pw.bracket_basis(S.algebra, i, l)[k] for k in range(n)),
+                        start=F(0),
+                    )
                     for l in range(n)
                 ],
             )
@@ -1048,13 +1053,14 @@ def seed_kernel_parts(S):
     hb = {}
     for a in range(m):
         for b in range(a + 1, m):
-            v = bracket(L, hbasis[a], hbasis[b])
+            v = pw.bracket(L, hbasis[a], hbasis[b])
             if any(v):
                 hb[(a, b)] = h_coords(v)
     w_h = TwoForm(
-        m, {(a, b): S.omega.value(hbasis[a], hbasis[b]) for a in range(m) for b in range(a + 1, m)}
+        m,
+        {(a, b): pw.value(S.omega, hbasis[a], hbasis[b]) for a in range(m) for b in range(a + 1, m)},
     )
-    dcols = [h_coords(bracket(L, S.reeb, hbasis[a])) for a in range(m)]
+    dcols = [h_coords(pw.bracket(L, S.reeb, hbasis[a])) for a in range(m)]
     deriv = LinearMap.from_columns(dcols) if m else LinearMap.zero(0)
     return LieAlgebra(m, hb), w_h, deriv, tuple(hbasis) + (S.reeb,)
 

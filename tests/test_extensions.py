@@ -30,8 +30,9 @@ from coslie.lie_core import (
     LieAlgebra,
     LinearMap,
     check_jacobi,
-    derived_dim,
 )
+
+import pairwise as pw
 
 GBAR = LieAlgebra.from_table(3, {(1, 2): {1: 1}})
 ABAR = OneForm.dual(3, 3)
@@ -254,7 +255,7 @@ def test_construct_A_reproduces_g1():
     assert S.alpha == OneForm.dual(5, 4)
     assert S.omega == TwoForm.from_dict(5, {(1, 2): 1, (3, 5): 1})
     assert S.reeb == sc.basis_vec(5, 3)
-    assert derived_dim(S.algebra) == 3
+    assert pw.derived_dim(S.algebra) == 3
 
 
 def test_construct_A_trivial_data_on_abelian_base():
@@ -331,7 +332,7 @@ def test_construct_B_reproduces_g2():
     assert S.alpha == OneForm.from_dict(5, {3: 1, 4: 2})
     assert S.omega == TwoForm.from_dict(5, {(1, 2): 1, (4, 5): 1})
     assert S.reeb == sc.basis_vec(5, 2)
-    assert derived_dim(S.algebra) <= 2
+    assert pw.derived_dim(S.algebra) <= 2
 
 
 def test_construct_B_trivial():
@@ -362,7 +363,7 @@ def test_construct_C_reproduces_g3():
     assert S.alpha == OneForm.from_dict(5, {3: 1, 4: 2, 5: -1})
     assert S.omega == TwoForm.from_dict(5, {(1, 2): 1, (4, 5): 1})
     assert S.reeb == sc.basis_vec(5, 2)
-    assert derived_dim(S.algebra) <= 2
+    assert pw.derived_dim(S.algebra) <= 2
 
 
 def test_construct_C_trivial_and_violation():
@@ -384,7 +385,7 @@ def test_derived_dimension_discriminator():
         ExtensionData(phiB, lamB, sc.zero_vec(3), F(0), form_twist(OBAR, phiB)),
     )
     res3 = construct_C(GBAR, ABAR, OBAR, phi_mat(0, 1, 1, 1), (F(0), F(0), F(1)))
-    d1_, d2_, d3_ = (derived_dim(r.algebra) for r in (res1, res2, res3))
+    d1_, d2_, d3_ = (pw.derived_dim(r.algebra) for r in (res1, res2, res3))
     assert d1_ == 3
     assert d2_ <= 2 and d3_ <= 2
     assert d1_ > d2_ and d1_ > d3_

@@ -25,6 +25,8 @@ from coslie.exterior import (
 from coslie.lie_core import LieAlgebra, check_jacobi
 from coslie.scalars import Poly
 
+import pairwise as pw
+
 
 # ---------------------------------------------------------------------------
 # An independent oracle: full wedge expansion of alpha ^ omega^n over sorted
@@ -185,7 +187,7 @@ def test_volume_linear_in_alpha_and_homogeneous_in_omega():
         },
     )
     s = F(3, 2)
-    lhs = volume_coeff(L, OneForm(dim, sc.vec_add(a1.coeffs, a2.coeffs)), omega)
+    lhs = volume_coeff(L, OneForm(dim, pw.vec_add(a1.coeffs, a2.coeffs)), omega)
     assert lhs == volume_coeff(L, a1, omega) + volume_coeff(L, a2, omega)
     scaled = TwoForm(dim, {p: s * c for p, c in omega.coeffs.items()})
     n = (dim - 1) // 2
@@ -234,7 +236,7 @@ def test_cocycle_spaces_perfect_algebra_has_no_one_cocycles(sl2):
 def reference_cocycle_spaces(L):
     dim = L.dim
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    rows1 = [[v[l] for l in range(dim)] for v in (L.bracket_basis(i, j) for i, j in pairs)]
+    rows1 = [[v[l] for l in range(dim)] for v in (pw.bracket_basis(L, i, j) for i, j in pairs)]
     if rows1:
         z1 = [OneForm(dim, v) for v in sc.nullspace(rows1)]
     else:
@@ -246,9 +248,9 @@ def reference_cocycle_spaces(L):
         for p, q in pairs:
             mono = TwoForm(dim, {(p, q): sc.ONE})
             row.append(
-                mono.value(L.bracket_basis(i, j), ek)
-                + mono.value(L.bracket_basis(j, k), ei)
-                + mono.value(L.bracket_basis(k, i), ej)
+                pw.value(mono, pw.bracket_basis(L, i, j), ek)
+                + pw.value(mono, pw.bracket_basis(L, j, k), ei)
+                + pw.value(mono, pw.bracket_basis(L, k, i), ej)
             )
         rows2.append(row)
     if rows2:
@@ -265,9 +267,9 @@ def reference_d2(L, omega):
     coeffs = {}
     for i, j, k in combinations(range(L.dim), 3):
         s = (
-            omega.value(L.bracket_basis(i, j), sc.basis_vec(L.dim, k))
-            + omega.value(L.bracket_basis(j, k), sc.basis_vec(L.dim, i))
-            + omega.value(L.bracket_basis(k, i), sc.basis_vec(L.dim, j))
+            pw.value(omega, pw.bracket_basis(L, i, j), sc.basis_vec(L.dim, k))
+            + pw.value(omega, pw.bracket_basis(L, j, k), sc.basis_vec(L.dim, i))
+            + pw.value(omega, pw.bracket_basis(L, k, i), sc.basis_vec(L.dim, j))
         )
         coeffs[(i, j, k)] = -s
     return coeffs
@@ -417,7 +419,7 @@ def formula_entry(L, T: tuple, S: tuple):
     total = F(0)
     for a, b in combinations(range(len(T)), 2):
         rest = [basis[m] for c, m in enumerate(T) if c not in (a, b)]
-        value = monomial_value(S, [L.bracket_basis(T[a], T[b]), *rest])
+        value = monomial_value(S, [pw.bracket_basis(L, T[a], T[b]), *rest])
         total += value if (a + b) % 2 == 0 else -value
     return total
 

@@ -1,8 +1,10 @@
 """The Lie, form and extension layers against the Scalar loops they were
 first written as.
 
-Each ``seed_*`` function is such a loop, kept as the reference: brackets
-accumulated densely over the stored pairs, the Jacobi identity as a
+Each ``seed_*`` function is such a loop, kept as the reference.  Its
+brackets, form values and map images come from ``pairwise``, which reads
+them off the stored coefficients: brackets accumulated densely over the
+stored pairs, the Jacobi identity as a
 triple loop of brackets, ad, the centre, the derived series and the
 isomorphism check from one bracket per basis pair, forms evaluated pair
 by pair, and the double-extension conditions evaluated on one vector or
@@ -53,19 +55,11 @@ from coslie.lie_core import (
     partial_phi,
 )
 from coslie.scalars import Poly, ratfn
+import pairwise as pw
 from test_extensions import ABAR, G34, GBAR, OBAR, random_extension, structured_ist_data
 
 # ---------------------------------------------------------------------------
 # The reference loops
-
-
-def seed_bracket(L, x, y):
-    out = sc.zero_vec(L.dim)
-    for (i, j), v in L.brackets.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            out = sc.vec_add(out, sc.vec_scale(c, v))
-    return out
 
 
 def seed_check_jacobi(L):
@@ -76,11 +70,11 @@ def seed_check_jacobi(L):
             ej = sc.basis_vec(L.dim, j)
             for k in range(j + 1, L.dim):
                 ek = sc.basis_vec(L.dim, k)
-                d = sc.vec_add(
-                    seed_bracket(L, L.bracket_basis(i, j), ek),
-                    sc.vec_add(
-                        seed_bracket(L, L.bracket_basis(j, k), ei),
-                        seed_bracket(L, L.bracket_basis(k, i), ej),
+                d = pw.vec_add(
+                    pw.bracket(L, pw.bracket_basis(L, i, j), ek),
+                    pw.vec_add(
+                        pw.bracket(L, pw.bracket_basis(L, j, k), ei),
+                        pw.bracket(L, pw.bracket_basis(L, k, i), ej),
                     ),
                 )
                 if any(d):
@@ -89,7 +83,7 @@ def seed_check_jacobi(L):
 
 
 def seed_ad(L, x):
-    cols = [seed_bracket(L, x, sc.basis_vec(L.dim, j)) for j in range(L.dim)]
+    cols = [pw.bracket(L, x, sc.basis_vec(L.dim, j)) for j in range(L.dim)]
     return LinearMap.from_columns(cols)
 
 
@@ -97,7 +91,7 @@ def seed_center(L):
     rows = []
     for j in range(L.dim):
         for k in range(L.dim):
-            rows.append([L.bracket_basis(i, j)[k] for i in range(L.dim)])
+            rows.append([pw.bracket_basis(L, i, j)[k] for i in range(L.dim)])
     return sc.nullspace(rows)
 
 
@@ -106,7 +100,7 @@ def seed_derived_series(L):
     while True:
         current = chain[-1]
         products = [
-            seed_bracket(L, current[p], current[q])
+            pw.bracket(L, current[p], current[q])
             for p in range(len(current))
             for q in range(p + 1, len(current))
         ]
@@ -122,22 +116,22 @@ def seed_check_isomorphism(L1, L2, M, alpha1=None, alpha2=None, omega1=None, ome
     for i in range(L1.dim):
         for j in range(i + 1, L1.dim):
             d = sc.vec_sub(
-                M.apply(L1.bracket_basis(i, j)),
-                seed_bracket(L2, M.column(i), M.column(j)),
+                pw.image(M, pw.bracket_basis(L1, i, j)),
+                pw.bracket(L2, M.column(i), M.column(j)),
             )
             if any(d):
                 bracket_defects.append((i + 1, j + 1, d))
     alpha_defect = None
     if alpha1 is not None and alpha2 is not None:
-        pulled = tuple(alpha2.apply(M.column(i)) for i in range(L1.dim))
+        pulled = tuple(pw.evaluate(alpha2, M.column(i)) for i in range(L1.dim))
         if pulled != alpha1.coeffs:
             alpha_defect = sc.vec_sub(pulled, alpha1.coeffs)
     omega_defects = []
     if omega1 is not None and omega2 is not None:
         for i in range(L1.dim):
             for j in range(i + 1, L1.dim):
-                got = omega2.value(M.column(i), M.column(j))
-                want = omega1.value_basis(i, j)
+                got = pw.value(omega2, M.column(i), M.column(j))
+                want = pw.value_basis(omega1, i, j)
                 if got != want:
                     omega_defects.append((i + 1, j + 1, got - want))
     ok = invertible and not bracket_defects and alpha_defect is None and not omega_defects
@@ -149,17 +143,17 @@ def seed_partial_phi(L, phi):
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             out[(i, j)] = sc.vec_sub(
-                phi.apply(L.bracket_basis(i, j)),
-                sc.vec_add(
-                    seed_bracket(L, phi.column(i), sc.basis_vec(L.dim, j)),
-                    seed_bracket(L, sc.basis_vec(L.dim, i), phi.column(j)),
+                pw.image(phi, pw.bracket_basis(L, i, j)),
+                pw.vec_add(
+                    pw.bracket(L, phi.column(i), sc.basis_vec(L.dim, j)),
+                    pw.bracket(L, sc.basis_vec(L.dim, i), phi.column(j)),
                 ),
             )
     return out
 
 
 def seed_d1(L, alpha):
-    return TwoForm(L.dim, {(i, j): -alpha.apply(v) for (i, j), v in L.brackets.items()})
+    return TwoForm(L.dim, {(i, j): -pw.evaluate(alpha, v) for (i, j), v in L.brackets.items()})
 
 
 def seed_triple_rows(L):
@@ -199,15 +193,15 @@ def seed_form_twist(theta, phi):
     for i in range(n):
         for j in range(i + 1, n):
             coeffs[(i, j)] = (
-                theta.value(phi.column(i), sc.basis_vec(n, j))
-                + theta.value(sc.basis_vec(n, i), phi.column(j))
+                pw.value(theta, phi.column(i), sc.basis_vec(n, j))
+                + pw.value(theta, sc.basis_vec(n, i), phi.column(j))
             )
     return TwoForm(n, coeffs)
 
 
 def seed_contract(omega, x):
     n = omega.dim
-    return OneForm(n, tuple(omega.value(x, sc.basis_vec(n, l)) for l in range(n)))
+    return OneForm(n, tuple(pw.value(omega, x, sc.basis_vec(n, l)) for l in range(n)))
 
 
 def seed_d_lambda_failures(Gbar, E, theta, lhs):
@@ -215,12 +209,13 @@ def seed_d_lambda_failures(Gbar, E, theta, lhs):
     return [
         f"{lhs} != d(lambda) at (e{i + 1}, e{j + 1})"
         for i, j in combinations(range(Gbar.dim), 2)
-        if E.t * theta.value_basis(i, j) - twist.value_basis(i, j) != dlam.value_basis(i, j)
+        if E.t * pw.value_basis(theta, i, j) - pw.value_basis(twist, i, j)
+        != pw.value_basis(dlam, i, j)
     ]
 
 
 def seed_abar_phi(abar, phi):
-    return tuple(abar.apply(phi.column(i)) for i in range(phi.source_dim))
+    return tuple(pw.evaluate(abar, phi.column(i)) for i in range(phi.source_dim))
 
 
 def seed_ist_components(S, E):
@@ -229,26 +224,26 @@ def seed_ist_components(S, E):
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
     xi = S.reeb
-    phi_xi = E.phi.apply(xi)
+    phi_xi = pw.image(E.phi, xi)
 
     twist = form_twist(obar, E.phi)
     cond_i = []
     for a in range(m):
         for b in range(a + 1, m):
-            val = twist.value(hbasis[a], hbasis[b])
+            val = pw.value(twist, hbasis[a], hbasis[b])
             if val:
                 cond_i.append((a + 1, b + 1, val))
     cond_ii = []
     for a in range(m):
-        val = E.lam.apply(hbasis[a]) - obar.value(hbasis[a], phi_xi)
+        val = pw.evaluate(E.lam, hbasis[a]) - pw.value(obar, hbasis[a], phi_xi)
         if val:
             cond_ii.append((a + 1, val))
     cond_iii = []
     for a in range(m):
-        val = obar.value(E.v, hbasis[a]) - abar.apply(E.phi.apply(hbasis[a]))
+        val = pw.value(obar, E.v, hbasis[a]) - pw.evaluate(abar, pw.image(E.phi, hbasis[a]))
         if val:
             cond_iii.append((a + 1, val))
-    iv_defect = E.t + abar.apply(phi_xi)
+    iv_defect = E.t + pw.evaluate(abar, phi_xi)
     cond_iv = iv_defect or None
 
     pair = to_symplectic(Gbar, abar, obar)
@@ -268,14 +263,14 @@ def seed_closure_failures(S, E):
     m = red.pair.algebra.dim
     hbasis = red.basis[:m]
     xi = S.reeb
-    phi_xi = E.phi.apply(xi)
+    phi_xi = pw.image(E.phi, xi)
     for a in range(m):
         for b in range(a + 1, m):
-            if obar.value(bracket(Gbar, hbasis[a], hbasis[b]), phi_xi):
+            if pw.value(obar, pw.bracket(Gbar, hbasis[a], hbasis[b]), phi_xi):
                 failures.append(f"obar([h{a + 1}, h{b + 1}], phi(xi)) != 0")
-    br = bracket(Gbar, phi_xi, xi)
+    br = pw.bracket(Gbar, phi_xi, xi)
     for a in range(m):
-        if obar.value(br, hbasis[a]):
+        if pw.value(obar, br, hbasis[a]):
             failures.append(f"obar([phi(xi), xi], h{a + 1}) != 0")
             break
     return failures
@@ -387,11 +382,11 @@ ALL_KINDS = st.sampled_from(sorted(KINDS))
 @given(ALL_KINDS.flatmap(lambda kind: cases(kind, "vec", "vec")))
 def test_bracket_matches_the_seed_loop(case):
     L, x, y = case
-    assert same(bracket(L, x, y), seed_bracket(L, x, y))
+    assert same(bracket(L, x, y), pw.bracket(L, x, y))
     for i in range(L.dim):
         for j in range(L.dim):
             ei, ej = sc.basis_vec(L.dim, i), sc.basis_vec(L.dim, j)
-            assert same(bracket(L, ei, ej), L.bracket_basis(i, j))
+            assert same(bracket(L, ei, ej), pw.bracket_basis(L, i, j))
 
 
 @given(ALL_KINDS.flatmap(lambda kind: cases(kind)))

@@ -13,6 +13,8 @@ from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly, RatFn, det_poly, nullspace, poly_eval, ratfn
 
+import pairwise as pw
+
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
@@ -133,7 +135,9 @@ def old_twoform_eq(a, b):
     if a.dim != b.dim:
         return False
     keys = set(a.coeffs) | set(b.coeffs)
-    return all(old_scalars_equal(a.value_basis(i, j), b.value_basis(i, j)) for i, j in keys)
+    return all(
+        old_scalars_equal(pw.value_basis(a, i, j), pw.value_basis(b, i, j)) for i, j in keys
+    )
 
 
 def old_lie_eq(a, b):
@@ -141,7 +145,9 @@ def old_lie_eq(a, b):
     if a.dim != b.dim:
         return False
     keys = set(a.brackets) | set(b.brackets)
-    return all(old_vecs_equal(a.bracket_basis(i, j), b.bracket_basis(i, j)) for i, j in keys)
+    return all(
+        old_vecs_equal(pw.bracket_basis(a, i, j), pw.bracket_basis(b, i, j)) for i, j in keys
+    )
 
 
 VALUES = [F(0), F(1), F(-1, 2), X, X * Y - 1, RatFn(F(1), X + 1)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import coslie
@@ -459,20 +460,36 @@ def test_one_function_builds_the_differential_from_the_brackets():
     assert builders == [("lie_core.py", "_differential_rows")]
 
 
-PAIRWISE = {"bracket", "bracket_basis", "value"}
+PAIRWISE = {"bracket", "bracket_basis"}
+
+
+def functions(tree: ast.Module) -> dict:
+    """The top-level functions and class methods of a module by qualified
+    name: ``f`` and ``Class.method``."""
+    out = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            out[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            methods = [n for n in top.body if isinstance(n, ast.FunctionDef)]
+            out.update((f"{top.name}.{n.name}", n) for n in methods)
+    return out
 
 
 def pairwise_uses(tree: ast.Module, function: str, more: frozenset = frozenset()) -> list:
-    """Line numbers where the top-level function ``function`` uses
-    ``bracket`` (named directly or read off a module) or a ``bracket_basis``
-    or ``value`` method (``L.bracket_basis(i, j)``, ``omega.value(x, y)``),
-    or a method named in more: one bracket or one form value per basis pair."""
-    [top] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    """Line numbers where the function or method ``function`` (qualified as
+    in ``functions``) uses ``bracket`` (named directly or read off a module),
+    a ``bracket_basis`` method (``L.bracket_basis(i, j)``) or a method named
+    in more, or calls a ``value`` method (``omega.value(x, y)``; a ``value``
+    read without a call is the field of an ``ast`` node or an enum member):
+    one bracket or one form value per basis pair."""
+    top = functions(tree)[function]
     return sorted(
         node.lineno
         for node in ast.walk(top)
         if (isinstance(node, ast.Name) and node.id == "bracket")
         or (isinstance(node, ast.Attribute) and node.attr in PAIRWISE | more)
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "value")
     )
 
 
@@ -492,8 +509,11 @@ def test_the_scan_sees_every_pairwise_bracket_and_form_value():
         "def f(a):\n    return a.apply((1, 0))",
         "def f(L):\n    return L.brackets",
         "def f(L):\n    return bracket_rows(L)\ndef g(L, x):\n    return bracket(L, x, x)",
+        "def f(node):\n    return node.right.value",
     ):
         assert pairwise_uses(ast.parse(text), "f") == [], text
+    method = "class A:\n    def f(self, L, x):\n        return bracket(L, x, x)"
+    assert pairwise_uses(ast.parse(method), "A.f")
     # the extension scan also counts one vector or one pair at a time
     for text in (
         "def f(a, x):\n    return a.apply(x)",
@@ -513,15 +533,25 @@ EXTENSION_PAIRWISE = frozenset({"apply", "value_basis"})
 
 
 def test_extension_conditions_are_matrix_equations():
-    """Every function of ``extensions`` states its conditions as matrix
-    products over the adapted basis: none makes a bracket, a form value or
-    a map or form applied to one vector at a time."""
+    """Every function and method of ``extensions`` states its conditions as
+    matrix products over the adapted basis: none makes a bracket, a form
+    value or a map or form applied to one vector at a time."""
     [path] = [p for p in SOURCES if p.name == "extensions.py"]
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
-    assert {"_ist_components", "_closure_failures", "construct_A"} <= set(functions)
-    for function in functions:
+    names = functions(tree)
+    assert {"_ist_components", "_closure_failures", "construct_A"} <= set(names)
+    for function in names:
         assert pairwise_uses(tree, function, EXTENSION_PAIRWISE) == [], function
+
+
+def test_no_function_of_the_package_makes_a_bracket_per_pair():
+    """Every identity is a matrix equation on numerators, so no function or
+    method of any module makes a bracket or a form value per basis pair;
+    ``bracket`` itself is kept for library callers."""
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in functions(tree):
+            assert pairwise_uses(tree, function) == [], (path.name, function)
 
 
 def test_lie_identities_read_the_ad_numerators_whole():
@@ -532,6 +562,82 @@ def test_lie_identities_read_the_ad_numerators_whole():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for function in ("check_jacobi", "ad", "center", "derived_series", "check_isomorphism"):
         assert pairwise_uses(tree, function) == [], function
+
+
+def unreached(trees: dict, public: set, blind: frozenset = frozenset()) -> list:
+    """``module.f`` or ``module.Class.f`` for each top-level function and
+    class method of the modules in trees (stem -> ``ast.Module``) whose
+    name no code of trees reads outside the function's own body, as a name
+    or as an attribute of anything; a name in blind counts as never read.
+    Exempt are the functions named in public, the static and class methods
+    of the classes named in public, dunder methods and properties."""
+    reads = lambda node: Counter(
+        getattr(n, "id", getattr(n, "attr", None))
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+    everywhere = sum((reads(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in trees.items():
+        for qualified, f in functions(tree).items():
+            owner = qualified.rpartition(".")[0]
+            kinds = {getattr(d, "id", getattr(d, "attr", None)) for d in f.decorator_list}
+            exempt = (
+                (f.name.startswith("__") and f.name.endswith("__"))
+                or kinds & {"property", "cached_property"}
+                or (not owner and f.name in public)
+                or (owner in public and kinds & {"staticmethod", "classmethod"})
+            )
+            if not exempt and (f.name in blind or everywhere[f.name] == reads(f)[f.name]):
+                out.append(f"{module}.{qualified}")
+    return out
+
+
+def test_the_reach_scan_sees_every_unreached_function():
+    parse = lambda *texts: {f"m{k}": ast.parse(t) for k, t in enumerate(texts)}
+    for trees, public, found in (
+        (parse("def f():\n    return 1"), set(), ["m0.f"]),
+        (parse("def f(n):\n    return f(n - 1)"), set(), ["m0.f"]),
+        (parse("class A:\n    def m(self):\n        return 1"), {"A"}, ["m0.A.m"]),
+        (
+            parse("class A:\n    @staticmethod\n    def make():\n        return A()"),
+            set(),
+            ["m0.A.make"],
+        ),
+        (parse("def f():\n    f = 1\n    return 2", "def g():\n    f = 3"), {"g"}, ["m0.f"]),
+    ):
+        assert unreached(trees, public) == found, found
+    blind = parse("class W:\n    def value(self):\n        return 1\ndef g(w):\n    return w.value")
+    assert unreached(blind, {"g"}, frozenset({"value"})) == ["m0.W.value"]
+    for trees, public in (
+        (parse("def f():\n    return 1\ndef g():\n    return f()"), {"g"}),
+        (parse("def f():\n    return 1", "from .m0 import f\ndef g():\n    return f()"), {"g"}),
+        (parse("class A:\n    def m(self):\n        return 1\ndef g(a):\n    return a.m"), {"g"}),
+        (parse("class A:\n    @classmethod\n    def make(cls):\n        return cls()"), {"A"}),
+        (
+            parse(
+                "class A:\n    def __post_init__(self):\n        pass\n"
+                "    @property\n    def n(self):\n        return 1\n"
+                "    @functools.cached_property\n    def rows(self):\n        return 2"
+            ),
+            set(),
+        ),
+    ):
+        assert unreached(trees, public) == [], trees
+
+
+# Names too common for a scan by name to see whether a method of that name
+# is read: ``TwoForm.value`` was one, and no function of the package bears one.
+BLIND = frozenset({"value"})
+
+
+def test_every_function_of_the_package_is_reached():
+    """Each top-level function and method is read by some other code of
+    the package or is published in ``coslie.__all__``: code that nothing
+    runs is deleted, not kept for the tests, which compute their reference
+    values in ``tests/pairwise.py``."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert unreached(trees, set(coslie.__all__), BLIND) == []
 
 
 SCALAR_BUILDERS = {"Fraction", "as_scalar"}
