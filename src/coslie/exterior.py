@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import scalars as sc
 from .errors import DimensionMismatch, EvenDimension, ParametricUnsupported
-from .lie_core import LieAlgebra, LinearMap, differential, zero_based
+from .lie_core import LieAlgebra, LinearMap, differential, zero_based, zero_based_pair
 from .scalars import Scalar, Vector
 
 
@@ -93,7 +93,8 @@ class TwoForm:
     @staticmethod
     def from_dict(dim: int, comps: Mapping) -> "TwoForm":
         """1-based constructor: {(i, j): coeff}, i < j."""
-        return TwoForm(dim, {(i - 1, j - 1): c for (i, j), c in comps.items()})
+        pairs = {zero_based_pair(dim, i, j, "two-form index"): c for (i, j), c in comps.items()}
+        return TwoForm(dim, pairs)
 
     def contract(self, x: Vector) -> OneForm:
         """Inner product i_x omega as a one-form: the row x^T W of omega's

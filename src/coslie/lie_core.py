@@ -39,6 +39,15 @@ def zero_based(dim: int, k: int, what: str) -> int:
     return k - 1
 
 
+def zero_based_pair(dim: int, i: int, j: int, what: str) -> tuple:
+    """The 0-based pair of the 1-based pair (i, j) of a human-facing
+    constructor: a DimensionMismatch naming it unless 1 <= i < j <= dim."""
+    pair = (zero_based(dim, i, what), zero_based(dim, j, what))
+    if i >= j:
+        raise DimensionMismatch(f"{what} pair {(i, j)} is not increasing")
+    return pair
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     dim: int
@@ -67,8 +76,7 @@ class LieAlgebra:
             v = [sc.ZERO] * dim
             for k, coeff in comps.items():
                 v[zero_based(dim, k, "bracket component")] += sc.as_scalar(coeff)
-            pair = (zero_based(dim, i, "bracket index"), zero_based(dim, j, "bracket index"))
-            brackets[pair] = tuple(v)
+            brackets[zero_based_pair(dim, i, j, "bracket index")] = tuple(v)
         return LieAlgebra(dim, brackets)
 
     @staticmethod
@@ -123,6 +131,8 @@ class LinearMap:
 
     @staticmethod
     def from_columns(columns: Sequence[Vector]) -> "LinearMap":
+        if not columns:
+            raise DimensionMismatch("a map needs at least one column")
         target = len(columns[0])
         for c, col in enumerate(columns):
             if len(col) != target:
@@ -322,9 +332,12 @@ def check_isomorphism(
 ) -> IsoReport:
     """True iff M is invertible, M[x,y]_1 = [Mx, My]_2, and pullbacks match.
 
-    Forms follow the convention M*(alpha2) = alpha1, M*(omega2) = omega1.
+    Forms follow the convention M*(alpha2) = alpha1, M*(omega2) = omega1;
+    every form given must have the algebras' dimension.
     """
-    if L1.dim != L2.dim or M.source_dim != L1.dim or M.target_dim != L2.dim:
+    forms = (alpha1, alpha2, omega1, omega2)
+    dims = {L2.dim, M.source_dim, M.target_dim, *(f.dim for f in forms if f is not None)}
+    if dims != {L1.dim}:
         raise DimensionMismatch("isomorphism check needs equal dimensions")
     invertible = bool(sc.det_poly([list(r) for r in M.matrix]))
     n = L1.dim

@@ -217,6 +217,11 @@ def test_a_failing_isomorphism_names_each_failure(g31, g21):
         (lambda: LsaTable.from_dict(2, {(1, 3): {}}), "product index 3 "),
         (lambda: LinearMap.from_columns([(1, 2), (1, 2, 3)]), "column 2 has 3 entries"),
         (lambda: LinearMap.from_columns([(1, 2, 3), (1, 2)]), "column 2 has 2 entries"),
+        (lambda: LinearMap.from_columns([]), "at least one column"),
+        (lambda: LieAlgebra.from_table(3, {(2, 1): {3: 1}}), r"bracket index pair \(2, 1\) "),
+        (lambda: TwoForm.from_dict(3, {(0, 1): 1}), "two-form index 0 "),
+        (lambda: TwoForm.from_dict(3, {(1, 4): 1}), "two-form index 4 "),
+        (lambda: TwoForm.from_dict(3, {(3, 2): 1}), r"two-form index pair \(3, 2\) "),
     ],
 )
 def test_one_based_constructors_name_an_index_out_of_range(build, named):
@@ -224,3 +229,20 @@ def test_one_based_constructors_name_an_index_out_of_range(build, named):
     # a bare IndexError, nor a column of another length lose or miss entries
     with pytest.raises(DimensionMismatch, match=named):
         build()
+
+
+E12_3, E12_2 = TwoForm.from_dict(3, {(1, 2): 1}), TwoForm.from_dict(2, {(1, 2): 1})
+E1_3, E1_2 = OneForm.dual(3, 1), OneForm.dual(2, 1)
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [(None, None, E12_3, E12_2), (None, None, E12_2, E12_3), (E1_2, E1_3), (E1_3, E1_2)],
+    ids=["omega2", "omega1", "alpha1", "alpha2"],
+)
+def test_check_isomorphism_refuses_forms_of_another_dimension(forms):
+    # a form of dimension 2 against [e1, e2] = e1 in dimension 3: the omega
+    # pullback must not truncate it, nor the alpha pullback call it a mismatch
+    L = LieAlgebra.from_table(3, {(1, 2): {1: 1}})
+    with pytest.raises(DimensionMismatch, match="equal dimensions"):
+        check_isomorphism(L, L, LinearMap.identity(3), *forms)
