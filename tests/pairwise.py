@@ -11,12 +11,9 @@ no code with what it checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from coslie import scalars as sc
-from coslie.errors import DimensionMismatch
 
-ZERO = Fraction(0)
+ZERO = sc.ZERO
 
 
 def vec_add(x, y) -> tuple:
@@ -25,11 +22,6 @@ def vec_add(x, y) -> tuple:
 
 def _dot(x, y):
     return sum((a * b for a, b in zip(x, y)), start=ZERO)
-
-
-def _length(x, dim: int):
-    if len(x) != dim:
-        raise DimensionMismatch(f"vector of length {len(x)} against dimension {dim}")
 
 
 def bracket_basis(L, i: int, j: int) -> tuple:
@@ -57,13 +49,11 @@ def derived_dim(L) -> int:
 
 def image(M, x) -> tuple:
     """M x for a ``LinearMap`` M, row by row of its stored matrix."""
-    _length(x, M.source_dim)
     return tuple(_dot(row, x) for row in M.matrix)
 
 
 def evaluate(alpha, x):
     """alpha(x) for a ``OneForm`` alpha."""
-    _length(x, alpha.dim)
     return _dot(alpha.coeffs, x)
 
 
@@ -76,8 +66,6 @@ def value_basis(omega, i: int, j: int):
 
 def value(omega, x, y):
     """omega(x, y) = sum over the stored pairs i < j of c (x_i y_j - x_j y_i)."""
-    _length(x, omega.dim)
-    _length(y, omega.dim)
     total = ZERO
     for (i, j), c in omega.coeffs.items():
         total += c * (x[i] * y[j] - x[j] * y[i])
