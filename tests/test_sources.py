@@ -564,18 +564,23 @@ def test_lie_identities_read_the_ad_numerators_whole():
         assert pairwise_uses(tree, function) == [], function
 
 
-def unreached(trees: dict, public: set, blind: frozenset = frozenset()) -> list:
-    """``module.f`` or ``module.Class.f`` for each top-level function and
-    class method of the modules in trees (stem -> ``ast.Module``) whose
-    name no code of trees reads outside the function's own body, as a name
-    or as an attribute of anything; a name in blind counts as never read.
-    Exempt are the functions named in public, the static and class methods
-    of the classes named in public, dunder methods and properties."""
-    reads = lambda node: Counter(
+def reads(node: ast.AST) -> Counter:
+    """How often each name is read under node, as a name or as an
+    attribute of anything."""
+    return Counter(
         getattr(n, "id", getattr(n, "attr", None))
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
     )
+
+
+def unreached(trees: dict, public: set, blind: frozenset = frozenset()) -> list:
+    """``module.f`` or ``module.Class.f`` for each top-level function and
+    class method of the modules in trees (stem -> ``ast.Module``) whose
+    name no code of trees ``reads`` outside the function's own body; a name
+    in blind counts as never read.  Exempt are the functions named in
+    public, the static and class methods of the classes named in public,
+    dunder methods and properties."""
     everywhere = sum((reads(tree) for tree in trees.values()), Counter())
     out = []
     for module, tree in trees.items():
