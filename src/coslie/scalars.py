@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -653,6 +653,7 @@ def _ring_rows(m, rational: bool = False) -> tuple:
     occurs.  With rational, a row that is not rational is
     ParametricUnsupported, and each row is divided by the gcd of its
     numerators, which keeps the integers small and the row space as it is.
+    Rows of unequal length are DimensionMismatch.
     """
     rows, dens = [], []
     for row in m:
@@ -668,6 +669,8 @@ def _ring_rows(m, rational: bool = False) -> tuple:
             nums = [x // g for x in nums]
         rows.append(nums)
         dens.append(den)
+    if len(set(map(len, rows))) > 1:
+        raise DimensionMismatch("matrix rows of unequal length")
     return rows, dens, _int_step if all(type(d) is int for d in dens) else _ring_step
 
 
@@ -686,8 +689,10 @@ def _int_step(row, top, piv, f, prev) -> list:
 
 def _ring_step(row, top, piv, f, prev) -> list:
     """(piv * row - f * top) / prev on rows with Fraction or Poly entries,
-    entry by entry: zero products and quotients skipped, each quotient exact
-    by ``_exact_quot``."""
+    entry by entry: zero products and quotients skipped, no division while
+    prev = 1, and each quotient exact by ``_exact_quot``."""
+    if prev == 1:
+        return [(piv * x if x else 0) - (f * y if f and y else 0) for x, y in zip(row, top)]
     new = []
     for x, y in zip(row, top):
         v = (piv * x if x else 0) - (f * y if f and y else 0)
@@ -712,38 +717,73 @@ def _exact_quot(num, den):
     return num / den
 
 
+def _int_dot(a, b):
+    """sum of a[i] * b[i] over ints, in C."""
+    return sum(map(mul, a, b))
+
+
+def _ring_dot(a, b):
+    """sum of a[i] * b[i] over ring entries, zero factors skipped: a product
+    with a Poly factor costs a Poly product even when the other is zero."""
+    return sum(x * y for x, y in zip(a, b) if x and y)
+
+
 def _echelon(rows, step) -> tuple:
     """Fraction-free Gauss-Jordan elimination (Bareiss, 1968) of ring rows
-    (ints, Fractions or Polys) of any shape, with the row step that
+    (ints, Fractions or Polys) of one width, with the row step that
     ``_ring_rows`` gave them: (rows, pivots, last) with the nonzero echelon
     numerator rows, their pivot columns and the last pivot.
 
-    A column without a pivot is skipped, and the elimination stops once
-    every row has one.  Every quotient by the previous pivot is exact
-    (InexactDivision otherwise).  Every pivot entry ends equal to last, so
-    the reduced row echelon form is rows / last.
+    The order is left-looking (Crout, 1941): only the pivot rows are kept
+    reduced.  The columns are walked in order, and the entry of a row not
+    yet taken is computed when the walk reaches its column, once, as
+    last * a[c] - <a at the pivot columns, the pivot rows at column c>: by
+    Sylvester's identity an exact minor of the rows, so no division.  The
+    first row with a nonzero entry becomes the next pivot row.  It is
+    completed as last * a - sum of a[p] * (the pivot row of column p), by
+    steps that divide by 1, and then it steps the pivot rows taken before
+    it, each quotient by the previous pivot exact (InexactDivision
+    otherwise).  So a dependent row is never stepped, and a rank-r matrix
+    takes at most r(r - 1) steps, whatever its number of rows.  A column
+    without a pivot is skipped, and the walk stops once every row is a
+    pivot row.  Every pivot entry ends equal to last, so the reduced row
+    echelon form is rows / last.
     """
+    dot = _int_dot if step is _int_step else _ring_dot
     ncols = len(rows[0]) if rows else 0
+    # each row not taken yet, with its entries at the pivot columns so far
+    rest = [(row, []) for row in rows if any(row)]
+    done: list = []
+    cols = [()] * ncols  # cols[c]: the pivot rows' entries in column c
     pivots: list = []
-    prev = 1
+    last = 1
     for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
+        col = cols[c]
+        for i, (a, head) in enumerate(rest):
+            x = a[c]
+            if piv := (last * x if x else 0) - dot(head, col):
+                break
+        else:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        piv = top[c]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i == r or (not f and piv == prev):
-                continue
-            rows[i] = step(rows[i], top, piv, f, prev)
-        prev = piv
+        del rest[i]
+        top, scale = a, last
+        for h, row in zip(head, done):
+            if h:
+                top, scale = step(top, row, scale, h, 1), 1
+        if scale != 1:
+            top = step(top, top, scale, 0, 1)
+        done = [
+            step(row, top, piv, f, last) if (f := row[c]) or piv != last else row for row in done
+        ]
+        done.append(top)
         pivots.append(c)
-    return rows[: len(pivots)], pivots, prev
+        last = piv
+        if not rest:
+            break
+        for a, head in rest:
+            head.append(a[c])
+        cols = list(zip(*done))
+    return done, pivots, last
 
 
 def solve_fraction_free(a, bs) -> tuple:
@@ -752,12 +792,15 @@ def solve_fraction_free(a, bs) -> tuple:
 
     Each row is first scaled to ring elements (``_ring_rows``).  den is the
     last pivot, det(a) up to a nonzero rational factor.  Raises
-    SingularSystem when a is singular, TypeError on RatFn entries and
-    InexactDivision on an inexact quotient.
+    SingularSystem when a is singular, DimensionMismatch on a b_k of
+    another length than a, TypeError on RatFn entries and InexactDivision
+    on an inexact quotient.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("solve of a non-square system")
+    if any(len(b) != n for b in bs):
+        raise DimensionMismatch("right-hand side length != number of equations")
     rows, _, step = _ring_rows(list(a[i]) + [b[i] for b in bs] for i in range(n))
     rows, pivots, den = _echelon(rows, step)
     if pivots[:n] != list(range(n)):
@@ -781,12 +824,16 @@ def common_denominator(values) -> tuple:
     over 1, rational values as ints over the lcm of their denominators,
     Polys over the product of the distinct RatFn denominators otherwise;
     when no value is a RatFn, each value is its own numerator over ONE."""
-    if all(type(v) is int for v in values):
+    kinds = set(map(type, values))
+    if kinds <= {int}:
         return list(values), 1
-    values = [as_scalar(v) for v in values]
-    if all(isinstance(v, Fraction) for v in values):
-        den = lcm(*(v.denominator for v in values))
+    if all(issubclass(k, (int, Fraction)) for k in kinds):
+        # an int is its own numerator over 1; most values share a denominator
+        den = lcm(*{v.denominator for v in values})
+        if den == 1:
+            return [v.numerator for v in values], 1
         return [v.numerator * (den // v.denominator) for v in values], den
+    values = [as_scalar(v) for v in values]
     dens: list = []
     for v in values:
         if isinstance(v, RatFn) and v.den not in dens:

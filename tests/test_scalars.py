@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import lcm
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coslie import scalars as sc
-from coslie.errors import InexactDivision, MissingVariable, ParametricUnsupported, SingularSystem
+from coslie.errors import (
+    DimensionMismatch,
+    InexactDivision,
+    MissingVariable,
+    ParametricUnsupported,
+    SingularSystem,
+)
 from coslie.exterior import OneForm, TwoForm
 from coslie.lie_core import LieAlgebra
 from coslie.scalars import Poly, RatFn, det_poly, nullspace, poly_eval, ratfn
@@ -311,8 +318,25 @@ def rational_matrices(draw):
     return rows
 
 
-@given(rational_matrices())
-def test_rref_rank_and_nullspace_match_the_fraction_elimination(m):
+@st.composite
+def low_rank_int_matrices(draw):
+    """Tall int matrices of rank at most 5: an m x k times a k x n product,
+    k <= 5, with zero rows and repeated rows put in, up to 40 rows: the
+    shape of the cocycle systems, whose dependent rows the elimination must
+    never step."""
+    ncols, k = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    small = st.integers(-4, 4)
+    left = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=1, max_size=30))
+    right = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    rows = sc.mat_mul(left, right)
+    for _ in range(draw(st.integers(0, 5))):  # repeated rows
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 5))):  # zero rows
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows
+
+
+def check_against_fraction_elimination(m):
     rows, pivots = fraction_rref(m)
     assert sc.rref(m) == (rows, pivots)
     assert sc.rank(m) == len(pivots)
@@ -329,6 +353,88 @@ def test_rref_rank_and_nullspace_match_the_fraction_elimination(m):
             nullspace(m)
     else:
         assert nullspace(m) == want
+
+
+@given(rational_matrices())
+def test_rref_rank_and_nullspace_match_the_fraction_elimination(m):
+    check_against_fraction_elimination(m)
+
+
+@given(low_rank_int_matrices())
+def test_tall_low_rank_int_matrices_match_the_fraction_elimination(m):
+    check_against_fraction_elimination(m)
+    # the numerator rows over last, whatever last is, are those of the
+    # former right-looking loop over its own last pivot
+    rows, _, step = sc._ring_rows(m, rational=True)
+    seed_rows, seed_pivots, seed_last = seed_echelon([row[:] for row in rows], step)
+    got, pivots, last = sc._echelon(rows, step)
+    assert pivots == seed_pivots
+    assert [sc.quotients(row, last) for row in got] == [
+        sc.quotients(row, seed_last) for row in seed_rows
+    ]
+
+
+def seed_echelon(rows, step):
+    """The former ``_echelon``: right-looking fraction-free Gauss-Jordan,
+    which steps every row, dependent or not, at every pivot; kept as the
+    reference for the left-looking loop."""
+    ncols = len(rows[0]) if rows else 0
+    pivots: list = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        piv = top[c]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i == r or (not f and piv == prev):
+                continue
+            rows[i] = step(rows[i], top, piv, f, prev)
+        prev = piv
+        pivots.append(c)
+    return rows[: len(pivots)], pivots, prev
+
+
+def test_dependent_rows_are_never_stepped(monkeypatch):
+    # rank 4 with 40 rows, every entry of both factors nonzero: the first
+    # four rows are the pivot rows, and the elimination steps only them,
+    # r(r - 1) / 2 times to complete each from its original entries and
+    # r(r - 1) / 2 times when a later pivot row reduces the earlier ones;
+    # the right-looking loop stepped every other row at every pivot
+    rng = random.Random(7)
+    r, m, n = 4, 40, 9
+    pick = lambda: rng.choice([-3, -2, -1, 1, 2, 3])  # noqa: E731
+    left = [[pick() for _ in range(r)] for _ in range(m)]
+    right = [[pick() for _ in range(n)] for _ in range(r)]
+    rows = sc.mat_mul(left, right)
+    assert sc.rank(rows) == r
+    stepped = []
+
+    def counting_step(row, top, piv, f, prev):
+        stepped.append(row)
+        return int_step(row, top, piv, f, prev)
+
+    int_step = sc._int_step
+    monkeypatch.setattr(sc, "_int_step", counting_step)
+    work = [row[:] for row in rows]
+    got, pivots, last = sc._echelon(work, counting_step)
+    assert len(pivots) == r
+    assert len(stepped) == r * (r - 1)
+    # of the rows given, only the pivot rows are stepped, each once: every
+    # other step is of a row that a step made
+    given = [i for row in stepped for i, w in enumerate(work) if row is w]
+    assert sorted(given) == list(range(r))
+    want, want_pivots = fraction_rref(rows)
+    assert (pivots, [sc.quotients(row, last) for row in got]) == (
+        want_pivots,
+        [tuple(row) for row in want],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +791,44 @@ def test_solve_linear_matches_cramer_on_mixed_5x5():
     assert got == want
 
 
+@given(mixed_det_matrices(), st.lists(st.lists(rationals, min_size=4, max_size=4), max_size=2))
+def test_solve_on_polynomial_rows_matches_the_right_looking_loop(case, rhs):
+    # the left-looking loop may end on another last pivot than the former
+    # one, so the solutions are compared as quotients
+    a, _ = case
+    n = len(a)
+    bs = [[x * Poly.var("x") if i % 2 else x for i, x in enumerate(b[:n])] for b in rhs]
+    rows, _, step = sc._ring_rows(list(a[i]) + [b[i] for b in bs] for i in range(n))
+    seed_rows, pivots, seed_den = seed_echelon(rows, step)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(SingularSystem):
+            sc.solve_fraction_free(a, bs)
+        return
+    nums, den = sc.solve_fraction_free(a, bs)
+    assert [sc.quotients(x, den) for x in nums] == [
+        sc.quotients([row[n + k] for row in seed_rows], seed_den) for k in range(len(bs))
+    ]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[1, 2], [1, 2, 3]], [[1, 2, 3], [1, 2]], [[F(1, 2), 0, 1], [1, 1]], [[1], [1, 0]]],
+    ids=["longer-last", "shorter-last", "fractions", "one-column"],
+)
+@pytest.mark.parametrize("function", [sc.rref, sc.rank, nullspace], ids=lambda f: f.__name__)
+def test_rows_of_unequal_length_are_a_dimension_mismatch(function, m):
+    # a narrower row is no zero-padded row: the elimination must not read
+    # the matrix as narrower (or index past a row's end)
+    with pytest.raises(DimensionMismatch, match="unequal length"):
+        function(m)
+
+
+@pytest.mark.parametrize("bs", [[[1, 2, 3]], [[1]], [[1, 2], [1, 2, 3]]], ids=["long", "short", "second"])
+def test_right_hand_sides_of_another_length_are_a_dimension_mismatch(bs):
+    with pytest.raises(DimensionMismatch):
+        sc.solve_linear([[1, 0], [0, 1]], bs)
+
+
 def test_exact_quotient_refuses_inexact_int_division():
     assert sc._exact_quot(84, 3) == 28
     with pytest.raises(InexactDivision):
@@ -792,6 +936,16 @@ def test_common_denominator_without_quotients_keeps_the_values(values):
     assert den == want_den
     assert [(x, str(x)) for x in nums] == [(x, str(x)) for x in want]
     assert sc.quotients(nums, den) == sc.quotients(want, want_den)
+
+
+@given(st.lists(st.one_of(st.integers(-9, 9), rationals), max_size=8))
+def test_common_denominator_of_ints_and_fractions_matches_the_seed(values):
+    # one type pass and the lcm over the distinct denominators give the
+    # same int numerators over the same int denominator
+    nums, den = sc.common_denominator(values)
+    want, want_den = seed_common_denominator(values)
+    assert (den, type(den)) == (want_den, int)
+    assert [(x, type(x)) for x in nums] == [(x, int) for x in want]
 
 
 square_systems = st.integers(1, 4).flatmap(
