@@ -28,7 +28,16 @@ from .errors import (
     SingularPhi,
     SingularSystem,
 )
-from .exterior import OneForm, TwoForm, cocycle_spaces, d1, d2, form_twist, is_2cocycle, volume_coeff
+from .exterior import (
+    OneForm,
+    TwoForm,
+    closed_numerators,
+    d1,
+    d2,
+    form_twist,
+    is_2cocycle,
+    volume_coeff,
+)
 from .lie_core import LieAlgebra, LinearMap, is_derivation, zero_based
 from .scalars import Scalar, Vector
 
@@ -180,13 +189,16 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
 
     Over the cocycle spaces, alpha = sum s_i z1_i and omega = sum t_j z2_j;
     a structure exists iff vol = alpha ^ omega^n (equivalently det Phi =
-    (vol/n!)^2) is not the zero polynomial in s, t.  The decision runs in
+    (vol/n!)^2) is not the zero polynomial in s, t.  The bases are the int
+    rows of ``closed_numerators``, over one denominator per space, and the
+    forms are built as Scalars only for the witness.  The decision runs in
     three stages:
 
     1. an exact "no" certificate (``_phi_kernel_certificate``) that needs
        no determinant;
     2. four deterministic rational points, each deciding "yes" by a
-       nonzero rational determinant;
+       nonzero determinant of Phi, taken on int numerators
+       (``_phi_numerators``);
     3. the volume polynomials V_i(t) = vol(z1_i, sum t_j z2_j).  vol is
        linear in s, so it vanishes identically iff every V_i does ("no").
        Otherwise s_i = 1, the other s are 0, and the first nonzero V_i,
@@ -197,29 +209,41 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
     """
     if L.dim % 2 == 0:
         raise EvenDimension("existence question needs odd dimension")
-    z1, z2 = cocycle_spaces(L)
-    if _phi_kernel_certificate(L.dim, z1, z2):
+    dim = L.dim
+    _, z1, p = closed_numerators(L, 1)
+    pairs, z2, q = closed_numerators(L, 2)
+    if _phi_kernel_certificate(pairs, z1, p, z2):
         return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
     svars = [f"s{i + 1}" for i in range(len(z1))]
     tvars = [f"t{j + 1}" for j in range(len(z2))]
 
-    def found(assignment) -> ExistenceResult:
-        alpha, omega = _span_forms(
-            L.dim, z1, z2, [assignment[v] for v in svars], [assignment[v] for v in tvars]
+    def at(assignment) -> tuple:
+        return (
+            _combination(z1, p, [assignment[v] for v in svars]),
+            _combination(z2, q, [assignment[v] for v in tvars]),
         )
+
+    def found(assignment, alpha, omega) -> ExistenceResult:
         return ExistenceResult(
-            True, None, len(z1), len(z2), alpha, omega, dict(sorted(assignment.items()))
+            True,
+            None,
+            len(z1),
+            len(z2),
+            OneForm(dim, sc.quotients(*alpha)),
+            TwoForm(dim, dict(zip(pairs, sc.quotients(*omega)))),
+            dict(sorted(assignment.items())),
         )
 
     for assignment in _staged_assignments(svars + tvars):
-        hit = found(assignment)
-        if sc.det_poly(phi_map(L, hit.alpha, hit.omega)):
-            return hit
+        alpha, omega = at(assignment)
+        if sc.det_poly(_phi_numerators(pairs, *alpha, *omega)):
+            return found(assignment, alpha, omega)
 
-    n = (L.dim - 1) // 2
-    _, generic = _span_forms(L.dim, [], z2, [], [sc.Poly.var(v) for v in tvars])
+    n = (dim - 1) // 2
+    w, e = _combination(z2, q, [sc.Poly.var(v) for v in tvars])
+    generic = TwoForm(dim, dict(zip(pairs, sc.quotients(w, e))))
     for i, z in enumerate(z1):
-        vol = volume_coeff(L, z, generic)
+        vol = volume_coeff(L, OneForm(dim, sc.quotients(z, p)), generic)
         if not vol:
             continue
         if sc.total_degree(vol) > n:
@@ -236,49 +260,67 @@ def exists_cosymplectic(L: LieAlgebra) -> ExistenceResult:
             else:
                 raise AssertionError(f"volume polynomial vanishes at {v} = 0..{n}")
             vol, assignment[v] = rest, Fraction(k)
-        return found(assignment)
+        return found(assignment, *at(assignment))
     return ExistenceResult(False, sc.ZERO, len(z1), len(z2))
 
 
-def _phi_kernel_certificate(dim: int, z1: list, z2: list) -> bool:
+def _phi_kernel_certificate(pairs: list, z1: list, den, z2: list) -> bool:
     """True when det(Phi) vanishes identically for a reason that needs no
     determinant: Z^1 = 0 (then Phi = omega is skew of odd order), or some
-    v != 0 has alpha(v) = 0 for every alpha in Z^1 and i_v omega = 0 for
-    every omega in Z^2, so Phi(v) = 0 at every parameter.  A certified
-    algebra has no witness point anywhere."""
+    v != 0 in ann Z^1 = [g, g] has i_v omega = 0 for every omega in Z^2, so
+    Phi(v) = 0 at every parameter.  A certified algebra has no witness
+    point anywhere.  z1 and z2 are the rows of ``closed_numerators``, z1's
+    over den.
+
+    With k_1..k_m a basis of ann Z^1, v = sum c_i k_i, so v exists iff the
+    m vectors (i_{k_i} omega for every omega in Z^2) are dependent: one
+    rank test on m rows, m = dim [g, g], not on dim columns.  The basis is
+    read off Z^1's echelon rows: the row z_f has den in its free slot f,
+    its last nonzero slot, and 0 in the other free slots, so v kills Z^1
+    iff den v_f = -sum_p z_f[p] v_p over the other slots p, whose values
+    are free: k_p has den in slot p and -z_f[p] in each free slot f."""
     if not z1:
         return True
-    rows = [list(a.coeffs) for a in z1]
-    if sc.rank(rows) == dim:
-        return False
-    # w's matrix as ring numerators, cleared over its nonzero coefficients
-    # alone: clearing all n^2 entries of TwoForm.matrix doubled this
-    # certificate's time on the dense "no" inputs of exists
-    for w in z2:
-        block = [[0] * dim for _ in range(dim)]
-        nums, _ = sc.common_denominator(list(w.coeffs.values()))
-        for (i, j), c in zip(w.coeffs, nums):
-            block[i][j], block[j][i] = c, -c
-        rows.extend(block)
-    # zero and repeated rows change neither the row space nor the kernel
-    return sc.rank(list(dict.fromkeys(tuple(row) for row in rows if any(row)))) < dim
+    free = {max(k for k, x in enumerate(z) if x): z for z in z1}
+    dim = len(z1[0])
+    kernel = [
+        [-free[k][p] if k in free else den if k == p else 0 for k in range(dim)]
+        for p in range(dim)
+        if p not in free
+    ]
+    rows = []
+    for v in kernel:
+        row = []
+        for w in z2:
+            iv = [0] * dim  # i_v omega: W[i][j] = x and W[j][i] = -x
+            for (i, j), x in zip(pairs, w):
+                if x:
+                    iv[i] += x * v[j]
+                    iv[j] -= x * v[i]
+            row += iv
+        rows.append(row)
+    return sc.rank(rows) < len(kernel)
 
 
-def _span_forms(dim: int, z1: list, z2: list, s: list, t: list) -> tuple:
-    """(sum s_i z1_i, sum t_j z2_j) for coefficient lists s and t, which
-    may be rationals (a witness point) or symbols (the generic forms)."""
-    alpha = OneForm(
-        dim,
-        tuple(
-            sum((si * a.coeffs[k] for si, a in zip(s, z1)), start=sc.ZERO)
-            for k in range(dim)
-        ),
-    )
-    wc: dict = {}
-    for tj, form in zip(t, z2):
-        for pair, c in form.coeffs.items():
-            wc[pair] = wc.get(pair, sc.ZERO) + tj * c
-    return alpha, TwoForm(dim, wc)
+def _combination(rows: list, den, values: list) -> tuple:
+    """(nums, d) with sum_i values[i] rows[i] / den = nums / d, for the int
+    rows of a cocycle basis over den: the one builder of alpha and omega,
+    at a rational point (int nums) or over symbols (Poly nums)."""
+    nums, d = sc.common_denominator(values)
+    return sc.mat_mul([nums], rows)[0], den * d
+
+
+def _phi_numerators(pairs: list, a: list, da, w: list, dw) -> list:
+    """``phi_map``'s W^T + alpha alpha^T for alpha = a / da and omega with
+    coefficients w / dw on pairs, times da^2 dw: an int matrix whose
+    determinant is det Phi times (da^2 dw)^dim, zero iff det Phi is."""
+    c = da * da
+    P = [[dw * x * y for x in a] for y in a]
+    for (i, j), x in zip(pairs, w):
+        if x:
+            P[j][i] += c * x
+            P[i][j] -= c * x
+    return P
 
 
 def _staged_assignments(variables):

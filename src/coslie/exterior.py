@@ -250,12 +250,15 @@ def volume_coeff(L: LieAlgebra, alpha: OneForm, omega: TwoForm) -> Scalar:
 # Cocycle spaces
 
 
-def _closed(L: LieAlgebra, k: int) -> tuple:
-    """(the increasing k-tuples in lexicographic order, an echelon basis of
-    the closed k-forms as coefficient vectors over them): the kernel of the
-    int numerator rows of ``differential``, which ``nullspace`` divides by
-    their gcds; one zero row stands for d = 0, whose kernel is every
-    k-form."""
+def closed_numerators(L: LieAlgebra, k: int) -> tuple:
+    """(cols, basis, den): the increasing k-tuples in lexicographic order,
+    and an echelon basis of the closed k-forms as int coefficient rows over
+    them, over the one denominator den: ``kernel_numerators`` of the int
+    numerator rows of ``differential``; one zero row stands for d = 0,
+    whose kernel is every k-form.  ParametricUnsupported on symbolic
+    structure constants."""
+    if L.is_parametric():
+        raise ParametricUnsupported("cocycle spaces need rational structure constants")
     cols = list(combinations(range(L.dim), k))
     index = {S: n for n, S in enumerate(cols)}
     rows = []
@@ -264,13 +267,16 @@ def _closed(L: LieAlgebra, k: int) -> tuple:
         for S, c in row.items():
             dense[index[S]] = c
         rows.append(dense)
-    return cols, sc.nullspace(rows or [[0] * len(cols)])
+    basis, den = sc.kernel_numerators(rows or [[0] * len(cols)])
+    return cols, basis, den
 
 
 def cocycle_spaces(L: LieAlgebra):
-    """(basis of Z^1 as OneForms, basis of Z^2 as TwoForms), echelon order."""
-    if L.is_parametric():
-        raise ParametricUnsupported("cocycle spaces need rational structure constants")
-    z1 = [OneForm(L.dim, v) for v in _closed(L, 1)[1]]
-    pairs, z2 = _closed(L, 2)
-    return z1, [TwoForm(L.dim, {S: c for S, c in zip(pairs, v) if c}) for v in z2]
+    """(basis of Z^1 as OneForms, basis of Z^2 as TwoForms), echelon order:
+    the quotients of ``closed_numerators``."""
+    _, z1, d = closed_numerators(L, 1)
+    pairs, z2, e = closed_numerators(L, 2)
+    return (
+        [OneForm(L.dim, sc.quotients(v, d)) for v in z1],
+        [TwoForm(L.dim, dict(zip(pairs, sc.quotients(v, e)))) for v in z2],
+    )

@@ -193,16 +193,16 @@ def _differential_rows(L: LieAlgebra, k: int) -> list:
     ad = L.ad_numerators[0]
     rows: dict = {}
     for i, j in L.brackets:
-        components = [(l, row[j]) for l, row in enumerate(ad[i]) if row[j]]
+        components = [(l, x, -x) for l, row in enumerate(ad[i]) if (x := row[j])]
         for rest in combinations([m for m in range(L.dim) if m != i and m != j], k - 1):
             T = tuple(sorted((i, j) + rest))
             sign = (T.index(i) + T.index(j)) % 2
             row = rows.setdefault(T, {})
-            for l, x in components:
+            for l, x, minus_x in components:
                 if l not in rest:
                     pos = bisect_left(rest, l)
                     S = rest[:pos] + (l,) + rest[pos:]
-                    row[S] = row.get(S, 0) + (-x if (sign + pos) % 2 else x)
+                    row[S] = row.get(S, 0) + (minus_x if (sign + pos) % 2 else x)
     rows = ((T, {S: c for S, c in row.items() if c}) for T, row in sorted(rows.items()))
     return [(T, row) for T, row in rows if row]
 

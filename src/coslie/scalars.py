@@ -518,30 +518,38 @@ def rank(m) -> int:
     return len(_echelon(rows, step)[1])
 
 
-def nullspace(m) -> list:
-    """Echelon-normalized basis of the kernel, deterministic ordering.
+def kernel_numerators(m) -> tuple:
+    """(basis, den): an echelon-normalized basis of the kernel as int
+    numerator rows over one denominator, the last pivot of ``_echelon``.
 
-    Basis vectors are indexed by free columns (ascending); each has a 1 in
-    its free slot and, in each pivot slot, minus the reduced row's entry in
-    the free column: the numerator over the last pivot of ``_echelon``.  A
-    matrix without rows has no known width, so it is a ValueError, not an
-    empty kernel.
+    Basis rows are indexed by free columns (ascending).  The row of free
+    column f has den in slot f, 0 in every other free slot and, in each
+    pivot slot p, minus the entry of p's echelon numerator row in column f;
+    that row is 0 before p, so f is the row's last nonzero slot.  A matrix
+    without rows has no known width, so it is a ValueError, not an empty
+    kernel.
     """
     if not m:
-        raise ValueError("nullspace of a matrix without rows: its width is unknown")
+        raise ValueError("kernel of a matrix without rows: its width is unknown")
     rows, _, step = _ring_rows(m, rational=True)
     rows, pivots, last = _echelon(rows, step)
     ncols = len(m[0])
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = last
         for row, p in zip(rows, pivots):
-            if x := row[f]:
-                v[p] = Fraction(-x, last)
-        basis.append(tuple(v))
-    return basis
+            v[p] = -row[f]
+        basis.append(v)
+    return basis, last
+
+
+def nullspace(m) -> list:
+    """Echelon-normalized basis of the kernel, deterministic ordering: the
+    quotients of ``kernel_numerators``, so each basis vector has a 1 in its
+    free slot."""
+    basis, den = kernel_numerators(m)
+    return [quotients(v, den) for v in basis]
 
 
 def mat_mul(a, b) -> list:
@@ -738,8 +746,9 @@ def _echelon(rows, step) -> tuple:
     reduced.  The columns are walked in order, and the entry of a row not
     yet taken is computed when the walk reaches its column, once, as
     last * a[c] - <a at the pivot columns, the pivot rows at column c>: by
-    Sylvester's identity an exact minor of the rows, so no division.  The
-    first row with a nonzero entry becomes the next pivot row.  It is
+    Sylvester's identity an exact minor of the rows, so no division; where
+    every pivot row is 0 in column c that product is 0 and is not taken.
+    The first row with a nonzero entry becomes the next pivot row.  It is
     completed as last * a - sum of a[p] * (the pivot row of column p), by
     steps that divide by 1, and then it steps the pivot rows taken before
     it, each quotient by the previous pivot exact (InexactDivision
@@ -753,15 +762,18 @@ def _echelon(rows, step) -> tuple:
     ncols = len(rows[0]) if rows else 0
     # each row not taken yet, with its entries at the pivot columns so far
     rest = [(row, []) for row in rows if any(row)]
+    if not rest:  # a zero matrix: no column has a pivot
+        return [], [], 1
     done: list = []
     cols = [()] * ncols  # cols[c]: the pivot rows' entries in column c
     pivots: list = []
     last = 1
     for c in range(ncols):
         col = cols[c]
+        reached = any(col)
         for i, (a, head) in enumerate(rest):
             x = a[c]
-            if piv := (last * x if x else 0) - dot(head, col):
+            if piv := (last * x if x else 0) - (dot(head, col) if reached else 0):
                 break
         else:
             continue
@@ -815,8 +827,9 @@ def _quotient(num, den) -> Scalar:
 
 
 def quotients(nums, den) -> Vector:
-    """The Scalars nums[i] / den of ring numerators over one denominator."""
-    return tuple(_quotient(x, den) for x in nums)
+    """The Scalars nums[i] / den of ring numerators over one denominator;
+    a zero numerator is ZERO without a division."""
+    return tuple(_quotient(x, den) if x else ZERO for x in nums)
 
 
 def common_denominator(values) -> tuple:

@@ -38,7 +38,14 @@ from coslie.errors import (
     NotIst,
     SingularPhi,
 )
-from coslie.exterior import OneForm, TwoForm, cocycle_spaces, is_2cocycle
+from coslie.exterior import (
+    OneForm,
+    TwoForm,
+    closed_numerators,
+    cocycle_spaces,
+    is_2cocycle,
+    volume_coeff,
+)
 from coslie.lie_core import LieAlgebra, LinearMap, check_isomorphism
 from coslie.scalars import Poly, ratfn
 
@@ -175,13 +182,18 @@ def test_exists_scales_to_large_cocycle_spaces():
 
 
 def generic_forms(L):
-    """The variables s_i, t_j and the generic (alpha, omega) over Z^1 x Z^2."""
-    z1, z2 = cocycle_spaces(L)
+    """The variables s_i, t_j and the generic (alpha, omega) over Z^1 x Z^2,
+    built from the rows of ``closed_numerators`` by the decision's builder."""
+    _, z1, p = closed_numerators(L, 1)
+    pairs, z2, q = closed_numerators(L, 2)
     svars = [f"s{i + 1}" for i in range(len(z1))]
     tvars = [f"t{j + 1}" for j in range(len(z2))]
-    alpha, omega = cs._span_forms(
-        L.dim, z1, z2, [Poly.var(v) for v in svars], [Poly.var(v) for v in tvars]
-    )
+    a = cs._combination(z1, p, [Poly.var(v) for v in svars])
+    w = cs._combination(z2, q, [Poly.var(v) for v in tvars])
+    # the decision never sums over Z^1 = 0 (it is certified), but sl(2) is
+    # one of the generic determinants checked here
+    alpha = OneForm(L.dim, sc.quotients(*a)) if z1 else OneForm.zero(L.dim)
+    omega = TwoForm(L.dim, dict(zip(pairs, sc.quotients(*w))))
     return svars, tvars, alpha, omega
 
 
@@ -192,8 +204,9 @@ def generic_det(L):
 
 
 def certified(L) -> bool:
-    z1, z2 = cocycle_spaces(L)
-    return cs._phi_kernel_certificate(L.dim, z1, z2)
+    _, z1, p = closed_numerators(L, 1)
+    pairs, z2, _ = closed_numerators(L, 2)
+    return cs._phi_kernel_certificate(pairs, z1, p, z2)
 
 
 def scaled_by_identity(k):
@@ -237,6 +250,57 @@ def unpruned_certificate(dim, z1, z2) -> bool:
     return bool(sc.nullspace(rows))
 
 
+def seed_span_forms(dim, z1, z2, s, t) -> tuple:
+    """(sum s_i z1_i, sum t_j z2_j) by Fraction sums over the forms of
+    ``cocycle_spaces``: the builder the decision used before it read the
+    numerator rows."""
+    alpha = OneForm(
+        dim,
+        tuple(sum((si * a.coeffs[k] for si, a in zip(s, z1)), start=sc.ZERO) for k in range(dim)),
+    )
+    wc: dict = {}
+    for tj, form in zip(t, z2):
+        for pair, c in form.coeffs.items():
+            wc[pair] = wc.get(pair, sc.ZERO) + tj * c
+    return alpha, TwoForm(dim, wc)
+
+
+def seed_exists(L) -> cs.ExistenceResult:
+    """The decision on the Scalar forms of ``cocycle_spaces``: the unpruned
+    certificate, ``phi_map`` and ``det_poly`` at each staged point, then the
+    volume polynomials of the generic forms; the reference for the decision
+    on numerator rows."""
+    z1, z2 = cocycle_spaces(L)
+    if unpruned_certificate(L.dim, z1, z2):
+        return cs.ExistenceResult(False, sc.ZERO, len(z1), len(z2))
+    svars = [f"s{i + 1}" for i in range(len(z1))]
+    tvars = [f"t{j + 1}" for j in range(len(z2))]
+
+    def found(assignment):
+        s, t = [assignment[v] for v in svars], [assignment[v] for v in tvars]
+        alpha, omega = seed_span_forms(L.dim, z1, z2, s, t)
+        return cs.ExistenceResult(
+            True, None, len(z1), len(z2), alpha, omega, dict(sorted(assignment.items()))
+        )
+
+    for assignment in cs._staged_assignments(svars + tvars):
+        hit = found(assignment)
+        if sc.det_poly(phi_map(L, hit.alpha, hit.omega)):
+            return hit
+    n = (L.dim - 1) // 2
+    _, generic = seed_span_forms(L.dim, [], z2, [], [Poly.var(v) for v in tvars])
+    for i, z in enumerate(z1):
+        vol = volume_coeff(L, z, generic)
+        if not vol:
+            continue
+        assignment = {v: sc.ONE if v == svars[i] else sc.ZERO for v in svars}
+        for v in tvars:
+            k = next(k for k in range(n + 1) if sc.scalar_subs(vol, {v: F(k)}))
+            vol, assignment[v] = sc.scalar_subs(vol, {v: F(k)}), F(k)
+        return found(assignment)
+    return cs.ExistenceResult(False, sc.ZERO, len(z1), len(z2))
+
+
 def test_pruned_certificate_rows_keep_the_verdict():
     from test_cli import EXISTS_INPUTS
 
@@ -250,10 +314,15 @@ def test_pruned_certificate_rows_keep_the_verdict():
             if not L.is_parametric() and L.dim % 2:
                 algebras[name] = L
     algebras.update((name, parse_algebra(text).algebra) for name, text in EXISTS_INPUTS.items())
+    # under a dense basis Z^1's echelon rows have entries in the pivot
+    # slots, from which the certificate reads its basis of [g, g]
+    rng = random.Random(34)
+    for name, L in list(algebras.items()):
+        algebras[f"{name}, dense basis"] = rebased(L, unimodular(rng, L.dim, True))
     verdicts = set()
     for name, L in algebras.items():
         z1, z2 = cocycle_spaces(L)
-        got = cs._phi_kernel_certificate(L.dim, z1, z2)
+        got = certified(L)
         assert got == unpruned_certificate(L.dim, z1, z2), name
         verdicts.add(got)
     assert verdicts == {True, False}
@@ -263,15 +332,18 @@ def test_rational_witness_points_equal_substituted_generic_forms(g31):
     a51 = LieAlgebra.from_table(5, {(3, 5): {1: 1}, (4, 5): {2: 1}})
     for L in (g31, heisenberg(1), R3_1, LieAlgebra.abelian(5), a51):
         z1, z2 = cocycle_spaces(L)
+        _, r1, p = closed_numerators(L, 1)
+        pairs, r2, q = closed_numerators(L, 2)
         svars, tvars, alpha, omega = generic_forms(L)
         for n, point in enumerate(cs._staged_assignments(svars + tvars)):
             if n == 12:
                 break
-            a, w = cs._span_forms(
-                L.dim, z1, z2, [point[v] for v in svars], [point[v] for v in tvars]
-            )
-            assert a.coeffs == alpha.subs(point).coeffs
+            s, t = [point[v] for v in svars], [point[v] for v in tvars]
+            a = sc.quotients(*cs._combination(r1, p, s))
+            w = TwoForm(L.dim, dict(zip(pairs, sc.quotients(*cs._combination(r2, q, t)))))
+            assert a == alpha.subs(point).coeffs
             assert w.coeffs == omega.subs(point).coeffs
+            assert (OneForm(L.dim, a), w) == seed_span_forms(L.dim, z1, z2, s, t)
 
 
 def family_algebras():
@@ -303,6 +375,55 @@ def test_volume_route_refuses_a_polynomial_above_the_degree_bound(g31, monkeypat
     monkeypatch.setattr(cs, "volume_coeff", lambda L, alpha, omega: Poly.var("t1") ** 2)
     with pytest.raises(AssertionError, match="degree"):
         exists_cosymplectic(g31)
+
+
+def unimodular(rng, n, dense):
+    """A change of basis of determinant +-1: a signed permutation, or
+    dense, L U Q D with unit triangular L and U of entries -1, 0, 1."""
+    entries = [rng.choice([-1, 0, 1]) if dense else 0 for _ in range(n * n)]
+    perm = rng.sample(range(n), n)
+    return dense_change(n, entries, perm, [F(rng.choice([-1, 1])) for _ in range(n)])
+
+
+def plus_abelian(L, k):
+    """L + R^k, the k new basis vectors central."""
+    zeros = (sc.ZERO,) * k
+    return LieAlgebra(L.dim + k, {ij: tuple(v) + zeros for ij, v in L.brackets.items()})
+
+
+def test_the_decision_on_numerator_rows_equals_the_seed(sl2, g31, monkeypatch):
+    from test_cli import EXISTS_INPUTS
+
+    from coslie.algfile import parse_algebra
+
+    rng = random.Random(34)
+    algebras = [
+        rebased(heisenberg(n), unimodular(rng, 2 * n + 1, dense))
+        for n in range(1, 6)
+        for dense in (False, True)
+    ]
+    for name in list_entries():
+        entry = get_entry(name)
+        if entry.kind == "family" and entry.dim == 5:
+            L = entry.algebra(entry.struct_params or None)
+            if not L.is_parametric():
+                for k in (2, 4):
+                    algebras.append(rebased(plus_abelian(L, k), unimodular(rng, 5 + k, True)))
+    algebras += [LieAlgebra.abelian(d) for d in range(1, 14, 2)]
+    algebras += [scaled_by_identity(k) for k in (1, 2, 3)] + [sl2]
+    algebras += [parse_algebra(text).algebra for text in EXISTS_INPUTS.values()]
+    answers = set()
+    for L in algebras:
+        res = exists_cosymplectic(L)
+        # every field: exists, det, z1_dim, z2_dim, alpha, omega and witness
+        assert res == seed_exists(L), L
+        answers.add(res.exists)
+    assert answers == {True, False}
+    # the witnesses of the volume route, with the staged points skipped
+    monkeypatch.setattr(cs, "_staged_assignments", lambda variables: iter(()))
+    for name, L in [("g31", g31)] + family_algebras():
+        res = exists_cosymplectic(L)
+        assert res.exists and res == seed_exists(L), name
 
 
 # ---------------------------------------------------------------------------
@@ -914,21 +1035,30 @@ def inverse(M):
     return [[cols[k][i] for k in range(n)] for i in range(n)]
 
 
+def rebased(L, M):
+    """L read in the basis f_i = M e_i (the columns of M)."""
+    n = L.dim
+    Minv = inverse(M)
+    cols = [tuple(M[k][i] for k in range(n)) for i in range(n)]
+    return LieAlgebra(
+        n,
+        {
+            (i, j): sc.mat_vec(Minv, pw.bracket(L, cols[i], cols[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        },
+    )
+
+
 def change_basis(S, M):
     """The structure of S read in the basis f_i = M e_i (the columns of M)."""
     n = S.dim
-    Minv = inverse(M)
     cols = [tuple(M[k][i] for k in range(n)) for i in range(n)]
-    brackets = {
-        (i, j): sc.mat_vec(Minv, pw.bracket(S.algebra, cols[i], cols[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
     alpha = OneForm(n, tuple(pw.evaluate(S.alpha, c) for c in cols))
     omega = TwoForm(
         n, {(i, j): pw.value(S.omega, cols[i], cols[j]) for i in range(n) for j in range(i + 1, n)}
     )
-    return make(LieAlgebra(n, brackets), alpha, omega)
+    return make(rebased(S.algebra, M), alpha, omega)
 
 
 def dense_change(n, entries, perm, scale):

@@ -437,6 +437,43 @@ def test_dependent_rows_are_never_stepped(monkeypatch):
     )
 
 
+def test_columns_that_no_pivot_row_reaches_take_no_dot_product(monkeypatch):
+    # the degree-2 rows of H_11: in every column the walk reaches, each
+    # pivot row taken so far is 0, so each waiting row's entry is last * a[c]
+    # and no dot product is taken; the loop before this took 1719
+    from coslie.catalog import heisenberg
+    from coslie.lie_core import differential
+
+    L = heisenberg(5)
+    pairs = list(combinations(range(L.dim), 2))
+    m = [[row.get(S, 0) for S in pairs] for _, row in differential(L, 2)]
+    assert (len(m), len(pairs)) == (40, 55)
+    dots = []
+
+    def counting_dot(a, b):
+        dots.append(len(a))
+        return int_dot(a, b)
+
+    int_dot = sc._int_dot
+    monkeypatch.setattr(sc, "_int_dot", counting_dot)
+    rows, _, step = sc._ring_rows(m, rational=True)
+    got, pivots, last = sc._echelon(rows, step)
+    assert dots == []
+    want, want_pivots = fraction_rref(m)
+    assert (pivots, [sc.quotients(row, last) for row in got]) == (
+        want_pivots,
+        [tuple(row) for row in want],
+    )
+
+
+@given(low_rank_int_matrices())
+def test_nullspace_is_the_quotients_of_the_kernel_numerators(m):
+    basis, den = sc.kernel_numerators(m)
+    assert nullspace(m) == [sc.quotients(v, den) for v in basis]
+    assert all(type(x) is int for v in basis for x in v)
+    assert all(not sum(x * y for x, y in zip(v, row)) for v in basis for row in m)
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -453,17 +490,13 @@ def test_det_symbolic_2x2():
 def test_det_heisenberg5_generic_phi_is_zero_polynomial():
     # Bareiss on the generic Phi over Z^1 x Z^2; exists_cosymplectic itself
     # answers H5 by the common-kernel certificate without this determinant
+    from test_cosymplectic import generic_forms
+
     from coslie.catalog import heisenberg
-    from coslie.cosymplectic import _span_forms, phi_map
-    from coslie.exterior import cocycle_spaces
+    from coslie.cosymplectic import phi_map
 
     L = heisenberg(2)
-    z1, z2 = cocycle_spaces(L)
-    alpha, omega = _span_forms(
-        L.dim, z1, z2,
-        [Poly.var(f"s{i + 1}") for i in range(len(z1))],
-        [Poly.var(f"t{j + 1}") for j in range(len(z2))],
-    )
+    _, _, alpha, omega = generic_forms(L)
     assert any(isinstance(x, Poly) and x.variables for x in alpha.coeffs)
     assert not det_poly(phi_map(L, alpha, omega))
 

@@ -645,6 +645,63 @@ def test_every_function_of_the_package_is_reached():
     assert unreached(trees, set(coslie.__all__), BLIND) == []
 
 
+SCALAR_FORM_BUILDERS = {"cocycle_spaces", "phi_map"}
+
+
+def scalar_form_builds(tree: ast.Module, root: str) -> list:
+    """(function, name) for each call of ``cocycle_spaces`` or ``phi_map``
+    (named directly or through a module) and each ``.matrix()`` call (a
+    form's skew matrix; ``LinearMap.matrix`` is a field, read without a
+    call) in the top-level function root or in a top-level function of the
+    module that root names, directly or through others."""
+    tops = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo, found = set(), [root], []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(tops[name]):
+            if isinstance(node, ast.Name) and node.id in tops:
+                todo.append(node.id)
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in SCALAR_FORM_BUILDERS or called == "matrix":
+                    found.append((name, called))
+    return sorted(found)
+
+
+def test_the_scan_sees_every_scalar_form_build_of_a_function_and_its_helpers():
+    for text in (
+        "def exists(L):\n    return cocycle_spaces(L)",
+        "def exists(L):\n    return _forms(L)\n"
+        "def _forms(L):\n    return exterior.cocycle_spaces(L)",
+        "def exists(L, a, w):\n    return det_poly(phi_map(L, a, w))",
+        "def exists(w):\n    return _a(w)\n"
+        "def _a(w):\n    return _b(w)\n"
+        "def _b(w):\n    return w.matrix()",
+        "def exists(L):\n    return list(map(_h, [L]))\ndef _h(L):\n    return sc.phi_map(L, 0, 0)",
+    ):
+        assert scalar_form_builds(ast.parse(text), "exists"), text
+    for text in (
+        "def exists(L):\n    return closed_numerators(L, 1)\n"
+        "def reeb(L, a, w):\n    return phi_map(L, a, w)",
+        "def exists(D):\n    return D.matrix",
+        "def exists(L):\n    return 'cocycle_spaces'",
+    ):
+        assert scalar_form_builds(ast.parse(text), "exists") == [], text
+
+
+def test_the_existence_decision_builds_no_scalar_forms():
+    """``exists_cosymplectic`` decides on the int rows of
+    ``closed_numerators``: neither it nor a helper of it builds the Scalar
+    cocycle forms (``cocycle_spaces``), the matrix of Phi (``phi_map``) or a
+    form's skew matrix (``TwoForm.matrix``)."""
+    [path] = [p for p in SOURCES if p.name == "cosymplectic.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert scalar_form_builds(tree, "exists_cosymplectic") == []
+
+
 SCALAR_BUILDERS = {"Fraction", "as_scalar"}
 
 
